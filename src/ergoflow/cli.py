@@ -9,8 +9,7 @@ verify     run the independent oracle suites and report pass/fail
 
 Times are entered and reported as the dimensionless tau = gamma * t unless
 --absolute-time is given.  A flat "key = value" config file can supply any
-flag of the invoked subcommand; explicit flags win over the file.  The
-ERGOFLOW_THREADS environment variable caps the sweep worker count.
+flag of the invoked subcommand; explicit flags win over the file.
 
 Exit codes: 0 success, 1 tolerance breach, 2 usage error.
 """
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import os
 import sys
 from pathlib import Path
 
@@ -48,8 +46,6 @@ from .oracles.quadrature import norm_energy_entropy
 from .states import InvalidStateError, SystemBathSpec, ergotropy, mean_energy, wigner_entropy
 
 __all__ = ["main", "build_parser", "parse_config_text", "dump_config"]
-
-THREADS_ENV_VAR = "ERGOFLOW_THREADS"
 
 TRAJECTORY_HEADER = "tau,E_state,E_passive,ergotropy,erg_v,erg_theta,wigner_entropy,f_beta_t,r_t"
 SWEEP_HEADER = (
@@ -134,17 +130,6 @@ def _write_text(path: str, text: str):
             handle.write(text)
     except OSError as err:
         raise CliError(f"cannot write output file {path!r}: {err}")
-
-
-def _worker_count(requested: int) -> int:
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is None:
-        return max(1, requested)
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise CliError(f"{THREADS_ENV_VAR} must be an integer, got {cap!r}")
-    return max(1, min(requested, cap))
 
 
 # ---------------------------------------------------------------- simulate
@@ -263,7 +248,7 @@ def cmd_sweep(args) -> int:
         nbar_values=_axis(args.nbar_axis, args.nbar, "nbar"),
         mu=args.mu,
     )
-    result = mpemba_scan(grid, spec, max_workers=_worker_count(args.workers))
+    result = mpemba_scan(grid, spec)
     _write_text(args.output, _sweep_csv(result.rows))
     print(
         f"monotonicity: tau_c decreasing along nbar in "
@@ -469,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("MIN", "MAX", "COUNT"),
         help="sweep the seed occupation instead of fixing it",
     )
-    sweep.add_argument("--workers", type=int, default=1, help=f"thread count (capped by {THREADS_ENV_VAR})")
     sweep.add_argument("--output", "-o", default="-", help="CSV destination ('-' for stdout)")
     sweep.set_defaults(handler=cmd_sweep)
 

@@ -4,9 +4,10 @@ A squeezed thermal state that starts with more extractable work than a
 displaced thermal one can nevertheless fall below it in finite time, because
 its passive-state energy is pumped up transiently while the displaced
 family's passive energy relaxes monotonically.  This module locates that
-crossing in closed form, cross-validates it with a bisection oracle built on
-the trajectory machinery, finds equal-charge displacement amplitudes, and
-sweeps the crossing time over bath/seed temperature axes.
+crossing in closed form, cross-validates it with a bisection oracle that
+bisects a whole batch of parameter points at once as arrays, finds
+equal-charge displacement amplitudes, and sweeps the crossing time over
+bath/seed temperature axes.
 
 All crossing times are reported in the dimensionless variable tau = gamma t;
 they do not depend on omega or gamma individually.
@@ -15,14 +16,14 @@ they do not depend on omega or gamma individually.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, evolve_analytic, sample_trajectory
+from .dynamics import Trajectory, sample_trajectory
 from .factory import displaced_thermal, squeezed_thermal
-from .states import SystemBathSpec, ergotropy
+from .states import GaussianState, SystemBathSpec, ergotropy
 
 __all__ = [
     "NOTE_NO_PRECONDITION",
@@ -48,6 +49,16 @@ NOTE_NO_CROSSING = "no crossing on scan window"
 # Initial charges closer than this (relatively) count as the degenerate
 # equal-charge boundary, where the curves touch at tau = 0 only.
 _EQUAL_CHARGE_RTOL = 1e-12
+
+# Bisection oracle: scan window and step in tau, stopping tolerances, the cap
+# on halvings per bracket, and how far a gap sample must stand above the
+# roundoff of the two charges it separates to count toward a sign change.
+_TAU_MAX = 50.0
+_SCAN_STEP = 0.01
+_G_TOL = 1e-12
+_TAU_TOL = 1e-12
+_MAX_BISECTIONS = 256
+_GAP_SIGNIFICANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -155,7 +166,113 @@ def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
     # Second factor is charge_gap shifted down by 2 f_pi, so the product is
     # positive whenever the precondition holds and the log argument exceeds 1.
     shifted_gap = mu_sq - 2.0 * math.cosh(r) ** 2 * f_pi
-    return math.log1p(shifted_gap * charge_gap / (2.0 * mu_sq * f))
+    if mu_sq >= sys.float_info.min:
+        ratio = shifted_gap * charge_gap / (2.0 * mu_sq * f)
+        if math.isfinite(ratio):
+            return math.log1p(ratio)
+    # |mu|^2 underflowed or the ratio overflowed: the 1 in log(1 + ratio) is
+    # negligible, and the log of the ratio is taken in log space
+    return math.log(shifted_gap * charge_gap / (2.0 * f)) - 2.0 * math.log(abs(mu))
+
+
+def _seed_moments(squeezed0: GaussianState, displaced0: GaussianState, spec: SystemBathSpec) -> tuple:
+    """(a_s, |m_s|, |v_d|^2, f, omega): what the gap function needs of a seed pair."""
+    return (
+        squeezed0.symmetric_variance,
+        abs(squeezed0.anomalous_variance),
+        abs(displaced0.alpha_mean) ** 2,
+        spec.f_beta,
+        spec.omega,
+    )
+
+
+def _charges(x, a_s, m_s, v_sq, f, omega):
+    """Squeezed and displaced ergotropy once the seeds have relaxed to x = exp(-tau).
+
+    Elementwise moment algebra over arrays.  The squeezed charge
+    a - sqrt(a^2 - |m|^2) is rationalised, so it keeps its relative precision
+    after it has decayed far below 1; the displaced seed has no anomalous
+    variance, so its charge is the displacement share alone.
+    """
+    a = a_s * x + f * (1.0 - x)
+    m = m_s * x
+    erg_s = omega * (m * m) / (a + np.sqrt((a - m) * (a + m)))
+    erg_d = omega * v_sq * x
+    return erg_s, erg_d
+
+
+def _bisect(lo, hi, g_lo, moments, g_tol, tau_tol):
+    """Bisect every bracket [lo, hi] of the gap at once; moments has one column per bracket.
+
+    A bracket is done when it is below tau_tol and its best |g| below g_tol,
+    or when g is exactly 0 at a midpoint; after _MAX_BISECTIONS halvings the
+    best midpoint so far is returned.
+    """
+    out = np.empty(lo.size)
+    pending = np.arange(lo.size)
+    best_tau, best_g = lo.copy(), g_lo.copy()
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        erg_s, erg_d = _charges(np.exp(-mid), *moments)
+        g_mid = erg_s - erg_d
+        better = np.abs(g_mid) < np.abs(best_g)
+        best_tau = np.where(better, mid, best_tau)
+        best_g = np.where(better, g_mid, best_g)
+        done = ((hi - lo <= tau_tol) & (np.abs(best_g) <= g_tol)) | (g_mid == 0.0)
+        out[pending[done]] = best_tau[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        same_side = (g_mid > 0.0) == (g_lo > 0.0)
+        lo = np.where(same_side, mid, lo)[keep]
+        g_lo = np.where(same_side, g_mid, g_lo)[keep]
+        hi = np.where(same_side, hi, mid)[keep]
+        pending, best_tau, best_g, moments = pending[keep], best_tau[keep], best_g[keep], moments[:, keep]
+    out[pending] = best_tau
+    return out
+
+
+def _numeric_crossings(seeds, tau_max, scan_step, g_tol, tau_tol) -> list:
+    """Bisection oracle for a batch of seed pairs: one crossing time (or None) each.
+
+    seeds holds (moments, erg0_squeezed, erg0_displaced) per point.  Each
+    gap g(tau) = erg_squeezed(tau) - erg_displaced(tau) is scanned on
+    [0, tau_max] at scan_step for its first sign change; then all bracketed
+    points are bisected together.  A point gets 0.0 when its initial charges
+    already coincide and None when g never changes sign.
+    """
+    n = max(1, int(round(tau_max / scan_step)))
+    taus = np.arange(n + 1) * scan_step
+    decay = np.exp(-taus)
+    times = [None] * len(seeds)
+    bracketed, lo, hi, g_lo, columns = [], [], [], [], []
+    for i, (moments, erg0_squeezed, erg0_displaced) in enumerate(seeds):
+        erg_scale = erg0_squeezed + erg0_displaced
+        if abs(erg0_squeezed - erg0_displaced) <= _EQUAL_CHARGE_RTOL * max(1.0, erg_scale):
+            times[i] = 0.0
+            continue
+        erg_s, erg_d = _charges(decay, *moments)
+        gap = erg_s - erg_d
+        # once both charges are down at roundoff, the gap sign is noise; only
+        # count a flip with at least one side clear of its own charges' roundoff
+        significant = np.abs(gap) > _GAP_SIGNIFICANCE * (erg_s + erg_d)
+        raw_flips = np.nonzero(gap[:-1] * gap[1:] < 0.0)[0]
+        flips = raw_flips[significant[raw_flips] | significant[raw_flips + 1]]
+        zeros = np.nonzero(gap == 0.0)[0]
+        exact_hits = zeros[significant[zeros - 1]]
+        if exact_hits.size and (not flips.size or exact_hits[0] <= flips[0]):
+            times[i] = float(taus[exact_hits[0]])
+        elif flips.size:
+            bracketed.append(i)
+            lo.append(taus[flips[0]])
+            hi.append(taus[flips[0] + 1])
+            g_lo.append(gap[flips[0]])
+            columns.append(moments)
+    if bracketed:
+        roots = _bisect(np.array(lo), np.array(hi), np.array(g_lo), np.array(columns).T, g_tol, tau_tol)
+        for i, tau in zip(bracketed, roots):
+            times[i] = float(tau)
+    return times
 
 
 def crossing_time_numeric(
@@ -164,12 +281,12 @@ def crossing_time_numeric(
     nbar_pi,
     nbar,
     spec: SystemBathSpec | None = None,
-    tau_max: float = 50.0,
-    scan_step: float = 0.01,
-    g_tol: float = 1e-12,
-    tau_tol: float = 1e-12,
+    tau_max: float = _TAU_MAX,
+    scan_step: float = _SCAN_STEP,
+    g_tol: float = _G_TOL,
+    tau_tol: float = _TAU_TOL,
 ) -> float | None:
-    """Bisection oracle for the crossing time, built on trajectory sampling.
+    """Bisection oracle for the crossing time, built on the relaxed seed moments.
 
     Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, tau_max] at
     scan_step for a sign change, then bisects until the bracket is below
@@ -180,53 +297,50 @@ def crossing_time_numeric(
     spec = _resolve_spec(spec, nbar)
     squeezed0 = squeezed_thermal(nbar_pi, r)
     displaced0 = displaced_thermal(nbar_pi, mu)
-
-    def charge_gap(tau: float) -> float:
-        t = tau / spec.gamma
-        return ergotropy(evolve_analytic(squeezed0, spec, t), spec) - ergotropy(
-            evolve_analytic(displaced0, spec, t), spec
-        )
-
-    erg_scale = ergotropy(squeezed0, spec) + ergotropy(displaced0, spec)
-    if abs(charge_gap(0.0)) <= _EQUAL_CHARGE_RTOL * max(1.0, erg_scale):
-        return 0.0
-
-    n = max(1, int(round(tau_max / scan_step)))
-    taus = np.arange(n + 1) * scan_step
-    gap = (
-        sample_trajectory(squeezed0, spec, taus).ergotropy
-        - sample_trajectory(displaced0, spec, taus).ergotropy
+    seed = (
+        _seed_moments(squeezed0, displaced0, spec),
+        ergotropy(squeezed0, spec),
+        ergotropy(displaced0, spec),
     )
-    # once both charges have decayed to the roundoff floor, the gap sign is
-    # noise; only count a flip with at least one side clearly nonzero
-    noise_floor = 1e-13 * max(1.0, erg_scale)
-    significant = np.abs(gap) > noise_floor
-    raw_flips = np.nonzero(gap[:-1] * gap[1:] < 0.0)[0]
-    flips = raw_flips[significant[raw_flips] | significant[raw_flips + 1]]
-    exact_hits = np.nonzero((gap == 0.0) & np.roll(significant, 1))[0]
-    if exact_hits.size and (not flips.size or exact_hits[0] <= flips[0]):
-        return float(taus[exact_hits[0]])
-    if not flips.size:
-        return None
+    return _numeric_crossings([seed], tau_max, scan_step, g_tol, tau_tol)[0]
 
-    lo, hi = float(taus[flips[0]]), float(taus[flips[0] + 1])
-    g_lo = float(gap[flips[0]])
-    best_tau, best_g = lo, g_lo
-    for _ in range(256):
-        mid = 0.5 * (lo + hi)
-        g_mid = charge_gap(mid)
-        if abs(g_mid) < abs(best_g):
-            best_tau, best_g = mid, g_mid
-        if hi - lo <= tau_tol and abs(best_g) <= g_tol:
-            break
-        if g_mid == 0.0:
-            best_tau, best_g = mid, g_mid
-            break
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
+
+def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_step: float) -> list:
+    """Crossing reports for (r, mu, nbar_pi, nbar) points, with one oracle call for all.
+
+    Each seed pair is built once; its tau = 0 charges are the scalar
+    ergotropies, and the oracle reads its moments.
+    """
+    rows = []
+    for r, mu, nbar_pi, nbar in points:
+        point_spec = _resolve_spec(spec, nbar)
+        squeezed0 = squeezed_thermal(nbar_pi, r) if r > 0.0 else None
+        erg0_squeezed = ergotropy(squeezed0, point_spec) if squeezed0 is not None else 0.0
+        displaced0 = displaced_thermal(nbar_pi, mu) if abs(mu) > 0.0 else None
+        erg0_displaced = ergotropy(displaced0, point_spec) if displaced0 is not None else 0.0
+        # r = 0 or mu = 0 is reported as a missing precondition; anything
+        # else, NaN included, goes through the closed form's argument checks
+        closed = seed = None
+        if not (r <= 0.0 or abs(mu) == 0.0):
+            closed = crossing_time_closed_form(r, mu, nbar_pi, nbar)
+            seed = (_seed_moments(squeezed0, displaced0, point_spec), erg0_squeezed, erg0_displaced)
+        rows.append((closed, seed, erg0_squeezed, erg0_displaced))
+
+    seeds = [seed for _, seed, _, _ in rows if seed is not None]
+    numerics = iter(_numeric_crossings(seeds, tau_max, scan_step, _G_TOL, _TAU_TOL))
+    reports = []
+    for closed, seed, erg0_squeezed, erg0_displaced in rows:
+        numeric = None if seed is None else next(numerics)
+        if closed is None:
+            note = NOTE_NO_PRECONDITION
+        elif closed == 0.0:
+            note = NOTE_DEGENERATE
+        elif numeric is None:
+            note = NOTE_NO_CROSSING
         else:
-            hi = mid
-    return best_tau
+            note = ""
+        reports.append(CrossingReport(note == "", closed, numeric, erg0_squeezed, erg0_displaced, note))
+    return reports
 
 
 def crossing_report(
@@ -235,8 +349,8 @@ def crossing_report(
     nbar_pi,
     nbar,
     spec: SystemBathSpec | None = None,
-    tau_max: float = 50.0,
-    scan_step: float = 0.01,
+    tau_max: float = _TAU_MAX,
+    scan_step: float = _SCAN_STEP,
 ) -> CrossingReport:
     """Closed-form and numeric crossing times with validity diagnostics.
 
@@ -244,21 +358,7 @@ def crossing_report(
     point-evaluation functions refuse to run) by reporting the reason
     instead of a crossing.
     """
-    spec = _resolve_spec(spec, nbar)
-    erg0_squeezed = ergotropy(squeezed_thermal(nbar_pi, r), spec) if r > 0.0 else 0.0
-    erg0_displaced = ergotropy(displaced_thermal(nbar_pi, mu), spec) if abs(mu) > 0.0 else 0.0
-    if r <= 0.0 or abs(mu) == 0.0:
-        return CrossingReport(False, None, None, erg0_squeezed, erg0_displaced, NOTE_NO_PRECONDITION)
-
-    closed = crossing_time_closed_form(r, mu, nbar_pi, nbar)
-    numeric = crossing_time_numeric(r, mu, nbar_pi, nbar, spec, tau_max, scan_step)
-    if closed is None:
-        return CrossingReport(False, None, numeric, erg0_squeezed, erg0_displaced, NOTE_NO_PRECONDITION)
-    if closed == 0.0:
-        return CrossingReport(False, closed, numeric, erg0_squeezed, erg0_displaced, NOTE_DEGENERATE)
-    if numeric is None:
-        return CrossingReport(False, closed, None, erg0_squeezed, erg0_displaced, NOTE_NO_CROSSING)
-    return CrossingReport(True, closed, numeric, erg0_squeezed, erg0_displaced, "")
+    return _crossing_reports([(r, mu, nbar_pi, nbar)], spec, tau_max, scan_step)[0]
 
 
 def equal_charge_amplitude(r, nbar_pi) -> float:
@@ -272,12 +372,12 @@ def equal_charge_amplitude(r, nbar_pi) -> float:
     return math.sqrt(f_pi * (math.cosh(2.0 * r) - 1.0))
 
 
-def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None, max_workers: int = 1) -> ScanResult:
+def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResult:
     """Crossing report for every (r, nbar_pi, nbar) grid point.
 
-    Points are independent; with max_workers > 1 they are evaluated by a
-    thread pool and the table order is restored at merge.  Rows follow the
-    axis order r (outer), nbar_pi, nbar (inner).
+    One batched oracle call serves the whole grid: each point's gap is
+    scanned on its own, then all bracketed points are bisected together as
+    arrays.  Rows follow the axis order r (outer), nbar_pi, nbar (inner).
     """
     points = [
         (r, nbar_pi, nbar)
@@ -285,17 +385,9 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None, max_workers
         for nbar_pi in grid.nbar_pi_values
         for nbar in grid.nbar_values
     ]
-
-    def compute(point):
-        r, nbar_pi, nbar = point
-        return crossing_report(r, grid.mu, nbar_pi, nbar, spec)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(compute, points))
-    else:
-        reports = [compute(p) for p in points]
-
+    reports = _crossing_reports(
+        [(r, grid.mu, nbar_pi, nbar) for r, nbar_pi, nbar in points], spec, _TAU_MAX, _SCAN_STEP
+    )
     rows = tuple(
         ScanRow(r, nbar_pi, nbar, grid.mu, rep)
         for (r, nbar_pi, nbar), rep in zip(points, reports)

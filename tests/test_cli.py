@@ -1,11 +1,23 @@
 """Command-line surface: CSV schemas, determinism, config files, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ergoflow import cli
+import ergoflow
+from ergoflow import (
+    SystemBathSpec,
+    cli,
+    crossing_time_closed_form,
+    displaced_thermal,
+    ergotropy,
+    squeezed_thermal,
+)
 from ergoflow.cli import SWEEP_HEADER, TRAJECTORY_HEADER, dump_config, parse_config_text
 
 
@@ -155,6 +167,18 @@ class TestCrossing:
         assert code == 0
         assert "degenerate equal initial charge" in out
 
+    def test_tiny_amplitude_exits_zero(self):
+        # |mu|^2 underflows; the command reports the late closed-form time
+        # instead of dying in the closed form
+        env = dict(os.environ, PYTHONPATH=str(Path(ergoflow.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergoflow.cli", "crossing", "--mu", "1e-200"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "no crossing: no crossing on scan window" in proc.stdout
+
     def test_csv_side_output(self, tmp_path, capsys):
         out = tmp_path / "crossing.csv"
         code, _, _ = run(
@@ -196,21 +220,27 @@ class TestSweep:
         assert code == 2
         assert "at least one point" in err
 
-    def test_worker_cap_from_environment(self, tmp_path, capsys, monkeypatch):
-        out_serial, out_threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        base = ["sweep", "--r", "1.0", "--mu", "1.0", "--nbar-pi", "0.5",
-                "--nbar-axis", "0.2", "1.8", "5"]
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "1")
-        run(base + ["--workers", "8", "-o", str(out_serial)], capsys)
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "4")
-        run(base + ["--workers", "8", "-o", str(out_threaded)], capsys)
-        assert out_serial.read_bytes() == out_threaded.read_bytes()
-
-    def test_bad_worker_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "many")
-        code, _, err = run(["sweep", "--r", "1.0", "--workers", "2"], capsys)
-        assert code == 2
-        assert cli.THREADS_ENV_VAR in err
+    def test_closed_form_columns_match_library(self, tmp_path, capsys):
+        # tau_c_closed and the tau = 0 charges are written exactly as the
+        # scalar closed forms compute them
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            [
+                "sweep", "--r", "0.3", "1.1", "--mu", "0.9", "--nbar-pi-axis", "0", "1.5", "4",
+                "--nbar-axis", "0", "2", "3", "--omega", "1.3", "--gamma", "0.7", "-o", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 24
+        for row in rows:
+            r, nbar_pi, nbar, mu = (float(cell) for cell in row[:4])
+            spec = SystemBathSpec(omega=1.3, gamma=0.7, nbar=nbar)
+            closed = crossing_time_closed_form(r, mu, nbar_pi, nbar)
+            assert row[5] == ("" if closed is None else format(closed, ".17g"))
+            assert row[7] == format(ergotropy(squeezed_thermal(nbar_pi, r), spec), ".17g")
+            assert row[8] == format(ergotropy(displaced_thermal(nbar_pi, mu), spec), ".17g")
 
 
 class TestConfigFile:

@@ -18,7 +18,7 @@ from ergoflow import (
     mpemba_scan,
     squeezed_thermal,
 )
-from ergoflow.mpemba import NOTE_DEGENERATE, NOTE_NO_PRECONDITION
+from ergoflow.mpemba import NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
 
 from helpers import rng_for
 
@@ -58,6 +58,21 @@ class TestClosedForm:
         value = crossing_time_closed_form(1.0, 1j, 0.2, 0.4)
         assert value == pytest.approx(TAU_C_FIG2, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "r, mu",
+        [
+            (1.0, 1e-200),  # |mu|^2 underflows to 0
+            (1.0, 1e-160),  # |mu|^2 is subnormal
+            (100.0, 1e-150),  # the log argument overflows
+        ],
+    )
+    def test_tiny_amplitude_is_finite(self, r, mu):
+        # the 1 in log(1 + x) is negligible here, so tau_c = log(x) with
+        # x = f_pi^2 sinh^2(2r) / (2 |mu|^2 f) to leading order
+        f_pi, f = 0.7, 0.9
+        expected = math.log(f_pi ** 2 * math.sinh(2.0 * r) ** 2 / (2.0 * f)) - 2.0 * math.log(mu)
+        assert crossing_time_closed_form(r, mu, 0.2, 0.4) == pytest.approx(expected, rel=1e-13)
+
 
 class TestNumericOracle:
     def test_matches_closed_form_fig2(self):
@@ -82,6 +97,15 @@ class TestNumericOracle:
             evolve_analytic(displaced_thermal(0.2, 1.0), spec, tau_c), spec
         )
         assert abs(gap) <= 1e-12
+
+    def test_late_crossing_is_found(self):
+        # both charges are ~5e-29 at tau_c = 37.53, far below a fixed noise
+        # floor; the oracle must still resolve the sign change
+        closed = crossing_time_closed_form(3.0, 1e-6, 0.2, 0.0)
+        numeric = crossing_time_numeric(3.0, 1e-6, 0.2, 0.0)
+        assert closed == pytest.approx(37.5313645784688, rel=1e-12)
+        assert numeric is not None
+        assert abs(numeric - closed) <= 1e-9
 
     def test_scaling_invariance(self):
         # tau_c is a function of tau = gamma t only; omega never enters
@@ -112,6 +136,13 @@ class TestCrossingReport:
         assert not report.exists
         assert report.tau_c_closed == 0.0
         assert report.validity_note == NOTE_DEGENERATE
+
+    def test_tiny_amplitude_has_no_crossing_in_window(self):
+        report = crossing_report(1.0, 1e-200, 0.2, 0.4)
+        assert not report.exists
+        assert math.isfinite(report.tau_c_closed) and report.tau_c_closed > 50.0
+        assert report.tau_c_numeric is None
+        assert report.validity_note == NOTE_NO_CROSSING
 
     def test_thermal_vs_thermal_absent(self):
         report = crossing_report(0.0, 0.0, 0.2, 0.2)
@@ -183,11 +214,17 @@ class TestScan:
         assert result.nbar_pi_increasing_violations == 0
         assert result.nbar_pi_comparisons == 2 * 8
 
-    def test_thread_pool_is_deterministic(self):
-        grid = SweepGrid((0.8, 1.0), (0.5,), tuple(np.linspace(0.2, 1.8, 5)), mu=1.0)
-        serial = mpemba_scan(grid, max_workers=1)
-        threaded = mpemba_scan(grid, max_workers=4)
-        assert serial == threaded
+    def test_rows_match_single_point_reports(self):
+        # one batched oracle call for the grid gives, bit for bit, what each
+        # point gets alone; the grid mixes boundary, no-precondition and
+        # crossing points
+        grid = SweepGrid((0.0, 0.3, 0.8, 1.2), (0.0, 0.5, 1.5), (0.0, 0.7, 2.0), mu=1.0)
+        spec = SystemBathSpec(omega=1.7, gamma=0.6)
+        result = mpemba_scan(grid, spec)
+        assert {row.report.validity_note for row in result.rows} == {"", NOTE_NO_PRECONDITION}
+        for row in result.rows:
+            alone = crossing_report(row.r, grid.mu, row.nbar_pi, row.nbar, spec)
+            assert repr(row.report) == repr(alone)
 
     def test_row_ordering(self):
         grid = SweepGrid((0.8, 1.0), (0.3, 0.6), (0.1, 0.9), mu=1.0)
