@@ -33,16 +33,6 @@ from .factory import (
     thermal_state,
 )
 from .mpemba import ScanRow, SweepGrid, crossing_report, mpemba_scan
-from .oracles.fock import (
-    CutoffError,
-    fock_ergotropy,
-    fock_gaussian_state,
-    fock_lindblad_evolve,
-    fock_lindblad_path,
-    fock_moments,
-)
-from .oracles.lyapunov import IntegratorConfig, convergence_order, integrate_lyapunov, rk4_moment_path
-from .oracles.quadrature import norm_energy_entropy
 from .states import InvalidStateError, SystemBathSpec, ergotropy, mean_energy, wigner_entropy
 
 __all__ = ["main", "build_parser", "parse_config_text", "dump_config"]
@@ -276,6 +266,18 @@ def _quadrature_states():
 
 
 def cmd_verify(args) -> int:
+    # the oracles are imported here, so the other subcommands never load them
+    from .oracles.fock import (
+        CutoffError,
+        fock_ergotropy,
+        fock_gaussian_state,
+        fock_lindblad_evolve,
+        fock_lindblad_path,
+        fock_moments,
+    )
+    from .oracles.lyapunov import IntegratorConfig, convergence_order, integrate_lyapunov, rk4_moment_path
+    from .oracles.quadrature import norm_energy_entropy
+
     rng = np.random.default_rng(args.seed)
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=args.nbar)
     checks = []
@@ -322,8 +324,13 @@ def cmd_verify(args) -> int:
         )
     )
 
-    # Fock-space ground truth (CutoffError propagates as exit code 1)
-    squeezed_rho = fock_gaussian_state(args.nbar_pi, 0j, args.r, 0.0, args.cutoff)
+    # Fock-space ground truth; a cutoff too small for a seed is a breach (exit code 1)
+    try:
+        squeezed_rho = fock_gaussian_state(args.nbar_pi, 0j, args.r, 0.0, args.cutoff)
+        thermal_rho = fock_gaussian_state(spec.nbar, dim=args.cutoff)
+        displaced_rho = fock_gaussian_state(args.nbar_pi, complex(args.mu), 0.0, 0.0, args.cutoff)
+    except CutoffError as err:
+        raise CliError(str(err), code=1) from err
     gauss_squeezed = squeezed_thermal(args.nbar_pi, args.r)
     checks.append(
         (
@@ -343,7 +350,6 @@ def cmd_verify(args) -> int:
     )
     checks.append(("fock vs gaussian ergotropy on trajectory", traj_dev, 1e-3))
 
-    thermal_rho = fock_gaussian_state(spec.nbar, dim=args.cutoff)
     evolved_rho = fock_lindblad_evolve(thermal_rho, spec, 1.0 / spec.gamma, dt=args.fock_dt / spec.gamma)
     checks.append(
         (
@@ -353,7 +359,6 @@ def cmd_verify(args) -> int:
         )
     )
 
-    displaced_rho = fock_gaussian_state(args.nbar_pi, complex(args.mu), 0.0, 0.0, args.cutoff)
     t_one = 1.0 / spec.gamma
     evolved_rho = fock_lindblad_evolve(displaced_rho, spec, t_one, dt=args.fock_dt / spec.gamma)
     expected_mean = complex(args.mu) * cmath.exp(-(1j * spec.omega + 0.5 * spec.gamma) * t_one)
@@ -485,9 +490,6 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except CutoffError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (InvalidStateError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

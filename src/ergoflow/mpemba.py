@@ -44,6 +44,8 @@ __all__ = [
 
 NOTE_NO_PRECONDITION = "no Mpemba precondition"
 NOTE_DEGENERATE = "degenerate equal initial charge"
+# The oracle found no sign change of the gap on its scan window, counting only
+# samples where both charges are resolved (normal floats).
 NOTE_NO_CROSSING = "no crossing on scan window"
 
 # Initial charges closer than this (relatively) count as the degenerate
@@ -235,28 +237,34 @@ def _bisect(lo, hi, g_lo, moments, g_tol, tau_tol):
 def _numeric_crossings(seeds, tau_max, scan_step, g_tol, tau_tol) -> list:
     """Bisection oracle for a batch of seed pairs: one crossing time (or None) each.
 
-    seeds holds (moments, erg0_squeezed, erg0_displaced) per point.  Each
-    gap g(tau) = erg_squeezed(tau) - erg_displaced(tau) is scanned on
+    seeds holds the moments of one seed pair per point.  Each gap
+    g(tau) = erg_squeezed(tau) - erg_displaced(tau) is scanned on
     [0, tau_max] at scan_step for its first sign change; then all bracketed
-    points are bisected together.  A point gets 0.0 when its initial charges
-    already coincide and None when g never changes sign.
+    points are bisected together.  A point gets 0.0 when its tau = 0 charges
+    coincide and None when g shows no sign change where the charges are
+    resolved.
     """
     n = max(1, int(round(tau_max / scan_step)))
     taus = np.arange(n + 1) * scan_step
     decay = np.exp(-taus)
     times = [None] * len(seeds)
     bracketed, lo, hi, g_lo, columns = [], [], [], [], []
-    for i, (moments, erg0_squeezed, erg0_displaced) in enumerate(seeds):
-        erg_scale = erg0_squeezed + erg0_displaced
-        if abs(erg0_squeezed - erg0_displaced) <= _EQUAL_CHARGE_RTOL * max(1.0, erg_scale):
-            times[i] = 0.0
-            continue
+    for i, moments in enumerate(seeds):
         erg_s, erg_d = _charges(decay, *moments)
         gap = erg_s - erg_d
-        # once both charges are down at roundoff, the gap sign is noise; only
+        # a charge below the smallest normal float (times omega, so that the
+        # moment products behind it are normal too) has lost its relative
+        # precision, and so has the gap's sign
+        resolved = np.minimum(erg_s, erg_d) >= sys.float_info.min * max(1.0, moments[-1])
+        if resolved[0] and abs(gap[0]) <= _EQUAL_CHARGE_RTOL * (erg_s[0] + erg_d[0]):
+            times[i] = 0.0
+            continue
+        # where the two charges agree to roundoff, the gap sign is noise; only
         # count a flip with at least one side clear of its own charges' roundoff
-        significant = np.abs(gap) > _GAP_SIGNIFICANCE * (erg_s + erg_d)
-        raw_flips = np.nonzero(gap[:-1] * gap[1:] < 0.0)[0]
+        significant = resolved & (np.abs(gap) > _GAP_SIGNIFICANCE * (erg_s + erg_d))
+        # signs, not the product of neighbouring gaps, which underflows to 0
+        sign = np.sign(gap)
+        raw_flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
         flips = raw_flips[significant[raw_flips] | significant[raw_flips + 1]]
         zeros = np.nonzero(gap == 0.0)[0]
         exact_hits = zeros[significant[zeros - 1]]
@@ -290,26 +298,22 @@ def crossing_time_numeric(
 
     Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, tau_max] at
     scan_step for a sign change, then bisects until the bracket is below
-    tau_tol and |g| below g_tol.  Returns None when g never changes sign and
-    0.0 when the initial charges already coincide.
+    tau_tol and |g| below g_tol.  Returns 0.0 when the initial charges
+    already coincide, and None when g never changes sign while both charges
+    are resolved, i.e. at least the smallest normal float (so weak charges
+    that underflow before they cross give None).
     """
     _check_crossing_args(r, mu, nbar_pi, nbar)
     spec = _resolve_spec(spec, nbar)
-    squeezed0 = squeezed_thermal(nbar_pi, r)
-    displaced0 = displaced_thermal(nbar_pi, mu)
-    seed = (
-        _seed_moments(squeezed0, displaced0, spec),
-        ergotropy(squeezed0, spec),
-        ergotropy(displaced0, spec),
-    )
+    seed = _seed_moments(squeezed_thermal(nbar_pi, r), displaced_thermal(nbar_pi, mu), spec)
     return _numeric_crossings([seed], tau_max, scan_step, g_tol, tau_tol)[0]
 
 
 def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_step: float) -> list:
     """Crossing reports for (r, mu, nbar_pi, nbar) points, with one oracle call for all.
 
-    Each seed pair is built once; its tau = 0 charges are the scalar
-    ergotropies, and the oracle reads its moments.
+    Each seed pair is built once; the reported tau = 0 charges are the
+    scalar ergotropies, and the oracle reads its moments.
     """
     rows = []
     for r, mu, nbar_pi, nbar in points:
@@ -323,7 +327,7 @@ def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_
         closed = seed = None
         if not (r <= 0.0 or abs(mu) == 0.0):
             closed = crossing_time_closed_form(r, mu, nbar_pi, nbar)
-            seed = (_seed_moments(squeezed0, displaced0, point_spec), erg0_squeezed, erg0_displaced)
+            seed = _seed_moments(squeezed0, displaced0, point_spec)
         rows.append((closed, seed, erg0_squeezed, erg0_displaced))
 
     seeds = [seed for _, seed, _, _ in rows if seed is not None]

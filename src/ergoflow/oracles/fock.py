@@ -1,7 +1,7 @@
 """Dense truncated-Fock master-equation simulator and definitional ergotropy.
 
 Everything here is deliberately brute force: states are explicit density
-matrices built by matrix exponentials of the truncated generators, the
+matrices built by exponentiating the truncated generators, the
 master-equation right-hand side
 
     d rho/dt = -i [H, rho] + gamma (1 + nbar) D[a] rho + gamma nbar D[a+] rho,
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..states import SystemBathSpec
 
@@ -84,17 +83,26 @@ def annihilation(dim: int) -> np.ndarray:
     return a
 
 
+def _unitary_exp(generator: np.ndarray) -> np.ndarray:
+    """exp(G) for an anti-Hermitian G, from the Hermitian eigendecomposition of i G.
+
+    With i G = U diag(w) U+, exp(G) = U diag(exp(-i w)) U+.
+    """
+    w, u = np.linalg.eigh(1j * generator)
+    return (u * np.exp(-1j * w)) @ u.conj().T
+
+
 def displacement_operator(mu: complex, dim: int) -> np.ndarray:
     """exp(mu a+ - mu* a) on the truncated ladder."""
     a = annihilation(dim)
-    return expm(mu * a.conj().T - np.conj(mu) * a)
+    return _unitary_exp(mu * a.conj().T - np.conj(mu) * a)
 
 
 def squeezing_operator(r: float, theta: float, dim: int) -> np.ndarray:
     """exp((z* a^2 - z a+^2)/2) with z = r e^{i theta} on the truncated ladder."""
     z = r * np.exp(1j * theta)
     a_sq = annihilation(dim) @ annihilation(dim)
-    return expm(0.5 * (np.conj(z) * a_sq - z * a_sq.conj().T))
+    return _unitary_exp(0.5 * (np.conj(z) * a_sq - z * a_sq.conj().T))
 
 
 def fock_gaussian_state(

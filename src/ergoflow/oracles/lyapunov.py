@@ -31,19 +31,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size and final time; the method tag is pinned to classical RK4."""
+    """Step size and final time of one classical RK4 integration."""
 
     dt: float
     t_final: float
-    method: str = "rk4"
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be finite and positive")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError("t_final must be finite and nonnegative")
-        if self.method != "rk4":
-            raise ValueError("only the classical rk4 method is available")
 
 
 def _generators(spec: SystemBathSpec, omit_gamma_in_noise: bool):

@@ -310,3 +310,49 @@ class TestVerify:
         code, _, err = run(self.FAST[:-2] + ["--r", "1.0", "--cutoff", "10"], capsys)
         assert code == 1
         assert "increase the cutoff" in err
+
+
+# Makes every scipy import fail in the interpreter that runs it.
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+class TestLeanStartUp:
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        commands = [
+            ["simulate", "--family", "squeezed", "--r", "0.5", "--output", str(tmp_path / "sim.csv")],
+            ["crossing"],
+            TestVerify.FAST,
+            TestVerify.FAST[:-2] + ["--r", "1.0", "--cutoff", "10"],
+        ]
+        script = BLOCK_SCIPY + (
+            "try:\n"
+            "    import scipy\n"
+            "except ImportError:\n"
+            "    print('scipy blocked')\n"
+            "import ergoflow.cli\n"
+            "print('fock loaded', 'ergoflow.oracles.fock' in sys.modules)\n"
+            f"for argv in {commands!r}:\n"
+            "    print('exit', ergoflow.cli.main(argv))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ergoflow.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "scipy blocked" in lines
+        # importing the CLI loads no oracle; only verify does
+        assert "fock loaded False" in lines
+        assert [line for line in lines if line.startswith("exit ")] == ["exit 0", "exit 0", "exit 0", "exit 1"]
+        assert "increase the cutoff" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -31,7 +31,7 @@ SPEC = SystemBathSpec(omega=1.0, gamma=1.0, nbar=0.4)
 THETA11_AT_1 = 1.53773261683512
 ABS_THETA12_AT_1 = 0.9339731660319135
 F_BETA_AT_1 = 1.2216037516359017
-# interior maximum of the squeezed passive energy (scipy bounded minimizer)
+# interior maximum of the squeezed passive energy, frozen from a bounded scalar search
 PASSIVE_MAX = 1.2318817760754726
 PASSIVE_MAX_TAU = 0.7907747108394108
 

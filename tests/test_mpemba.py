@@ -144,6 +144,29 @@ class TestCrossingReport:
         assert report.tau_c_numeric is None
         assert report.validity_note == NOTE_NO_CROSSING
 
+    @pytest.mark.parametrize(
+        "r, mu, tau_c",
+        [
+            (1e-7, 1e-8, 4.69236673101826),  # tau = 0 charges 1.4e-14 and 1.6e-16
+            (1e-100, 1e-110, 46.13685966822122),  # the gap near tau_c is below 1e-162
+        ],
+    )
+    def test_weak_charges_cross(self, r, mu, tau_c):
+        report = crossing_report(r, mu, 0.2, 0.4)
+        assert report.tau_c_closed == pytest.approx(tau_c, rel=1e-13)
+        assert report.exists
+        assert abs(report.tau_c_numeric - report.tau_c_closed) <= 1e-9
+
+    def test_underflowing_charges_are_not_a_crossing(self):
+        # |mu|^2 is subnormal and both charges underflow before they cross:
+        # the oracle sees no resolved sign change, so the report says so
+        # instead of claiming a crossing at tau = 0
+        report = crossing_report(1e-150, 1e-160, 0.2, 0.4)
+        assert report.tau_c_closed == pytest.approx(46.13685966822118, rel=1e-13)
+        assert not report.exists
+        assert report.tau_c_numeric is None
+        assert report.validity_note == NOTE_NO_CROSSING
+
     def test_thermal_vs_thermal_absent(self):
         report = crossing_report(0.0, 0.0, 0.2, 0.2)
         assert not report.exists

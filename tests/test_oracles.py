@@ -51,8 +51,6 @@ class TestLyapunovRK4:
             IntegratorConfig(dt=0.0, t_final=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, t_final=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=0.1, t_final=1.0, method="euler")
 
     def test_thermal_fixed_point(self):
         thermal = thermal_state(SPEC.nbar)
@@ -135,6 +133,29 @@ class TestFockOracle:
         assert np.max(np.abs(d_op @ d_op.conj().T - np.eye(40))) <= 1e-10
         s_op = squeezing_operator(0.6, 1.1, 40)
         assert np.max(np.abs(s_op @ s_op.conj().T - np.eye(40))) <= 1e-10
+
+    @pytest.mark.parametrize("mu", [0.7 - 0.2j, 1.0, 1.5 + 0.5j, 2.0])
+    def test_displaced_vacuum_is_coherent(self, mu):
+        # <n|D(mu)|0> = exp(-|mu|^2/2) mu^n / sqrt(n!) on the levels the
+        # cutoff represents well; their columns stay orthonormal
+        d_op = displacement_operator(mu, 60)
+        n = np.arange(20)
+        norms = np.sqrt([math.factorial(k) for k in n])
+        expected = np.exp(-abs(mu) ** 2 / 2.0) * mu ** n / norms
+        assert np.max(np.abs(d_op[:20, 0] - expected)) <= 1e-12
+        block = d_op[:, :20]
+        assert np.max(np.abs(block.conj().T @ block - np.eye(20))) <= 1e-12
+
+    @pytest.mark.parametrize("r, theta", [(0.6, 1.1), (0.8, 0.3)])
+    def test_squeezed_vacuum_closed_form(self, r, theta):
+        # <2k|S(z)|0> = (-e^{i theta} tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)),
+        # and the odd levels stay empty
+        s_op = squeezing_operator(r, theta, 60)
+        k = np.arange(10)
+        weights = np.sqrt([math.factorial(2 * j) for j in k]) / [2.0**j * math.factorial(j) for j in k]
+        expected = (-np.exp(1j * theta) * np.tanh(r)) ** k * weights / np.sqrt(np.cosh(r))
+        assert np.max(np.abs(s_op[0:20:2, 0] - expected)) <= 1e-12
+        assert np.max(np.abs(s_op[1:20:2, 0])) <= 1e-12
 
     def test_vacuum_density_matrix(self):
         rho = fock_gaussian_state(0.0, dim=20)
