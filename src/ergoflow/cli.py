@@ -278,6 +278,9 @@ def cmd_verify(args) -> int:
     from .oracles.lyapunov import IntegratorConfig, convergence_order, integrate_lyapunov, rk4_moment_path
     from .oracles.quadrature import norm_energy_entropy
 
+    # an empty batch or trajectory would pass its check without checking anything
+    if args.states < 1 or args.points < 1:
+        raise CliError("--states and --points must be at least 1")
     rng = np.random.default_rng(args.seed)
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=args.nbar)
     checks = []

@@ -6,7 +6,8 @@ Three unrelated numerical routes cross-check the analytic results:
   fixed-step RK4 scheme,
 - :mod:`ergoflow.oracles.fock` evolves dense truncated-Fock density matrices
   under the full master equation and extracts the definitional
-  (spectrum-reordering) ergotropy,
+  (spectrum-reordering) ergotropy; it steps with the same RK4 driver as the
+  moment oracle,
 - :mod:`ergoflow.oracles.quadrature` evaluates phase-space integrals on a
   plain grid.
 

@@ -15,12 +15,12 @@ matrices are fine at the cutoffs used here (N <= 80).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..states import SystemBathSpec
+from .lyapunov import _rk4_path
 
 __all__ = [
     "CutoffError",
@@ -62,6 +62,9 @@ class FockDensityMatrix:
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
+        # NaN fails every comparison below, and eigvalsh reads one triangle only
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(matrix - matrix.conj().T)) > HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian to tolerance")
         trace = float(np.trace(matrix).real)
@@ -147,11 +150,13 @@ def _rhs_factory(dim: int, spec: SystemBathSpec):
     # a rho a+ shifts indices down, a+ rho a shifts them up; both carry the
     # same sqrt(jk)-type weights
     shift_w = np.sqrt(np.outer(n[1:], n[1:]))
+    down_w = g_down * shift_w
+    up_w = g_up * shift_w
 
     def rhs(rho):
         out = local * rho
-        out[:-1, :-1] += g_down * shift_w * rho[1:, 1:]
-        out[1:, 1:] += g_up * shift_w * rho[:-1, :-1]
+        out[:-1, :-1] += down_w * rho[1:, 1:]
+        out[1:, 1:] += up_w * rho[:-1, :-1]
         return out
 
     return rhs
@@ -165,39 +170,12 @@ def fock_lindblad_path(
 ) -> list[FockDensityMatrix]:
     """RK4 sample path of the master equation at the requested (raw) times.
 
-    Each record revalidates hermiticity, trace and positivity, so integrator
-    drift beyond tolerance raises instead of propagating.
+    The whole path is integrated first; then each record is revalidated for
+    hermiticity, trace and positivity, so integrator drift beyond tolerance
+    raises instead of propagating.
     """
-    times = [float(t) for t in times]
-    if any(t < 0.0 or not math.isfinite(t) for t in times):
-        raise ValueError("times must be finite and nonnegative")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be nondecreasing")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-
-    rhs = _rhs_factory(rho0.dim, spec)
-
-    def step(rho, h):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    rho = rho0.matrix.copy()
-    records = []
-    t_now = 0.0
-    for target in times:
-        while target - t_now > dt * (1.0 + 1e-9):
-            rho = step(rho, dt)
-            t_now += dt
-        remainder = target - t_now
-        if remainder > 1e-14 * max(1.0, target):
-            rho = step(rho, remainder)
-        t_now = target
-        records.append(FockDensityMatrix(rho.copy()))
-    return records
+    records = _rk4_path(_rhs_factory(rho0.dim, spec), rho0.matrix, dt, times)
+    return [FockDensityMatrix(rho) for rho in records]
 
 
 def fock_lindblad_evolve(

@@ -6,9 +6,12 @@ The covariance is advanced through the literal matrix ODE
     N = gamma f I,
 
 and the first moment through dv/dt = L v, with classical 4th-order
-Runge-Kutta steps.  The exponential solution is never used, so agreement
-with the closed-form evolution is a genuine cross-check.  Batched over
-initial states for the randomized suites.
+Runge-Kutta steps.  L is diagonal, so L C + C L+ is elementwise,
+(L C + C L+)_jk = l_j C_jk + C_jk conj(l_k), and each state is stepped as
+one row (v, C00, C01, C10, C11) of the same ODE.  The exponential solution
+is never used, so agreement with the closed-form evolution is a genuine
+cross-check.  Batched over initial states for the randomized suites; the
+RK4 driver here also integrates the Fock oracle's master equation.
 """
 
 from __future__ import annotations
@@ -43,19 +46,41 @@ class IntegratorConfig:
             raise ValueError("t_final must be finite and nonnegative")
 
 
-def _generators(spec: SystemBathSpec, omit_gamma_in_noise: bool):
-    drift = -0.5 * np.array(
-        [
-            [spec.gamma + 2j * spec.omega, 0.0],
-            [0.0, spec.gamma - 2j * spec.omega],
-        ],
-        dtype=complex,
-    )
-    # The stationary covariance f I forces the noise prefactor gamma; the
-    # unscaled variant exists only for the mutation sanity check in `verify`.
-    prefactor = 1.0 if omit_gamma_in_noise else spec.gamma
-    noise = prefactor * spec.f_beta * np.eye(2, dtype=complex)
-    return drift, noise
+def _rk4_path(rhs, y0, dt, record_times):
+    """Classical RK4 from y0 at t = 0; a copy of y at each record time.
+
+    Each record time is reached by whole steps of dt while more than dt
+    remains, then one shortened step when the remainder is not negligible.
+    The moment and Fock oracles both integrate through this driver.
+    """
+    if dt <= 0.0 or not math.isfinite(dt):
+        raise ValueError("dt must be finite and positive")
+    record_times = [float(t) for t in record_times]
+    if any(t < 0.0 or not math.isfinite(t) for t in record_times):
+        raise ValueError("record times must be finite and nonnegative")
+    if any(b < a for a, b in zip(record_times, record_times[1:])):
+        raise ValueError("record times must be nondecreasing")
+
+    def step(y, h):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y = y0
+    records = []
+    t_now = 0.0
+    for target in record_times:
+        while target - t_now > dt * (1.0 + 1e-9):
+            y = step(y, dt)
+            t_now += dt
+        remainder = target - t_now
+        if remainder > 1e-14 * max(1.0, target):
+            y = step(y, remainder)
+        t_now = target
+        records.append(y.copy())
+    return records
 
 
 def rk4_moment_path(
@@ -83,53 +108,27 @@ def rk4_moment_path(
     (means, covs):
         Complex arrays of shapes (T, B) and (T, B, 2, 2).
     """
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise ValueError("dt must be finite and positive")
-    record_times = [float(t) for t in record_times]
-    if any(t < 0.0 or not math.isfinite(t) for t in record_times):
-        raise ValueError("record times must be finite and nonnegative")
-    if any(b < a for a, b in zip(record_times, record_times[1:])):
-        raise ValueError("record times must be nondecreasing")
+    # one row (v, C00, C01, C10, C11) per state
+    y0 = np.array([(s.alpha_mean, *s.cov.ravel()) for s in states], dtype=complex).reshape(-1, 5)
+    # L = diag(l0, l1), so dv/dt = l0 v and (L C + C L+)_jk = l_j C_jk + C_jk conj(l_k)
+    l0 = -0.5 * (spec.gamma + 2j * spec.omega)
+    l1 = -0.5 * (spec.gamma - 2j * spec.omega)
+    # The stationary covariance f I forces the noise prefactor gamma; the
+    # unscaled variant exists only for the mutation sanity check in `verify`.
+    noise = (1.0 if omit_gamma_in_noise else spec.gamma) * spec.f_beta
+    left = np.array([l0, l0, l0, l1, l1])
+    right = np.array([0.0, l0.conjugate(), l1.conjugate(), l0.conjugate(), l1.conjugate()])
+    forcing = np.array([0.0, noise, 0.0, 0.0, noise], dtype=complex)
 
-    means = np.array([s.alpha_mean for s in states], dtype=complex)
-    covs = np.stack([s.cov for s in states]).astype(complex)
-    drift, noise = _generators(spec, omit_gamma_in_noise)
-    drift_h = drift.conj().T
-    lam_v = drift[0, 0]
+    def rhs(y):
+        return left * y + y * right + forcing
 
-    def rhs(v, c):
-        return lam_v * v, drift @ c + c @ drift_h + noise
-
-    def step(v, c, h):
-        k1v, k1c = rhs(v, c)
-        k2v, k2c = rhs(v + 0.5 * h * k1v, c + 0.5 * h * k1c)
-        k3v, k3c = rhs(v + 0.5 * h * k2v, c + 0.5 * h * k2c)
-        k4v, k4c = rhs(v + h * k3v, c + h * k3c)
-        return (
-            v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-            c + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
-        )
-
-    rec_means, rec_covs = [], []
-    t_now = 0.0
     # divergence is reported via the finiteness check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for target in record_times:
-            while target - t_now > dt * (1.0 + 1e-9):
-                means, covs = step(means, covs, dt)
-                t_now += dt
-            remainder = target - t_now
-            if remainder > 1e-14 * max(1.0, target):
-                means, covs = step(means, covs, remainder)
-            t_now = target
-            rec_means.append(means.copy())
-            rec_covs.append(covs.copy())
-
-    rec_means = np.stack(rec_means)
-    rec_covs = np.stack(rec_covs)
-    if not (np.all(np.isfinite(rec_means)) and np.all(np.isfinite(rec_covs))):
+        records = np.stack(_rk4_path(rhs, y0, dt, record_times))
+    if not np.all(np.isfinite(records)):
         raise ArithmeticError("RK4 moments overflowed; reduce the step size")
-    return rec_means, rec_covs
+    return records[:, :, 0], records[:, :, 1:].reshape(*records.shape[:2], 2, 2)
 
 
 def integrate_lyapunov(

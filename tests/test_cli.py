@@ -306,6 +306,14 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flag", ["--states", "--points"])
+    def test_empty_check_is_usage_error(self, capsys, flag):
+        args = list(self.FAST)
+        args[args.index(flag) + 1] = "0"
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert "at least 1" in err
+
     def test_inadequate_cutoff_is_loud(self, capsys):
         code, _, err = run(self.FAST[:-2] + ["--r", "1.0", "--cutoff", "10"], capsys)
         assert code == 1

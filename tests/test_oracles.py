@@ -33,6 +33,7 @@ from ergoflow.oracles.fock import (
 )
 from ergoflow.oracles.lyapunov import (
     IntegratorConfig,
+    _rk4_path,
     convergence_order,
     integrate_lyapunov,
     rk4_moment_path,
@@ -43,6 +44,85 @@ from helpers import random_spec, rng_for
 SPEC = SystemBathSpec(omega=1.0, gamma=1.0, nbar=0.4)
 THETA11_AT_1 = 1.53773261683512
 ERG_SQUEEZED = 1.9335369837585419
+
+
+def _literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise):
+    """The moment ODE stepped as written, dv/dt = L v and dC/dt = L C + C L+ + N,
+    with 2x2 matrix products and the same step and record rules as the oracle."""
+    drift = -0.5 * np.array(
+        [[spec.gamma + 2j * spec.omega, 0.0], [0.0, spec.gamma - 2j * spec.omega]], dtype=complex
+    )
+    drift_h = drift.conj().T
+    prefactor = 1.0 if omit_gamma_in_noise else spec.gamma
+    noise = prefactor * spec.f_beta * np.eye(2, dtype=complex)
+
+    def rhs(v, c):
+        return drift[0, 0] * v, drift @ c + c @ drift_h + noise
+
+    def step(v, c, h):
+        k1v, k1c = rhs(v, c)
+        k2v, k2c = rhs(v + 0.5 * h * k1v, c + 0.5 * h * k1c)
+        k3v, k3c = rhs(v + 0.5 * h * k2v, c + 0.5 * h * k2c)
+        k4v, k4c = rhs(v + h * k3v, c + h * k3c)
+        return (
+            v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            c + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
+        )
+
+    v = np.array([s.alpha_mean for s in states], dtype=complex)
+    c = np.stack([s.cov for s in states]).astype(complex)
+    rec_v, rec_c = [], []
+    t_now = 0.0
+    for target in record_times:
+        while target - t_now > dt * (1.0 + 1e-9):
+            v, c = step(v, c, dt)
+            t_now += dt
+        remainder = target - t_now
+        if remainder > 1e-14 * max(1.0, target):
+            v, c = step(v, c, remainder)
+        t_now = target
+        rec_v.append(v.copy())
+        rec_c.append(c.copy())
+    return np.stack(rec_v), np.stack(rec_c)
+
+
+class TestRK4Driver:
+    def test_record_rules(self):
+        def scalar_step(y, h):
+            k1 = -y
+            k2 = -(y + 0.5 * h * k1)
+            k3 = -(y + 0.5 * h * k2)
+            k4 = -(y + h * k3)
+            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        y0 = np.array([1.0, -0.75])
+        records = _rk4_path(lambda y: -y, y0, 0.1, [0.0, 0.25, 0.25, 0.3])
+        assert len(records) == 4
+        assert np.array_equal(records[0], y0) and records[0] is not y0
+        assert np.array_equal(records[1], records[2])
+        # two whole steps to 0.2, a shortened step to 0.25, another to 0.3
+        expected = []
+        for y in y0:
+            for h in (0.1, 0.1, 0.25 - 0.2, 0.3 - 0.25):
+                y = scalar_step(y, h)
+            expected.append(y)
+        assert np.array_equal(records[3], expected)
+
+        snapshot = records[2].copy()
+        records[1][:] = 99.0
+        records[0][:] = 99.0
+        assert np.array_equal(records[2], snapshot)
+        assert np.array_equal(y0, [1.0, -0.75])
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_step(self, dt):
+        with pytest.raises(ValueError):
+            _rk4_path(lambda y: -y, np.ones(1), dt, [1.0])
+
+    @pytest.mark.parametrize("times", [[-0.1], [math.nan], [math.inf], [0.5, 0.2]])
+    def test_rejects_bad_record_times(self, times):
+        with pytest.raises(ValueError):
+            _rk4_path(lambda y: -y, np.ones(1), 0.1, times)
 
 
 class TestLyapunovRK4:
@@ -117,6 +197,20 @@ class TestLyapunovRK4:
         exact = evolve_analytic(state, spec, 2.0)
         assert np.max(np.abs(wrong.cov - exact.cov)) > 1e-2
 
+    @pytest.mark.parametrize("omit_gamma_in_noise", [False, True])
+    def test_elementwise_stepper_is_the_literal_ode(self, omit_gamma_in_noise):
+        rng = rng_for("rkliteral")
+        spec = random_spec(rng)
+        states = [random_state(rng) for _ in range(6)]
+        # 0.2345 is not a multiple of dt, so a shortened step is taken
+        times = [0.0, 0.1, 0.2345, 0.2345, 0.5]
+        means, covs = rk4_moment_path(
+            states, spec, 1e-3, times, omit_gamma_in_noise=omit_gamma_in_noise
+        )
+        ref_means, ref_covs = _literal_moment_path(states, spec, 1e-3, times, omit_gamma_in_noise)
+        assert np.array_equal(means, ref_means)
+        assert np.array_equal(covs, ref_covs)
+
     def test_unstable_step_overflows_loudly(self):
         state = squeezed_thermal(0.2, 1.0)
         with pytest.raises(ArithmeticError):
@@ -172,6 +266,13 @@ class TestFockOracle:
             FockDensityMatrix(np.diag([0.9, 0.3]).astype(complex))
         with pytest.raises(ValueError):
             FockDensityMatrix(np.diag([1.1, -0.1]).astype(complex))
+        # NaN fails every comparison and eigvalsh reads one triangle only
+        half_nan = good.copy()
+        half_nan[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            FockDensityMatrix(half_nan)
+        with pytest.raises(ValueError):
+            FockDensityMatrix(np.full((2, 2), np.nan, dtype=complex))
 
     def test_cutoff_inadequacy_is_loud(self):
         with pytest.raises(CutoffError):
@@ -226,6 +327,13 @@ class TestFockOracle:
         rho = fock_gaussian_state(0.0, 0.5, 0.5, 0.0, dim=60)
         expected = 0.09196986029286058 + 0.27154031740762186
         assert fock_ergotropy(rho, SPEC) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_path_rejects_bad_step(self, dt):
+        # a single step across [0, 0.5] from this seed still yields a valid state
+        rho0 = fock_gaussian_state(0.2, 0.5, dim=30)
+        with pytest.raises(ValueError):
+            fock_lindblad_path(rho0, SPEC, [0.5], dt=dt)
 
     def test_records_stay_valid_along_path(self):
         rho0 = fock_gaussian_state(0.2, 0j, 1.0, 0.0, dim=60)
