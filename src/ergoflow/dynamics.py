@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .factory import SqueezingParameter, ThermalOccupation, _occupation, _squeezing
-from .states import GaussianState, SystemBathSpec
+from .states import GaussianState, SystemBathSpec, _moduli, _work
 
 __all__ = [
     "EffectiveParameters",
@@ -81,12 +81,22 @@ class ErgotropyRate(NamedTuple):
     entropy_term: float
 
 
-def evolve_analytic(state0: GaussianState, spec: SystemBathSpec, t: float) -> GaussianState:
-    """State after damping for time t >= 0 (closed form, semigroup exact)."""
+def _decay(spec: SystemBathSpec, t: float) -> float:
+    """exp(-gamma t) for an evolution time t, which must be finite and nonnegative."""
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("evolution time must be finite and nonnegative")
+    return math.exp(-spec.gamma * t)
+
+
+def _relax(a0, m0, v0_sq, f, x):
+    """Moduli (V, |M|, |<a>|^2) relaxed to x = exp(-gamma t) toward bath scale f, elementwise."""
+    return a0 * x + f * (1.0 - x), m0 * x, v0_sq * x
+
+
+def evolve_analytic(state0: GaussianState, spec: SystemBathSpec, t: float) -> GaussianState:
+    """State after damping for time t >= 0 (closed form, semigroup exact)."""
     f = spec.f_beta
-    decay = math.exp(-spec.gamma * t)
+    decay = _decay(spec, t)
     v = state0.alpha_mean * cmath.exp(-(1j * spec.omega + 0.5 * spec.gamma) * t)
     # convex combination: exact at t = 0 and in the t -> infinity limit
     a = state0.symmetric_variance * decay + f * (1.0 - decay)
@@ -100,12 +110,10 @@ def effective_parameters(occ, z, spec: SystemBathSpec, t: float) -> EffectivePar
     Consistent with evolve_analytic: the evolved covariance has
     det cov = f_beta_t^2 and V = f_beta_t cosh(2 r_t).
     """
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError("evolution time must be finite and nonnegative")
+    x = _decay(spec, t)
     o: ThermalOccupation = _occupation(occ)
     zz: SqueezingParameter = _squeezing(z)
     f_pi, f = o.f_beta_pi, spec.f_beta
-    x = math.exp(-spec.gamma * t)
     delta_beta = f_pi * x + f * (1.0 - x)
     sinh_sq = math.sinh(zz.r) ** 2
     f_t = math.sqrt(delta_beta ** 2 + 4.0 * f_pi * f * x * (1.0 - x) * sinh_sq)
@@ -118,9 +126,9 @@ def effective_parameters(occ, z, spec: SystemBathSpec, t: float) -> EffectivePar
 def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> Trajectory:
     """Sample the relaxation of state0 on a dimensionless tau = gamma t grid.
 
-    The grid must start at 0 and increase strictly; every record satisfies
-    e_state - e_passive = ergotropy and erg_v + erg_theta = ergotropy up to
-    roundoff.
+    The grid must start at 0 and increase strictly.  Row 0's erg_v and
+    erg_theta equal ergotropy_split bit for bit; every record has
+    e_state - e_passive = ergotropy and erg_v + erg_theta = ergotropy up to roundoff.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
@@ -132,18 +140,11 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
     if tau.size > 1 and not np.all(np.diff(tau) > 0.0):
         raise ValueError("tau grid must be strictly increasing")
 
-    omega, f = spec.omega, spec.f_beta
-    x = np.exp(-tau)
-    a = state0.symmetric_variance * x + f * (1.0 - x)
-    abs_m = abs(state0.anomalous_variance) * x
-    v_sq = abs(state0.alpha_mean) ** 2 * x
-    f_t = np.sqrt(a * a - abs_m * abs_m)
-
-    e_state = omega * (a + v_sq)
-    e_passive = omega * f_t
+    a, m, v_sq = _relax(*_moduli(state0), spec.f_beta, np.exp(-tau))
+    f_t, erg_v, erg_theta = _work(a, m, v_sq, spec.omega)
+    e_state = spec.omega * (a + v_sq)
+    e_passive = spec.omega * f_t
     erg = e_state - e_passive
-    erg_v = omega * v_sq
-    erg_theta = np.maximum(omega * (a - f_t), 0.0)
     entropy = LOG_PI_PLUS_ONE + np.log(f_t)
     r_t = 0.5 * np.arccosh(np.maximum(a / f_t, 1.0))
     return Trajectory(tau, e_state, e_passive, erg, erg_v, erg_theta, entropy, f_t, r_t)
@@ -156,12 +157,11 @@ def ergotropy_rate(state0: GaussianState, spec: SystemBathSpec, t: float) -> Erg
     outflow, entropy_term = omega sqrt(det cov) dS/dt equals the passive
     energy drift (minus the passive-state flux), and
     rate = -flux - entropy_term.  All derivatives are with respect to the
-    raw time t and evaluated from the closed-form solution.
+    raw time t and evaluated from the relaxed moduli.
     """
-    state = evolve_analytic(state0, spec, t)
     omega, gamma, f = spec.omega, spec.gamma, spec.f_beta
-    a = state.symmetric_variance
-    f_t = math.sqrt(state.cov_det)
-    flux = gamma * omega * (a + abs(state.alpha_mean) ** 2 - f)
+    a, m, v_sq = _relax(*_moduli(state0), f, _decay(spec, t))
+    f_t = float(_work(a, m, v_sq, omega)[0])
+    flux = gamma * omega * (a + v_sq - f)
     entropy_term = gamma * omega * (f * a / f_t - f_t)
     return ErgotropyRate(-flux - entropy_term, flux, entropy_term)

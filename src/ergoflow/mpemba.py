@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, sample_trajectory
+from .dynamics import Trajectory, _relax, sample_trajectory
 from .factory import displaced_thermal, squeezed_thermal
-from .states import GaussianState, SystemBathSpec, ergotropy
+from .states import InvalidStateError, SystemBathSpec, _work
 
 __all__ = [
     "NOTE_NO_PRECONDITION",
@@ -129,16 +129,17 @@ class DischargePair:
     displaced: Trajectory
 
 
-def _check_crossing_args(r, mu, nbar_pi, nbar):
-    values = (r, abs(mu), nbar_pi, nbar)
-    if any(not math.isfinite(v) for v in values):
+def _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=False) -> bool:
+    """Validate a point; True when r > 0 and mu != 0, else an error unless boundary_ok."""
+    if any(not math.isfinite(v) for v in (r, abs(mu), nbar_pi, nbar)):
         raise ValueError("crossing parameters must be finite")
     if nbar_pi < 0.0 or nbar < 0.0:
         raise ValueError("occupations must be nonnegative")
-    if r <= 0.0:
+    if r <= 0.0 and not boundary_ok:
         raise ValueError("squeezing magnitude r must be positive")
-    if abs(mu) == 0.0:
+    if mu == 0.0 and not boundary_ok:
         raise ValueError("displacement amplitude mu must be nonzero")
+    return r > 0.0 and mu != 0.0
 
 
 def _resolve_spec(spec: SystemBathSpec | None, nbar: float) -> SystemBathSpec:
@@ -177,29 +178,28 @@ def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
     return math.log(shifted_gap * charge_gap / (2.0 * f)) - 2.0 * math.log(abs(mu))
 
 
-def _seed_moments(squeezed0: GaussianState, displaced0: GaussianState, spec: SystemBathSpec) -> tuple:
-    """(a_s, |m_s|, |v_d|^2, f, omega): what the gap function needs of a seed pair."""
-    return (
-        squeezed0.symmetric_variance,
-        abs(squeezed0.anomalous_variance),
-        abs(displaced0.alpha_mean) ** 2,
-        spec.f_beta,
-        spec.omega,
-    )
+def _seed(r, mu, nbar_pi, spec: SystemBathSpec) -> tuple:
+    """(a_s, |m_s|, |v_d|^2, f, omega) of one point's seed pair, bit for bit factory.squeeze's.
+
+    r <= 0 counts as no squeezing.  A seed whose V^2 - |M|^2 rounds below 0
+    (from r near 9.7) is rejected, not given NaN charges.
+    """
+    f_pi = nbar_pi + 0.5
+    r = max(r, 0.0)
+    a_s = math.cosh(2.0 * r) * f_pi
+    m_s = 2.0 * math.cosh(r) * math.sinh(r) * f_pi
+    if a_s * a_s - m_s * m_s < 0.0:
+        raise InvalidStateError(f"squeezing r = {r} leaves det cov < 0 in floating point")
+    return a_s, m_s, abs(mu) ** 2, spec.f_beta, spec.omega
 
 
 def _charges(x, a_s, m_s, v_sq, f, omega):
     """Squeezed and displaced ergotropy once the seeds have relaxed to x = exp(-tau).
 
-    Elementwise moment algebra over arrays.  The squeezed charge
-    a - sqrt(a^2 - |m|^2) is rationalised, so it keeps its relative precision
-    after it has decayed far below 1; the displaced seed has no anomalous
-    variance, so its charge is the displacement share alone.
+    The squeezed seed has no mean and the displaced one no M, so one core pass over
+    (a_s, |m_s|, |v_d|^2) gives both: its covariance and its displacement share.
     """
-    a = a_s * x + f * (1.0 - x)
-    m = m_s * x
-    erg_s = omega * (m * m) / (a + np.sqrt((a - m) * (a + m)))
-    erg_d = omega * v_sq * x
+    _, erg_d, erg_s = _work(*_relax(a_s, m_s, v_sq, f, x), omega)
     return erg_s, erg_d
 
 
@@ -304,46 +304,37 @@ def crossing_time_numeric(
     that underflow before they cross give None).
     """
     _check_crossing_args(r, mu, nbar_pi, nbar)
-    spec = _resolve_spec(spec, nbar)
-    seed = _seed_moments(squeezed_thermal(nbar_pi, r), displaced_thermal(nbar_pi, mu), spec)
+    seed = _seed(r, mu, nbar_pi, _resolve_spec(spec, nbar))
     return _numeric_crossings([seed], tau_max, scan_step, g_tol, tau_tol)[0]
 
 
 def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_step: float) -> list:
     """Crossing reports for (r, mu, nbar_pi, nbar) points, with one oracle call for all.
 
-    Each seed pair is built once; the reported tau = 0 charges are the
-    scalar ergotropies, and the oracle reads its moments.
+    Every point is validated before the oracle runs.  The reported tau = 0
+    charges are the oracle's own charges at x = 1, for all points at once.
     """
-    rows = []
+    seeds, tested, closed = [], [], []
     for r, mu, nbar_pi, nbar in points:
-        point_spec = _resolve_spec(spec, nbar)
-        squeezed0 = squeezed_thermal(nbar_pi, r) if r > 0.0 else None
-        erg0_squeezed = ergotropy(squeezed0, point_spec) if squeezed0 is not None else 0.0
-        displaced0 = displaced_thermal(nbar_pi, mu) if abs(mu) > 0.0 else None
-        erg0_displaced = ergotropy(displaced0, point_spec) if displaced0 is not None else 0.0
-        # r = 0 or mu = 0 is reported as a missing precondition; anything
-        # else, NaN included, goes through the closed form's argument checks
-        closed = seed = None
-        if not (r <= 0.0 or abs(mu) == 0.0):
-            closed = crossing_time_closed_form(r, mu, nbar_pi, nbar)
-            seed = _seed_moments(squeezed0, displaced0, point_spec)
-        rows.append((closed, seed, erg0_squeezed, erg0_displaced))
-
-    seeds = [seed for _, seed, _, _ in rows if seed is not None]
-    numerics = iter(_numeric_crossings(seeds, tau_max, scan_step, _G_TOL, _TAU_TOL))
+        # r <= 0 or mu = 0 is reported as a missing precondition, without the oracle
+        tested.append(_check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=True))
+        seeds.append(_seed(r, mu, nbar_pi, _resolve_spec(spec, nbar)))
+        closed.append(crossing_time_closed_form(r, mu, nbar_pi, nbar) if tested[-1] else None)
+    erg0_s, erg0_d = _charges(1.0, *np.array(seeds).T)
+    active = [seed for seed, is_tested in zip(seeds, tested) if is_tested]
+    numerics = iter(_numeric_crossings(active, tau_max, scan_step, _G_TOL, _TAU_TOL))
     reports = []
-    for closed, seed, erg0_squeezed, erg0_displaced in rows:
-        numeric = None if seed is None else next(numerics)
-        if closed is None:
+    for is_tested, tau_c, erg_s, erg_d in zip(tested, closed, erg0_s.tolist(), erg0_d.tolist()):
+        numeric = next(numerics) if is_tested else None
+        if tau_c is None:
             note = NOTE_NO_PRECONDITION
-        elif closed == 0.0:
+        elif tau_c == 0.0:
             note = NOTE_DEGENERATE
         elif numeric is None:
             note = NOTE_NO_CROSSING
         else:
             note = ""
-        reports.append(CrossingReport(note == "", closed, numeric, erg0_squeezed, erg0_displaced, note))
+        reports.append(CrossingReport(note == "", tau_c, numeric, erg_s, erg_d, note))
     return reports
 
 
@@ -358,9 +349,10 @@ def crossing_report(
 ) -> CrossingReport:
     """Closed-form and numeric crossing times with validity diagnostics.
 
-    Tolerates the boundary parameter values r = 0 and mu = 0 (where the
-    point-evaluation functions refuse to run) by reporting the reason
-    instead of a crossing.
+    Tolerates r <= 0 and mu = 0 (where the point-evaluation functions refuse
+    to run) by reporting the reason instead of a crossing; other invalid
+    parameters raise ValueError.  The erg0 charges come from the moment core,
+    so weak charges keep their relative precision.
     """
     return _crossing_reports([(r, mu, nbar_pi, nbar)], spec, tau_max, scan_step)[0]
 

@@ -106,7 +106,7 @@ def rk4_moment_path(
     Returns
     -------
     (means, covs):
-        Complex arrays of shapes (T, B) and (T, B, 2, 2).
+        Complex arrays of shapes (T, B) and (T, B, 2, 2); T may be 0.
     """
     # one row (v, C00, C01, C10, C11) per state
     y0 = np.array([(s.alpha_mean, *s.cov.ravel()) for s in states], dtype=complex).reshape(-1, 5)
@@ -125,7 +125,8 @@ def rk4_moment_path(
 
     # divergence is reported via the finiteness check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        records = np.stack(_rk4_path(rhs, y0, dt, record_times))
+        path = _rk4_path(rhs, y0, dt, record_times)
+    records = np.stack(path) if path else np.empty((0, *y0.shape), dtype=complex)
     if not np.all(np.isfinite(records)):
         raise ArithmeticError("RK4 moments overflowed; reduce the step size")
     return records[:, :, 0], records[:, :, 1:].reshape(*records.shape[:2], 2, 2)

@@ -13,7 +13,9 @@ with the vacuum saturating the bound.
 Every quantity in this module is an exact closed form in (v, cov): the mean
 energy, the Wigner (phase-space) entropy, the relative entropy between two
 Wigner densities, the passive state reachable by unitaries, and the
-ergotropy with its displacement/covariance split.  Units use
+ergotropy with its displacement/covariance split, which one elementwise
+core (_work) evaluates for scalars, trajectories and the crossing oracle;
+E_erg = omega f_pi K[W || W_pi] is a checked route.  Units use
 hbar = k_B = 1 throughout.
 """
 
@@ -44,9 +46,9 @@ __all__ = [
 # dissipative dynamics never spuriously rejects it.
 VALIDATION_ATOL = 1e-10
 
-# Relative entropies and ergotropies are nonnegative; values in
-# [NEGATIVE_ROUNDOFF_FLOOR, 0) are roundoff and clamp to zero, anything
-# below the floor means the inputs were inconsistent.
+# Relative entropies are nonnegative; values in [NEGATIVE_ROUNDOFF_FLOOR, 0)
+# are roundoff and clamp to zero, anything below the floor means the inputs
+# were inconsistent.
 NEGATIVE_ROUNDOFF_FLOOR = -1e-12
 
 VACUUM_VARIANCE = 0.5
@@ -187,12 +189,18 @@ class PhasePoint:
             raise ValueError("alpha must be finite")
 
 
-def _clamped_nonnegative(value: float, what: str) -> float:
-    if value >= 0.0:
-        return value
-    if value >= NEGATIVE_ROUNDOFF_FLOOR:
-        return 0.0
-    raise InvalidStateError(f"{what} evaluated to {value:.3e}, beyond the roundoff floor")
+def _moduli(state: GaussianState) -> tuple:
+    """(V, |M|, |<a>|^2): all that the energetic quantities read of a state."""
+    return state.symmetric_variance, abs(state.anomalous_variance), abs(state.alpha_mean) ** 2
+
+
+def _work(a, m, v_sq, omega):
+    """(f_pi, erg_v, erg_theta) of moduli (V, |M|, |<a>|^2) = (a, m, v_sq), elementwise.
+
+    erg_theta = omega (V - f_pi) is rationalised, so it stays exact where V - f_pi cancels.
+    """
+    f_pi = np.sqrt(a * a - m * m)
+    return f_pi, omega * v_sq, omega * (m * m) / (a + f_pi)
 
 
 def passive_occupation(state: GaussianState) -> float:
@@ -232,7 +240,9 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
     delta = state_a.alpha_mean - state_b.alpha_mean
     shift_term = 2.0 * (vb * (delta.real ** 2 + delta.imag ** 2) - (mb * delta.conjugate() ** 2).real) / db
     value = -1.0 + 0.5 * (math.log(db / da) + trace_term + shift_term)
-    return _clamped_nonnegative(value, "relative Wigner entropy")
+    if not value >= NEGATIVE_ROUNDOFF_FLOOR:
+        raise InvalidStateError(f"relative Wigner entropy {value:.3e} is beyond the roundoff floor")
+    return max(value, 0.0)
 
 
 def mean_energy(state: GaussianState, spec: SystemBathSpec) -> float:
@@ -253,27 +263,22 @@ def passive_state(state: GaussianState) -> GaussianState:
 def ergotropy(state: GaussianState, spec: SystemBathSpec) -> float:
     """Maximum work extractable by cyclic unitaries.
 
-    Evaluated as omega * f_pi * K[W || W_passive] with f_pi the passive
-    occupation; algebraically identical to
-    mean_energy(state) - omega * sqrt(det cov), which the test suite checks
-    as an independent route.  Zero exactly for thermal states.
+    The sum of the two shares of ergotropy_split; the test suite checks it
+    against mean_energy(state) - omega f_pi and against the paper's identity
+    omega f_pi K[W || W_passive].  Zero exactly for thermal states.
     """
-    f_pi = passive_occupation(state)
-    return spec.omega * f_pi * relative_wigner_entropy(state, passive_state(state))
+    return sum(ergotropy_split(state, spec))
 
 
 def ergotropy_split(state: GaussianState, spec: SystemBathSpec) -> tuple[float, float]:
     """Ergotropy split into mean-vector and covariance contributions.
 
-    Returns (omega |<a>|^2, omega (V - sqrt(det cov))).  Both parts are
-    nonnegative and sum to the total ergotropy.
+    Returns (omega |<a>|^2, omega |M|^2 / (V + f_pi)), the second being
+    omega (V - f_pi) rationalised.  Both parts are nonnegative, sum to the
+    total ergotropy and equal row 0 of sample_trajectory bit for bit.
     """
-    displacement_part = spec.omega * abs(state.alpha_mean) ** 2
-    covariance_part = _clamped_nonnegative(
-        spec.omega * (state.symmetric_variance - passive_occupation(state)),
-        "covariance ergotropy",
-    )
-    return displacement_part, covariance_part
+    _, erg_v, erg_theta = _work(*_moduli(state), spec.omega)
+    return float(erg_v), float(erg_theta)
 
 
 def evaluate_wigner(state: GaussianState, point) -> float:

@@ -186,6 +186,16 @@ class TestSampleTrajectory:
             assert traj.erg_theta[k] == pytest.approx(cov_part, rel=1e-11, abs=1e-13)
             assert traj.wigner_entropy[k] == pytest.approx(wigner_entropy(evolved), rel=1e-12)
 
+    def test_first_row_is_the_scalar_split(self):
+        # one moment core serves the scalar split and the trajectory
+        rng = rng_for("trajsplit")
+        tau = np.arange(0, 11) * 0.1
+        for _ in range(50):
+            state = random_state(rng)
+            spec = random_spec(rng)
+            traj = sample_trajectory(state, spec, tau)
+            assert (traj.erg_v[0], traj.erg_theta[0]) == ergotropy_split(state, spec)
+
     def test_displaced_charge_independent_of_seed_temperature(self):
         tau = np.arange(0, 301) * 0.01
         cold = sample_trajectory(displaced_thermal(0.0, 0.8), SPEC, tau)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ergoflow import (
+    InvalidStateError,
     SweepGrid,
     SystemBathSpec,
     crossing_report,
@@ -156,6 +157,50 @@ class TestCrossingReport:
         assert report.tau_c_closed == pytest.approx(tau_c, rel=1e-13)
         assert report.exists
         assert abs(report.tau_c_numeric - report.tau_c_closed) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "r, mu, squeezed, displaced, rtol_displaced",
+        [
+            # 2 f_pi sinh^2 r and |mu|^2 (omega = 1), where V - f_pi cancels
+            (1e-7, 1e-8, 1.4e-14, 1e-16, 1e-14),
+            (1e-100, 1e-110, 1.4e-200, 1e-220, 1e-12),
+        ],
+    )
+    def test_weak_initial_charges(self, r, mu, squeezed, displaced, rtol_displaced):
+        report = crossing_report(r, mu, 0.2, 0.4)
+        assert abs(report.erg0_squeezed - squeezed) <= 1e-12 * squeezed
+        assert abs(report.erg0_displaced - displaced) <= rtol_displaced * displaced
+
+    @pytest.mark.parametrize("args", [(8.0, 0.5, 0.0, 0.3), (9.5, 1.0, 0.1, 0.5)])
+    def test_large_squeezing_crosses(self, args):
+        # valid seeds whose V^2 - |M|^2 has lost most of its digits
+        report = crossing_report(*args)
+        assert report.exists
+        assert abs(report.tau_c_numeric - report.tau_c_closed) <= 1e-9
+        assert math.isfinite(report.erg0_squeezed)
+
+    def test_cancelled_determinant_is_rejected(self):
+        # at r = 9.7 the seed's V^2 - |M|^2 rounds below 0: an error, not a NaN charge
+        with pytest.raises(InvalidStateError):
+            crossing_report(9.7, 1.0, 0.0, 0.4)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 1.0, -0.1, 0.4),
+            (1.0, 1.0, math.nan, 0.4),
+            (1.0, math.inf, 0.2, 0.4),
+            (1.0, math.nan, 0.2, 0.4),
+            (1.0, complex(math.inf, 0.0), 0.2, 0.4),
+            (math.inf, 1.0, 0.2, 0.4),
+            (math.nan, 1.0, 0.2, 0.4),
+            (1.0, 1.0, 0.2, -1.0),
+            (0.0, 0.0, -0.1, 0.4),  # no precondition, but still an invalid seed
+        ],
+    )
+    def test_invalid_points_raise(self, args):
+        with pytest.raises(ValueError):
+            crossing_report(*args)
 
     def test_underflowing_charges_are_not_a_crossing(self):
         # |mu|^2 is subnormal and both charges underflow before they cross:

@@ -171,6 +171,14 @@ class TestLyapunovRK4:
                 single = integrate_lyapunov(state, SPEC, IntegratorConfig(dt=1e-3, t_final=t))
                 assert np.max(np.abs(covs[ti, si] - single.cov)) <= 1e-12
 
+    def test_empty_record_times(self):
+        # no records, like fock_lindblad_path's [], with the batch axis kept
+        states = [thermal_state(0.2), squeezed_thermal(0.1, 0.5), displaced_thermal(0.0, 1.0)]
+        means, covs = rk4_moment_path(states, SPEC, 1e-3, [])
+        assert means.shape == (0, 3) and covs.shape == (0, 3, 2, 2)
+        assert means.dtype == covs.dtype == complex
+        assert fock_lindblad_path(fock_gaussian_state(0.2, dim=30), SPEC, []) == []
+
     def test_random_states_and_specs_match_analytic(self):
         rng = rng_for("rkrandom")
         for _ in range(5):

@@ -206,9 +206,13 @@ class TestErgotropy:
         rng = rng_for("routes")
         for _ in range(200):
             state = random_state(rng)
-            via_entropy = ergotropy(state, SPEC)
+            value = ergotropy(state, SPEC)
             direct = mean_energy(state, SPEC) - SPEC.omega * passive_occupation(state)
-            assert abs(via_entropy - direct) <= 1e-12 * max(1.0, via_entropy)
+            assert abs(value - direct) <= 1e-12 * max(1.0, value)
+            # the paper's identity E_erg = omega f_pi K[W || W_pi], a separate route
+            f_pi = passive_occupation(state)
+            paper = SPEC.omega * f_pi * relative_wigner_entropy(state, passive_state(state))
+            assert abs(paper - value) <= 1e-12 * value
 
     def test_zero_iff_thermal(self):
         rng = rng_for("zerotherm")
