@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ __all__ = [
     "squeezed_displaced_thermal",
     "random_state",
 ]
+
+# Largest squeezing magnitude whose cosh 2r is a float.
+_MAX_SQUEEZING = 0.5 * math.acosh(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,13 @@ def squeeze(state: GaussianState, z) -> GaussianState:
     """Apply the Bogoliubov map a -> a cosh r - a+ e^{i theta} sinh r.
 
     The mean transforms linearly, the covariance by congruence; det cov is
-    preserved (the map is symplectic).
+    preserved (the map is symplectic).  Raises ValueError when cosh 2r
+    overflows (r above about 355.2) or the squeezed moments exceed float
+    range.
     """
     zz = _squeezing(z)
+    if zz.r > _MAX_SQUEEZING:
+        raise ValueError(f"squeezing r = {zz.r} exceeds float range: cosh 2r overflows")
     c, s = math.cosh(zz.r), math.sinh(zz.r)
     c2, s2 = math.cosh(2.0 * zz.r), math.sinh(2.0 * zz.r)
     phase = cmath.exp(1j * zz.theta)
@@ -113,6 +121,8 @@ def squeeze(state: GaussianState, z) -> GaussianState:
     new_v = c * v - phase * s * v.conjugate()
     new_a = c2 * a - s2 * (phase.conjugate() * m).real
     new_m = c * c * m - 2.0 * phase * c * s * a + phase * phase * s * s * m.conjugate()
+    if not (cmath.isfinite(new_v) and math.isfinite(new_a) and cmath.isfinite(new_m)):
+        raise ValueError(f"squeezing r = {zz.r} takes the moments beyond float range")
     return GaussianState.from_moments(new_v, new_a, new_m)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, _relax, sample_trajectory
-from .factory import displaced_thermal, squeezed_thermal
+from .factory import _MAX_SQUEEZING, displaced_thermal, squeezed_thermal
 from .states import InvalidStateError, SystemBathSpec, _work
 
 __all__ = [
@@ -130,11 +130,23 @@ class DischargePair:
 
 
 def _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=False) -> bool:
-    """Validate a point; True when r > 0 and mu != 0, else an error unless boundary_ok."""
+    """Validate a point; True when r > 0 and mu != 0, else an error unless boundary_ok.
+
+    Raises ValueError for non-finite values, negative occupations, and a point
+    whose seeds exceed float range: the squeezed seed's V^2, |mu|^2 or the
+    bath's (nbar + 1/2)^2 overflows, as GaussianState and SystemBathSpec require.
+    """
     if any(not math.isfinite(v) for v in (r, abs(mu), nbar_pi, nbar)):
         raise ValueError("crossing parameters must be finite")
     if nbar_pi < 0.0 or nbar < 0.0:
         raise ValueError("occupations must be nonnegative")
+    r_seed, mu_abs, f = max(r, 0.0), abs(mu), nbar + 0.5
+    v_s = math.cosh(2.0 * r_seed) * (nbar_pi + 0.5) if r_seed <= _MAX_SQUEEZING else math.inf
+    if not (math.isfinite(v_s * v_s) and math.isfinite(mu_abs * mu_abs) and math.isfinite(f * f)):
+        raise ValueError(
+            "crossing parameters exceed float range: the squeezed seed's V^2, |mu|^2 "
+            "or (nbar + 1/2)^2 overflows"
+        )
     if r <= 0.0 and not boundary_ok:
         raise ValueError("squeezing magnitude r must be positive")
     if mu == 0.0 and not boundary_ok:

@@ -1,18 +1,20 @@
 """Single-mode Gaussian states and their static energetic content.
 
-A Gaussian state of one bosonic mode is carried as the pair (mean vector,
-covariance matrix) in the mode-operator basis u = (a, a+):
+A Gaussian state of one bosonic mode is fixed by three moments in the
+mode-operator basis u = (a, a+):
 
-    v   = (<a>, <a+>),
-    cov = [[V, M], [conj(M), V]],
+    <a>,   V = <a+a> + 1/2 - |<a>|^2,   M = <a^2> - <a>^2,
 
-where V = <a+a> + 1/2 - |<a>|^2 is the symmetrized variance and
-M = <a^2> - <a>^2 the anomalous variance, so det cov = V^2 - |M|^2 >= 1/4
-with the vacuum saturating the bound.
+where V is the symmetrized variance and M the anomalous variance.  They are
+the entries of the mean vector v = (<a>, <a+>) and the covariance matrix
+cov = [[V, M], [conj(M), V]], so det cov = V^2 - |M|^2 >= 1/4 with the
+vacuum saturating the bound.  GaussianState stores the three moments as
+Python scalars, checked once when the state is made, and builds v and cov
+as arrays only when asked for them.
 
-Every quantity in this module is an exact closed form in (v, cov): the mean
-energy, the Wigner (phase-space) entropy, the relative entropy between two
-Wigner densities, the passive state reachable by unitaries, and the
+Every quantity in this module is an exact closed form in the moments: the
+mean energy, the Wigner (phase-space) entropy, the relative entropy between
+two Wigner densities, the passive state reachable by unitaries, and the
 ergotropy with its displacement/covariance split, which one elementwise
 core (_work) evaluates for scalars, trajectories and the crossing oracle;
 E_erg = omega f_pi K[W || W_pi] is a checked route.  Units use
@@ -21,6 +23,7 @@ hbar = k_B = 1 throughout.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,19 +61,48 @@ class InvalidStateError(ValueError):
     """The supplied moments do not describe a physical Gaussian state."""
 
 
-class GaussianState:
-    """Immutable (mean, cov) carrier with invariants enforced at construction.
+def _validated(alpha: complex, variance: complex | float, anomalous: complex) -> tuple:
+    """(<a>, V, M) as (complex, float, complex) once they pass the state checks.
 
-    The full 2x2 complex covariance matrix is stored so that the dissipative
-    matrix algebra can act on it verbatim; the reduced moments are exposed
-    through :attr:`symmetric_variance` and :attr:`anomalous_variance`.
+    The moments must be finite, V real to VALIDATION_ATOL, at or above the
+    vacuum floor, and det cov = V^2 - |M|^2 positive and at least 1/4 (to
+    VALIDATION_ATOL); a failure raises InvalidStateError.  Moments whose
+    V^2 - |M|^2 or |<a>|^2 is not a finite float exceed float range and
+    raise ValueError.
+    """
+    if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
+        raise InvalidStateError("mean/cov contain non-finite entries")
+    if abs(variance.imag) > VALIDATION_ATOL:
+        raise InvalidStateError("diagonal covariance entries must be real")
+    v = float(variance.real)
+    if v < VACUUM_VARIANCE - VALIDATION_ATOL:
+        raise InvalidStateError(f"variance {v} below the vacuum floor 1/2")
+    det = v * v - (anomalous.real * anomalous.real + anomalous.imag * anomalous.imag)
+    amplitude = abs(alpha)
+    if not (math.isfinite(det) and math.isfinite(amplitude * amplitude)):
+        raise ValueError("moments exceed float range: V^2 - |M|^2 or |<a>|^2 overflows")
+    if det <= 0.0 or det < 0.25 - VALIDATION_ATOL:
+        raise InvalidStateError(f"det cov = {det} violates the uncertainty bound 1/4")
+    return alpha, v, anomalous
+
+
+class GaussianState:
+    """Immutable carrier of the moments <a>, V and M, checked at construction.
+
+    The moments are stored as Python scalars; :attr:`mean` and :attr:`cov`
+    build fresh read-only arrays from them on each access.  Build a state
+    with :meth:`from_moments`, or from a raw mean vector and covariance
+    matrix (as the RK4 oracle does) with ``GaussianState(mean, cov)``, which
+    first checks the matrix structure and then keeps (mean[0], cov[0, 0],
+    cov[0, 1]).  Moments beyond float range raise ValueError; unphysical
+    ones raise InvalidStateError.
     """
 
-    __slots__ = ("_mean", "_cov")
+    __slots__ = ("_alpha", "_variance", "_anomalous")
 
     def __init__(self, mean, cov):
-        mean = np.array(mean, dtype=complex)
-        cov = np.array(cov, dtype=complex)
+        mean = np.asarray(mean, dtype=complex)
+        cov = np.asarray(cov, dtype=complex)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise InvalidStateError(
                 f"expected mean shape (2,) and cov shape (2, 2), got {mean.shape} and {cov.shape}"
@@ -85,64 +117,60 @@ class GaussianState:
             raise InvalidStateError("diagonal covariance entries must be equal")
         if abs(cov[1, 0] - cov[0, 1].conjugate()) > VALIDATION_ATOL:
             raise InvalidStateError("off-diagonal covariance entries must be conjugate")
-        variance = cov[0, 0].real
-        if variance < VACUUM_VARIANCE - VALIDATION_ATOL:
-            raise InvalidStateError(f"variance {variance} below the vacuum floor 1/2")
-        off = complex(cov[0, 1])
-        det = variance * variance - (off.real * off.real + off.imag * off.imag)
-        if det <= 0.0 or det < 0.25 - VALIDATION_ATOL:
-            raise InvalidStateError(f"det cov = {det} violates the uncertainty bound 1/4")
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        self._mean = mean
-        self._cov = cov
+        self._alpha, self._variance, self._anomalous = _validated(
+            complex(mean[0]), cov[0, 0].real, complex(cov[0, 1])
+        )
 
     @classmethod
     def from_moments(cls, alpha_mean, symmetric_variance, anomalous_variance):
-        """Build a state from <a>, V and M, filling in the conjugate entries."""
-        v = complex(alpha_mean)
-        m = complex(anomalous_variance)
-        return cls(
-            (v, v.conjugate()),
-            ((complex(symmetric_variance), m), (m.conjugate(), complex(symmetric_variance))),
+        """Build a state from <a>, V and M; the conjugate entries are implied."""
+        state = object.__new__(cls)
+        state._alpha, state._variance, state._anomalous = _validated(
+            complex(alpha_mean), complex(symmetric_variance), complex(anomalous_variance)
         )
+        return state
 
     @property
     def mean(self) -> np.ndarray:
-        """Read-only mean vector (<a>, <a>*)."""
-        return self._mean
+        """Read-only mean vector (<a>, <a>*), built on each access."""
+        mean = np.array((self._alpha, self._alpha.conjugate()))
+        mean.flags.writeable = False
+        return mean
 
     @property
     def cov(self) -> np.ndarray:
-        """Read-only 2x2 covariance matrix."""
-        return self._cov
+        """Read-only 2x2 covariance matrix [[V, M], [M*, V]], built on each access."""
+        v, m = complex(self._variance), self._anomalous
+        cov = np.array(((v, m), (m.conjugate(), v)))
+        cov.flags.writeable = False
+        return cov
 
     @property
     def alpha_mean(self) -> complex:
-        return complex(self._mean[0])
+        return self._alpha
 
     @property
     def symmetric_variance(self) -> float:
-        return float(self._cov[0, 0].real)
+        return self._variance
 
     @property
     def anomalous_variance(self) -> complex:
-        return complex(self._cov[0, 1])
+        return self._anomalous
 
     @property
     def cov_det(self) -> float:
         # V^2 - |M|^2 with every square spelled as a plain product, matching
         # the relative-entropy trace term bit for bit so K[W||W] is exactly 0
         # (pow() and x*x can differ in the last ulp)
-        v = self.symmetric_variance
-        m = self.anomalous_variance
+        v, m = self._variance, self._anomalous
         return v * v - (m.real * m.real + m.imag * m.imag)
 
     def close_to(self, other: "GaussianState", atol: float = 1e-12) -> bool:
-        """Componentwise comparison of means and covariances."""
-        return bool(
-            np.all(np.abs(self._mean - other._mean) <= atol)
-            and np.all(np.abs(self._cov - other._cov) <= atol)
+        """Comparison of the moments <a>, V and M, each to atol."""
+        return (
+            abs(self._alpha - other._alpha) <= atol
+            and abs(self._variance - other._variance) <= atol
+            and abs(self._anomalous - other._anomalous) <= atol
         )
 
     def __repr__(self):
@@ -154,7 +182,11 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SystemBathSpec:
-    """Mode frequency, damping rate and bath occupation of the thermal channel."""
+    """Mode frequency, damping rate and bath occupation of the thermal channel.
+
+    Raises ValueError unless omega and gamma are positive and nbar is
+    nonnegative, all finite, with (nbar + 1/2)^2 a finite float.
+    """
 
     omega: float = 1.0
     gamma: float = 1.0
@@ -170,6 +202,9 @@ class SystemBathSpec:
             raise ValueError("gamma must be positive")
         if self.nbar < 0.0:
             raise ValueError("nbar must be nonnegative")
+        # the relaxing moments reach the bath scale f, and det cov its square
+        if not math.isfinite(self.f_beta * self.f_beta):
+            raise ValueError("nbar exceeds float range: (nbar + 1/2)^2 overflows")
 
     @property
     def f_beta(self) -> float:
@@ -191,7 +226,7 @@ class PhasePoint:
 
 def _moduli(state: GaussianState) -> tuple:
     """(V, |M|, |<a>|^2): all that the energetic quantities read of a state."""
-    return state.symmetric_variance, abs(state.anomalous_variance), abs(state.alpha_mean) ** 2
+    return state._variance, abs(state._anomalous), abs(state._alpha) ** 2
 
 
 def _work(a, m, v_sq, omega):

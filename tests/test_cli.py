@@ -179,6 +179,24 @@ class TestCrossing:
         assert "Traceback" not in proc.stderr
         assert "no crossing: no crossing on scan window" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crossing", "--mu", "1e200"],
+            ["crossing", "--r", "400"],
+            ["simulate", "--family", "squeezed", "--r", "400"],
+        ],
+    )
+    def test_parameters_beyond_float_range_exit_2(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(ergoflow.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergoflow.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "float range" in proc.stderr
+
     def test_csv_side_output(self, tmp_path, capsys):
         out = tmp_path / "crossing.csv"
         code, _, _ = run(

@@ -140,6 +140,13 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError):
             sample_trajectory(state, SPEC, [0.0, np.inf])
 
+    def test_bath_beyond_float_range_is_rejected(self):
+        # the bath's (nbar + 1/2)^2 overflowed inside the core, giving -inf ergotropy
+        with pytest.raises(ValueError, match="float range"):
+            sample_trajectory(squeezed_thermal(0.2, 1.0), SystemBathSpec(1.0, 1.0, 1e300), [0.0, 1.0])
+        traj = sample_trajectory(squeezed_thermal(0.2, 1.0), SystemBathSpec(1.0, 1.0, 1e150), [0.0, 1.0])
+        assert np.all(np.isfinite(traj.ergotropy)) and np.all(traj.ergotropy >= 0.0)
+
     def test_thermal_never_charged(self):
         traj = sample_trajectory(thermal_state(0.2), SPEC, np.arange(501) * 0.01)
         assert np.all(traj.ergotropy == 0.0)

@@ -93,6 +93,18 @@ class TestSqueeze:
                                  SqueezingParameter(r, theta + math.pi))
             assert round_trip.close_to(state, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "nbar_pi, r",
+        [
+            (0.2, 400.0),  # cosh 2r overflows
+            (0.2, 200.0),  # V^2 overflows
+            (1e100, 300.0),  # V itself overflows
+        ],
+    )
+    def test_squeezing_beyond_float_range(self, nbar_pi, r):
+        with pytest.raises(ValueError, match="float range"):
+            squeezed_thermal(nbar_pi, r)
+
     def test_determinant_preserved(self):
         # cancellation in V^2 - |M|^2 grows like e^{4 r_total}, so cap the
         # compound squeezing to keep the 1e-12 bound meaningful in doubles

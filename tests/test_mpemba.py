@@ -55,6 +55,21 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             crossing_time_closed_form(*args)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (400.0, 1.0, 0.2, 0.4),  # cosh 2r overflows
+            (200.0, 1.0, 0.2, 0.4),  # the seed's V^2 overflows
+            (1.0, 1e200, 0.2, 0.4),  # |mu|^2 overflows
+            (1.0, 1.0, 1e300, 0.4),
+            (1.0, 1.0, 0.2, 1e300),  # (nbar + 1/2)^2 overflows
+        ],
+    )
+    def test_parameters_beyond_float_range(self, args):
+        for fn in (crossing_time_closed_form, crossing_time_numeric, crossing_report):
+            with pytest.raises(ValueError, match="float range"):
+                fn(*args)
+
     def test_complex_amplitude_uses_modulus(self):
         value = crossing_time_closed_form(1.0, 1j, 0.2, 0.4)
         assert value == pytest.approx(TAU_C_FIG2, rel=1e-13)

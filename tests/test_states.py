@@ -69,6 +69,79 @@ class TestConstruction:
         with pytest.raises(InvalidStateError):
             GaussianState(mean, cov)
 
+    @pytest.mark.parametrize(
+        "alpha, variance, anomalous",
+        [
+            (0, 0.7 + 0.1j, 0),  # complex V
+            (complex(math.nan, 0.0), 0.7, 0),  # non-finite <a>
+            (complex(0.0, math.inf), 0.7, 0),
+            (0, math.nan, 0),  # non-finite V
+            (0, math.inf, 0),
+            (0, 0.7, complex(math.nan, 0.0)),  # non-finite M
+            (0, 0.7, complex(0.0, -math.inf)),
+            (0, 0.3, 0),  # below vacuum floor
+            (0, 0.7, 0.6),  # det < 1/4
+            (0, 0.7, 0.7),  # det = 0
+        ],
+    )
+    def test_invalid_moments_rejected(self, alpha, variance, anomalous):
+        with pytest.raises(InvalidStateError):
+            GaussianState.from_moments(alpha, variance, anomalous)
+
+    @pytest.mark.parametrize(
+        "alpha, variance, anomalous",
+        [
+            (0, 1e200, 0),  # det = V^2 overflows
+            (0, 1e300, 0.99e300),  # V^2 - |M|^2 is inf - inf
+            (1e200, 0.7, 0),  # |<a>|^2 overflows
+            (complex(1e154, 1e154), 0.7, 0),  # only the modulus overflows when squared
+        ],
+    )
+    def test_moments_beyond_float_range(self, alpha, variance, anomalous):
+        with pytest.raises(ValueError, match="float range") as excinfo:
+            GaussianState.from_moments(alpha, variance, anomalous)
+        assert not isinstance(excinfo.value, InvalidStateError)
+        v = complex(alpha)
+        m = complex(anomalous)
+        with pytest.raises(ValueError, match="float range"):
+            GaussianState((v, v.conjugate()), ((variance, m), (m.conjugate(), variance)))
+
+    def test_factory_states_beyond_float_range(self):
+        with pytest.raises(ValueError, match="float range"):
+            squeezed_thermal(1e300, 0.1)
+        with pytest.raises(ValueError, match="float range"):
+            displaced_thermal(0.2, 1e200)
+        # the largest representable scales still give finite energetics
+        assert math.isfinite(ergotropy(displaced_thermal(0.2, 1e150), SPEC))
+        assert ergotropy(thermal_state(1e150), SPEC) == 0.0
+
+    def test_raw_and_moment_constructors_agree(self):
+        rng = rng_for("raw-vs-moments")
+        for _ in range(50):
+            state = random_state(rng)
+            raw = GaussianState(state.mean, state.cov)
+            assert raw.alpha_mean == state.alpha_mean
+            assert raw.symmetric_variance == state.symmetric_variance
+            assert raw.anomalous_variance == state.anomalous_variance
+            assert raw.close_to(state, atol=0.0)
+
+    def test_arrays_are_built_from_the_moments(self):
+        state = GaussianState.from_moments(0.3 - 0.2j, 1.1, 0.4 + 0.1j)
+        mean, cov = state.mean, state.cov
+        assert mean.dtype == cov.dtype == np.complex128
+        assert mean.tobytes() == np.array([0.3 - 0.2j, 0.3 + 0.2j]).tobytes()
+        assert cov.tobytes() == np.array([[1.1, 0.4 + 0.1j], [0.4 - 0.1j, 1.1]]).tobytes()
+        # each access builds a fresh array, so neither can alias the state
+        assert state.cov is not cov and state.mean is not mean
+        assert not (cov.flags.writeable or mean.flags.writeable)
+
+    def test_close_to_compares_the_moments(self):
+        state = GaussianState.from_moments(0.3, 1.1, 0.4j)
+        assert state.close_to(GaussianState.from_moments(0.3 + 1e-13, 1.1, 0.4j))
+        assert not state.close_to(GaussianState.from_moments(0.3, 1.1 + 1e-9, 0.4j))
+        assert not state.close_to(GaussianState.from_moments(0.3, 1.1, 0.4j + 1e-9))
+        assert not state.close_to(GaussianState.from_moments(0.3 + 1e-9j, 1.1, 0.4j))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidStateError):
             GaussianState((0, 0, 0), np.eye(2))
@@ -86,6 +159,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SystemBathSpec(nbar=-0.1)
         assert SystemBathSpec(nbar=0.4).f_beta == 0.9
+
+    def test_spec_bath_beyond_float_range(self):
+        with pytest.raises(ValueError, match="float range"):
+            SystemBathSpec(nbar=1e300)  # (nbar + 1/2)^2 overflows
+        assert SystemBathSpec(nbar=1e150).f_beta == 1e150
 
     def test_phase_point_validation(self):
         with pytest.raises(ValueError):
