@@ -19,9 +19,7 @@ from .dynamics import (
     sample_trajectory,
 )
 from .factory import (
-    DisplacementAmplitude,
     SqueezingParameter,
-    ThermalOccupation,
     displace,
     displaced_thermal,
     random_state,
@@ -46,7 +44,6 @@ from .mpemba import (
 from .states import (
     GaussianState,
     InvalidStateError,
-    PhasePoint,
     SystemBathSpec,
     ergotropy,
     ergotropy_split,
@@ -63,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussianState",
     "InvalidStateError",
-    "PhasePoint",
     "SystemBathSpec",
     "wigner_entropy",
     "relative_wigner_entropy",
@@ -73,8 +69,6 @@ __all__ = [
     "ergotropy",
     "ergotropy_split",
     "evaluate_wigner",
-    "ThermalOccupation",
-    "DisplacementAmplitude",
     "SqueezingParameter",
     "thermal_state",
     "displace",

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .factory import SqueezingParameter, ThermalOccupation, _occupation, _squeezing
-from .states import GaussianState, SystemBathSpec, _moduli, _work
+from .factory import _cosh_2r, _seed_scale, _squeezing
+from .states import GaussianState, InvalidStateError, SystemBathSpec, _moduli, _work
 
 __all__ = [
     "EffectiveParameters",
@@ -108,17 +108,22 @@ def effective_parameters(occ, z, spec: SystemBathSpec, t: float) -> EffectivePar
     """Time-dependent (f_beta_t, r_t, theta_t, delta_beta) of a squeezed thermal seed.
 
     Consistent with evolve_analytic: the evolved covariance has
-    det cov = f_beta_t^2 and V = f_beta_t cosh(2 r_t).
+    det cov = f_beta_t^2 and V = f_beta_t cosh(2 r_t).  Raises ValueError,
+    as squeezed_thermal(occ, z) does, when cosh 2r overflows (r above about
+    355.2) or the seed's variance f_pi cosh 2r squared is not a float.
     """
     x = _decay(spec, t)
-    o: ThermalOccupation = _occupation(occ)
-    zz: SqueezingParameter = _squeezing(z)
-    f_pi, f = o.f_beta_pi, spec.f_beta
+    f_pi, f, zz = _seed_scale(occ), spec.f_beta, _squeezing(z)
+    seed_variance = f_pi * _cosh_2r(zz.r)
+    if not math.isfinite(seed_variance * seed_variance):
+        raise ValueError("squeezed seed exceeds float range: its variance squared overflows")
     delta_beta = f_pi * x + f * (1.0 - x)
     sinh_sq = math.sinh(zz.r) ** 2
     f_t = math.sqrt(delta_beta ** 2 + 4.0 * f_pi * f * x * (1.0 - x) * sinh_sq)
     cosh_2rt = (delta_beta + 2.0 * f_pi * x * sinh_sq) / f_t
     r_t = 0.5 * math.acosh(max(1.0, cosh_2rt))
+    if not (math.isfinite(f_t) and math.isfinite(r_t)):
+        raise ValueError("effective parameters exceed float range")
     theta_t = zz.theta - 2.0 * spec.omega * t
     return EffectiveParameters(f_t, r_t, theta_t, delta_beta)
 
@@ -129,6 +134,8 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
     The grid must start at 0 and increase strictly.  Row 0's erg_v and
     erg_theta equal ergotropy_split bit for bit; every record has
     e_state - e_passive = ergotropy and erg_v + erg_theta = ergotropy up to roundoff.
+    Raises InvalidStateError where the relaxing V^2 - |M|^2 rounds to <= 0,
+    as it can for squeezing r above about 9.7, instead of returning nan or -inf.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
@@ -141,7 +148,10 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
         raise ValueError("tau grid must be strictly increasing")
 
     a, m, v_sq = _relax(*_moduli(state0), spec.f_beta, np.exp(-tau))
-    f_t, erg_v, erg_theta = _work(a, m, v_sq, spec.omega)
+    with np.errstate(invalid="ignore"):
+        f_t, erg_v, erg_theta = _work(a, m, v_sq, spec.omega)
+    if not np.all(f_t > 0.0):
+        raise InvalidStateError("det cov of the relaxing state rounds to <= 0 in floating point")
     e_state = spec.omega * (a + v_sq)
     e_passive = spec.omega * f_t
     erg = e_state - e_passive

@@ -18,8 +18,6 @@ import numpy as np
 from .states import GaussianState
 
 __all__ = [
-    "ThermalOccupation",
-    "DisplacementAmplitude",
     "SqueezingParameter",
     "thermal_state",
     "displace",
@@ -32,33 +30,6 @@ __all__ = [
 
 # Largest squeezing magnitude whose cosh 2r is a float.
 _MAX_SQUEEZING = 0.5 * math.acosh(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class ThermalOccupation:
-    """Mean occupation of the seed thermal state."""
-
-    nbar_pi: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nbar_pi) or self.nbar_pi < 0.0:
-            raise ValueError("nbar_pi must be finite and nonnegative")
-
-    @property
-    def f_beta_pi(self) -> float:
-        return self.nbar_pi + 0.5
-
-
-@dataclass(frozen=True)
-class DisplacementAmplitude:
-    """Coherent amplitude mu of a phase-space translation."""
-
-    mu: complex
-
-    def __post_init__(self):
-        m = complex(self.mu)
-        if not (math.isfinite(m.real) and math.isfinite(m.imag)):
-            raise ValueError("mu must be finite")
 
 
 @dataclass(frozen=True)
@@ -75,27 +46,35 @@ class SqueezingParameter:
             raise ValueError("squeezing magnitude r must be nonnegative")
 
 
-def _occupation(occ) -> ThermalOccupation:
-    return occ if isinstance(occ, ThermalOccupation) else ThermalOccupation(float(occ))
-
-
-def _amplitude(amp) -> DisplacementAmplitude:
-    return amp if isinstance(amp, DisplacementAmplitude) else DisplacementAmplitude(complex(amp))
-
-
 def _squeezing(z) -> SqueezingParameter:
     return z if isinstance(z, SqueezingParameter) else SqueezingParameter(float(z))
 
 
+def _seed_scale(nbar_pi) -> float:
+    """Covariance scale nbar_pi + 1/2 of a thermal seed; ValueError unless nbar_pi is finite and >= 0."""
+    nbar_pi = float(nbar_pi)
+    if not math.isfinite(nbar_pi) or nbar_pi < 0.0:
+        raise ValueError("nbar_pi must be finite and nonnegative")
+    return nbar_pi + 0.5
+
+
+def _cosh_2r(r: float) -> float:
+    """cosh 2r, or ValueError where it overflows (r above _MAX_SQUEEZING, about 355.2)."""
+    if r > _MAX_SQUEEZING:
+        raise ValueError(f"squeezing r = {r} exceeds float range: cosh 2r overflows")
+    return math.cosh(2.0 * r)
+
+
 def thermal_state(occ) -> GaussianState:
-    """Zero-mean state with covariance (nbar_pi + 1/2) I; nbar_pi = 0 is the vacuum."""
-    o = _occupation(occ)
-    return GaussianState.from_moments(0j, o.f_beta_pi, 0j)
+    """Zero-mean state with covariance (nbar_pi + 1/2) I for occupation occ = nbar_pi >= 0."""
+    return GaussianState.from_moments(0j, _seed_scale(occ), 0j)
 
 
 def displace(state: GaussianState, amp) -> GaussianState:
-    """Shift the mean by mu; the covariance is untouched."""
-    mu = _amplitude(amp).mu
+    """Shift the mean by a finite amplitude amp = mu; the covariance is untouched."""
+    mu = complex(amp)
+    if not cmath.isfinite(mu):
+        raise ValueError("mu must be finite")
     return GaussianState.from_moments(
         state.alpha_mean + mu, state.symmetric_variance, state.anomalous_variance
     )
@@ -110,10 +89,8 @@ def squeeze(state: GaussianState, z) -> GaussianState:
     range.
     """
     zz = _squeezing(z)
-    if zz.r > _MAX_SQUEEZING:
-        raise ValueError(f"squeezing r = {zz.r} exceeds float range: cosh 2r overflows")
+    c2, s2 = _cosh_2r(zz.r), math.sinh(2.0 * zz.r)
     c, s = math.cosh(zz.r), math.sinh(zz.r)
-    c2, s2 = math.cosh(2.0 * zz.r), math.sinh(2.0 * zz.r)
     phase = cmath.exp(1j * zz.theta)
     v = state.alpha_mean
     a = state.symmetric_variance

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, _relax, sample_trajectory
-from .factory import _MAX_SQUEEZING, displaced_thermal, squeezed_thermal
+from .factory import _MAX_SQUEEZING, _cosh_2r, displaced_thermal, squeezed_thermal
 from .states import InvalidStateError, SystemBathSpec, _work
 
 __all__ = [
@@ -154,14 +154,6 @@ def _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=False) -> bool:
     return r > 0.0 and mu != 0.0
 
 
-def _resolve_spec(spec: SystemBathSpec | None, nbar: float) -> SystemBathSpec:
-    # omega/gamma come from the caller's spec when given; the bath occupation
-    # is always the explicit sweep parameter.
-    if spec is None:
-        return SystemBathSpec(omega=1.0, gamma=1.0, nbar=nbar)
-    return SystemBathSpec(omega=spec.omega, gamma=spec.gamma, nbar=nbar)
-
-
 def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
     """Dimensionless time tau_c at which the squeezed charge drops to the displaced one.
 
@@ -170,6 +162,11 @@ def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
     and 0.0 on the degenerate equal-charge boundary.
     """
     _check_crossing_args(r, mu, nbar_pi, nbar)
+    return _closed_form(r, mu, nbar_pi, nbar)
+
+
+def _closed_form(r, mu, nbar_pi, nbar) -> float | None:
+    """crossing_time_closed_form of a point that _check_crossing_args has accepted."""
     f_pi, f = nbar_pi + 0.5, nbar + 0.5
     mu_sq = abs(mu) ** 2
     # charge_gap = (displaced - squeezed) initial ergotropy over omega
@@ -190,7 +187,7 @@ def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
     return math.log(shifted_gap * charge_gap / (2.0 * f)) - 2.0 * math.log(abs(mu))
 
 
-def _seed(r, mu, nbar_pi, spec: SystemBathSpec) -> tuple:
+def _seed(r, mu, nbar_pi, f, omega) -> tuple:
     """(a_s, |m_s|, |v_d|^2, f, omega) of one point's seed pair, bit for bit factory.squeeze's.
 
     r <= 0 counts as no squeezing.  A seed whose V^2 - |M|^2 rounds below 0
@@ -202,7 +199,7 @@ def _seed(r, mu, nbar_pi, spec: SystemBathSpec) -> tuple:
     m_s = 2.0 * math.cosh(r) * math.sinh(r) * f_pi
     if a_s * a_s - m_s * m_s < 0.0:
         raise InvalidStateError(f"squeezing r = {r} leaves det cov < 0 in floating point")
-    return a_s, m_s, abs(mu) ** 2, spec.f_beta, spec.omega
+    return a_s, m_s, abs(mu) ** 2, f, omega
 
 
 def _charges(x, a_s, m_s, v_sq, f, omega):
@@ -215,10 +212,10 @@ def _charges(x, a_s, m_s, v_sq, f, omega):
     return erg_s, erg_d
 
 
-def _bisect(lo, hi, g_lo, moments, g_tol, tau_tol):
+def _bisect(lo, hi, g_lo, moments):
     """Bisect every bracket [lo, hi] of the gap at once; moments has one column per bracket.
 
-    A bracket is done when it is below tau_tol and its best |g| below g_tol,
+    A bracket is done when it is below _TAU_TOL and its best |g| below _G_TOL,
     or when g is exactly 0 at a midpoint; after _MAX_BISECTIONS halvings the
     best midpoint so far is returned.
     """
@@ -232,7 +229,7 @@ def _bisect(lo, hi, g_lo, moments, g_tol, tau_tol):
         better = np.abs(g_mid) < np.abs(best_g)
         best_tau = np.where(better, mid, best_tau)
         best_g = np.where(better, g_mid, best_g)
-        done = ((hi - lo <= tau_tol) & (np.abs(best_g) <= g_tol)) | (g_mid == 0.0)
+        done = ((hi - lo <= _TAU_TOL) & (np.abs(best_g) <= _G_TOL)) | (g_mid == 0.0)
         out[pending[done]] = best_tau[done]
         keep = ~done
         if not keep.any():
@@ -246,7 +243,7 @@ def _bisect(lo, hi, g_lo, moments, g_tol, tau_tol):
     return out
 
 
-def _numeric_crossings(seeds, tau_max, scan_step, g_tol, tau_tol) -> list:
+def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     """Bisection oracle for a batch of seed pairs: one crossing time (or None) each.
 
     seeds holds the moments of one seed pair per point.  Each gap
@@ -289,7 +286,7 @@ def _numeric_crossings(seeds, tau_max, scan_step, g_tol, tau_tol) -> list:
             g_lo.append(gap[flips[0]])
             columns.append(moments)
     if bracketed:
-        roots = _bisect(np.array(lo), np.array(hi), np.array(g_lo), np.array(columns).T, g_tol, tau_tol)
+        roots = _bisect(np.array(lo), np.array(hi), np.array(g_lo), np.array(columns).T)
         for i, tau in zip(bracketed, roots):
             times[i] = float(tau)
     return times
@@ -303,38 +300,39 @@ def crossing_time_numeric(
     spec: SystemBathSpec | None = None,
     tau_max: float = _TAU_MAX,
     scan_step: float = _SCAN_STEP,
-    g_tol: float = _G_TOL,
-    tau_tol: float = _TAU_TOL,
 ) -> float | None:
     """Bisection oracle for the crossing time, built on the relaxed seed moments.
 
     Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, tau_max] at
     scan_step for a sign change, then bisects until the bracket is below
-    tau_tol and |g| below g_tol.  Returns 0.0 when the initial charges
+    1e-12 and |g| below 1e-12.  Returns 0.0 when the initial charges
     already coincide, and None when g never changes sign while both charges
     are resolved, i.e. at least the smallest normal float (so weak charges
     that underflow before they cross give None).
     """
     _check_crossing_args(r, mu, nbar_pi, nbar)
-    seed = _seed(r, mu, nbar_pi, _resolve_spec(spec, nbar))
-    return _numeric_crossings([seed], tau_max, scan_step, g_tol, tau_tol)[0]
+    seed = _seed(r, mu, nbar_pi, nbar + 0.5, 1.0 if spec is None else spec.omega)
+    return _numeric_crossings([seed], tau_max, scan_step)[0]
 
 
 def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_step: float) -> list:
     """Crossing reports for (r, mu, nbar_pi, nbar) points, with one oracle call for all.
 
-    Every point is validated before the oracle runs.  The reported tau = 0
-    charges are the oracle's own charges at x = 1, for all points at once.
+    Every point is validated once, before the oracle runs; omega comes from
+    spec (1 when None) and the bath scale from each point's nbar.  The
+    reported tau = 0 charges are the oracle's own charges at x = 1, for all
+    points at once.
     """
+    omega = 1.0 if spec is None else spec.omega
     seeds, tested, closed = [], [], []
     for r, mu, nbar_pi, nbar in points:
         # r <= 0 or mu = 0 is reported as a missing precondition, without the oracle
         tested.append(_check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=True))
-        seeds.append(_seed(r, mu, nbar_pi, _resolve_spec(spec, nbar)))
-        closed.append(crossing_time_closed_form(r, mu, nbar_pi, nbar) if tested[-1] else None)
+        seeds.append(_seed(r, mu, nbar_pi, nbar + 0.5, omega))
+        closed.append(_closed_form(r, mu, nbar_pi, nbar) if tested[-1] else None)
     erg0_s, erg0_d = _charges(1.0, *np.array(seeds).T)
     active = [seed for seed, is_tested in zip(seeds, tested) if is_tested]
-    numerics = iter(_numeric_crossings(active, tau_max, scan_step, _G_TOL, _TAU_TOL))
+    numerics = iter(_numeric_crossings(active, tau_max, scan_step))
     reports = []
     for is_tested, tau_c, erg_s, erg_d in zip(tested, closed, erg0_s.tolist(), erg0_d.tolist()):
         numeric = next(numerics) if is_tested else None
@@ -373,11 +371,16 @@ def equal_charge_amplitude(r, nbar_pi) -> float:
     """Displacement amplitude whose charge matches a squeezed thermal seed.
 
     mu = sqrt(f_pi [cosh(2r) - 1]) makes the two initial ergotropies equal.
+    Raises ValueError, as factory.squeeze does, when cosh 2r overflows (r
+    above about 355.2), and when mu^2 is not a float.
     """
     if not (math.isfinite(r) and math.isfinite(nbar_pi)) or r < 0.0 or nbar_pi < 0.0:
         raise ValueError("r and nbar_pi must be finite and nonnegative")
     f_pi = nbar_pi + 0.5
-    return math.sqrt(f_pi * (math.cosh(2.0 * r) - 1.0))
+    mu_sq = f_pi * (_cosh_2r(r) - 1.0)
+    if not math.isfinite(mu_sq):
+        raise ValueError("equal-charge amplitude exceeds float range: mu^2 overflows")
+    return math.sqrt(mu_sq)
 
 
 def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResult:
@@ -435,7 +438,7 @@ def faster_discharge_demo(
     Uses the equal-charge amplitude, so the two trajectories start with the
     same ergotropy and the displaced one stays strictly above for tau > 0.
     """
-    spec = _resolve_spec(spec, nbar)
+    spec = SystemBathSpec(nbar=nbar) if spec is None else SystemBathSpec(spec.omega, spec.gamma, nbar)
     mu = equal_charge_amplitude(r, nbar_pi)
     if tau_grid is None:
         tau_grid = np.arange(501) * 0.01

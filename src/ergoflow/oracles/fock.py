@@ -30,7 +30,6 @@ __all__ = [
     "squeezing_operator",
     "fock_gaussian_state",
     "fock_lindblad_path",
-    "fock_lindblad_evolve",
     "fock_ergotropy",
     "fock_moments",
 ]
@@ -172,20 +171,11 @@ def fock_lindblad_path(
 
     The whole path is integrated first; then each record is revalidated for
     hermiticity, trace and positivity, so integrator drift beyond tolerance
-    raises instead of propagating.
+    raises instead of propagating.  The state at one time t is
+    ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
     """
     records = _rk4_path(_rhs_factory(rho0.dim, spec), rho0.matrix, dt, times)
     return [FockDensityMatrix(rho) for rho in records]
-
-
-def fock_lindblad_evolve(
-    rho0: FockDensityMatrix,
-    spec: SystemBathSpec,
-    t: float,
-    dt: float = 1e-3,
-) -> FockDensityMatrix:
-    """Density matrix after damping for time t."""
-    return fock_lindblad_path(rho0, spec, [t], dt)[-1]
 
 
 def fock_ergotropy(rho: FockDensityMatrix, spec: SystemBathSpec) -> float:

@@ -10,40 +10,21 @@ Runge-Kutta steps.  L is diagonal, so L C + C L+ is elementwise,
 (L C + C L+)_jk = l_j C_jk + C_jk conj(l_k), and each state is stepped as
 one row (v, C00, C01, C10, C11) of the same ODE.  The exponential solution
 is never used, so agreement with the closed-form evolution is a genuine
-cross-check.  Batched over initial states for the randomized suites; the
-RK4 driver here also integrates the Fock oracle's master equation.
+cross-check.  rk4_moment_path is the one entry point, batched over initial
+states and recording raw moment arrays; the RK4 driver here also integrates
+the Fock oracle's master equation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..states import GaussianState, SystemBathSpec
 
-__all__ = [
-    "IntegratorConfig",
-    "integrate_lyapunov",
-    "rk4_moment_path",
-    "convergence_order",
-]
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Step size and final time of one classical RK4 integration."""
-
-    dt: float
-    t_final: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be finite and positive")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
-            raise ValueError("t_final must be finite and nonnegative")
+__all__ = ["rk4_moment_path", "convergence_order"]
 
 
 def _rk4_path(rhs, y0, dt, record_times):
@@ -132,26 +113,6 @@ def rk4_moment_path(
     return records[:, :, 0], records[:, :, 1:].reshape(*records.shape[:2], 2, 2)
 
 
-def integrate_lyapunov(
-    state0: GaussianState,
-    spec: SystemBathSpec,
-    cfg: IntegratorConfig,
-    *,
-    omit_gamma_in_noise: bool = False,
-) -> GaussianState:
-    """State at cfg.t_final by RK4; global error O(dt^4).
-
-    The integrated covariance matrix is handed to the state constructor
-    as-is, so structural drift beyond the validation tolerance surfaces as
-    an error instead of being silently repaired.
-    """
-    means, covs = rk4_moment_path(
-        [state0], spec, cfg.dt, [cfg.t_final], omit_gamma_in_noise=omit_gamma_in_noise
-    )
-    v = complex(means[0, 0])
-    return GaussianState((v, v.conjugate()), covs[0, 0])
-
-
 def convergence_order(
     state0: GaussianState,
     spec: SystemBathSpec,
@@ -160,7 +121,8 @@ def convergence_order(
 ) -> float:
     """Measured order from errors against the closed form at t_final.
 
-    Uses max-abs covariance errors at the supplied step sizes and returns
+    Uses the max-abs errors of the four integrated covariance entries at the
+    supplied step sizes and returns
     the mean slope of log(error) against log(dt); classical RK4 should give
     a value near 4.
     """
@@ -169,8 +131,8 @@ def convergence_order(
     exact = evolve_analytic(state0, spec, t_final).cov
     errors = []
     for dt in dts:
-        approx = integrate_lyapunov(state0, spec, IntegratorConfig(dt=dt, t_final=t_final))
-        errors.append(float(np.max(np.abs(approx.cov - exact))))
+        covs = rk4_moment_path([state0], spec, dt, [t_final])[1]
+        errors.append(float(np.max(np.abs(covs[0, 0] - exact))))
     slopes = [
         math.log(errors[i] / errors[i + 1]) / math.log(dts[i] / dts[i + 1])
         for i in range(len(errors) - 1)

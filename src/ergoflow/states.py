@@ -33,7 +33,6 @@ __all__ = [
     "InvalidStateError",
     "GaussianState",
     "SystemBathSpec",
-    "PhasePoint",
     "wigner_entropy",
     "relative_wigner_entropy",
     "mean_energy",
@@ -212,21 +211,24 @@ class SystemBathSpec:
         return self.nbar + 0.5
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point alpha of the complex phase plane; the conjugate partner is implied."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("alpha must be finite")
-
-
 def _moduli(state: GaussianState) -> tuple:
     """(V, |M|, |<a>|^2): all that the energetic quantities read of a state."""
     return state._variance, abs(state._anomalous), abs(state._alpha) ** 2
+
+
+def _quadratic_form(state: GaussianState, delta: complex) -> float:
+    """(V |delta|^2 - Re(M conj(delta)^2)) / det cov, inf where it exceeds float range.
+
+    delta is divided by a power of two s near |delta| and the form multiplied
+    by s twice at the end.  Both steps are exact in binary, and the squares
+    are products, which round correctly, so no square of delta overflows and
+    the scaling changes no bit of the form in the normal range.
+    """
+    s = math.ldexp(1.0, math.frexp(max(abs(delta.real), abs(delta.imag)))[1] - 1)
+    u = complex(delta.real / s, delta.imag / s)
+    v, m = state._variance, state._anomalous
+    form = (v * (u.real * u.real + u.imag * u.imag) - (m * u.conjugate() ** 2).real) / state.cov_det
+    return form * s * s
 
 
 def _work(a, m, v_sq, omega):
@@ -265,17 +267,25 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
         K = -1 + (1/2) [ ln(det_b / det_a) + Tr(cov_b^-1 cov_a)
                          + (v_a - v_b)+ cov_b^-1 (v_a - v_b) ].
 
-    Nonnegative, zero only for identical moments.
+    Nonnegative, zero only for identical moments.  The trace and shift
+    terms are summed halved, with the shift's offset scaled by a power of
+    two, so no intermediate overflows where K is a float; a K beyond float
+    range raises ValueError.
     """
     va, ma, da = state_a.symmetric_variance, state_a.anomalous_variance, state_a.cov_det
     vb, mb, db = state_b.symmetric_variance, state_b.anomalous_variance, state_b.cov_det
+    ratio = db / da
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(db) - math.log(da)
     # Re(mb conj(ma)) spelled out in float ops so that it cancels det exactly
-    # when the two states coincide (complex multiply may contract to FMA)
-    trace_term = 2.0 * (vb * va - (mb.real * ma.real + mb.imag * ma.imag)) / db
-    delta = state_a.alpha_mean - state_b.alpha_mean
-    shift_term = 2.0 * (vb * (delta.real ** 2 + delta.imag ** 2) - (mb * delta.conjugate() ** 2).real) / db
-    value = -1.0 + 0.5 * (math.log(db / da) + trace_term + shift_term)
-    if not value >= NEGATIVE_ROUNDOFF_FLOOR:
+    # when the two states coincide (complex multiply may contract to FMA);
+    # the difference is halved first and doubled last, both exact, so that
+    # it cannot overflow
+    half_trace = (0.5 * (vb * va) - 0.5 * (mb.real * ma.real + mb.imag * ma.imag)) / db * 2.0
+    half_shift = _quadratic_form(state_b, state_a.alpha_mean - state_b.alpha_mean)
+    value = -1.0 + (0.5 * log_ratio + half_trace + half_shift)
+    if not math.isfinite(value):
+        raise ValueError("relative Wigner entropy exceeds float range")
+    if value < NEGATIVE_ROUNDOFF_FLOOR:
         raise InvalidStateError(f"relative Wigner entropy {value:.3e} is beyond the roundoff floor")
     return max(value, 0.0)
 
@@ -317,16 +327,15 @@ def ergotropy_split(state: GaussianState, spec: SystemBathSpec) -> tuple[float, 
 
 
 def evaluate_wigner(state: GaussianState, point) -> float:
-    """Wigner density at a phase-space point (PhasePoint or plain complex).
+    """Wigner density at a phase-space point alpha, given as a finite complex number.
 
-    Strictly positive; integrates to one over the plane (checked by
-    quadrature in the test suite).
+    Positive, and 0.0 only where it underflows far from the mean;
+    integrates to one over the plane (checked by quadrature in the test
+    suite).  A point that is not finite raises ValueError.
     """
-    alpha = point.alpha if isinstance(point, PhasePoint) else complex(point)
-    det = state.cov_det
-    delta = alpha - state.alpha_mean
-    quad = (
-        state.symmetric_variance * (delta.real ** 2 + delta.imag ** 2)
-        - (state.anomalous_variance * delta.conjugate() ** 2).real
-    ) / det
-    return math.exp(-quad) / (math.pi * math.sqrt(det))
+    alpha = complex(point)
+    if not cmath.isfinite(alpha):
+        raise ValueError("phase-space point alpha must be finite")
+    # the form is >= 0; a negative value is roundoff, which must not blow the exponent up
+    quad = max(_quadratic_form(state, alpha - state.alpha_mean), 0.0)
+    return math.exp(-quad) / (math.pi * math.sqrt(state.cov_det))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ergoflow import (
+    InvalidStateError,
     SqueezingParameter,
     SystemBathSpec,
     displaced_thermal,
@@ -22,6 +23,8 @@ from ergoflow import (
     thermal_state,
     wigner_entropy,
 )
+
+from ergoflow.factory import _MAX_SQUEEZING
 
 from helpers import random_spec, rng_for
 
@@ -127,6 +130,23 @@ class TestEffectiveParameters:
             hi = max(nbar_pi + 0.5, spec.f_beta)
             assert lo - 1e-12 <= params.delta_beta <= hi + 1e-12
 
+    def test_squeezing_beyond_float_range(self):
+        # math.sinh(r) ** 2 and the seed's (nbar_pi + 1/2)^2 raised OverflowError
+        with pytest.raises(ValueError, match="float range"):
+            effective_parameters(0.2, 400, SystemBathSpec(nbar=0.4), 1.0)
+        with pytest.raises(ValueError, match="float range"):
+            effective_parameters(1e200, 1.0, SPEC, 1.0)
+
+    def test_finite_or_value_error_up_to_the_squeezing_limit(self):
+        for r in np.linspace(0.0, _MAX_SQUEEZING, 120):
+            for nbar_pi in (0.0, 0.2, 1e100):
+                for t in (0.0, 1.0, 60.0):
+                    try:
+                        params = effective_parameters(nbar_pi, r, SPEC, t)
+                    except ValueError:
+                        continue
+                    assert all(math.isfinite(value) for value in vars(params).values())
+
 
 class TestSampleTrajectory:
     def test_grid_validation(self):
@@ -146,6 +166,13 @@ class TestSampleTrajectory:
             sample_trajectory(squeezed_thermal(0.2, 1.0), SystemBathSpec(1.0, 1.0, 1e300), [0.0, 1.0])
         traj = sample_trajectory(squeezed_thermal(0.2, 1.0), SystemBathSpec(1.0, 1.0, 1e150), [0.0, 1.0])
         assert np.all(np.isfinite(traj.ergotropy)) and np.all(traj.ergotropy >= 0.0)
+
+    def test_cancelled_determinant_is_rejected(self):
+        # squeezed_thermal(0.2, 18.1) passes its check with a det cov of about 1e15
+        # that cancellation made up; relaxing, V^2 - |M|^2 rounds below 0, which
+        # gave nan and -inf rows
+        with pytest.raises(InvalidStateError, match="rounds to <= 0"):
+            sample_trajectory(squeezed_thermal(0.2, 18.1), SPEC, np.arange(501) * 0.01)
 
     def test_thermal_never_charged(self):
         traj = sample_trajectory(thermal_state(0.2), SPEC, np.arange(501) * 0.01)

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from ergoflow import (
-    DisplacementAmplitude,
     SqueezingParameter,
     SystemBathSpec,
-    ThermalOccupation,
     displace,
     displaced_thermal,
     ergotropy,
@@ -27,13 +25,17 @@ SPEC = SystemBathSpec(omega=1.0, gamma=1.0, nbar=0.4)
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        ThermalOccupation(-0.1)
+    with pytest.raises(ValueError, match="nbar_pi must be finite and nonnegative"):
+        thermal_state(-0.1)
+    with pytest.raises(ValueError, match="nbar_pi must be finite and nonnegative"):
+        thermal_state(math.inf)
     with pytest.raises(ValueError):
         SqueezingParameter(-1.0)
-    with pytest.raises(ValueError):
-        DisplacementAmplitude(complex("nan"))
-    assert ThermalOccupation(0.4).f_beta_pi == 0.9
+    with pytest.raises(ValueError, match="mu must be finite"):
+        displace(thermal_state(0.2), complex("nan"))
+    with pytest.raises(ValueError, match="mu must be finite"):
+        displaced_thermal(0.2, complex(0.0, math.inf))
+    assert thermal_state(0.4).symmetric_variance == 0.9
 
 
 def test_thermal_state_families():
@@ -42,7 +44,6 @@ def test_thermal_state_families():
     assert thermal_state(0.2).symmetric_variance == 0.7
     # bath-temperature seed reproduces the equilibrium energy 0.9 at omega 1
     assert thermal_state(0.4).symmetric_variance == 0.9
-    assert thermal_state(ThermalOccupation(0.2)).close_to(thermal_state(0.2))
 
 
 class TestDisplace:

@@ -19,6 +19,8 @@ from ergoflow import (
     mpemba_scan,
     squeezed_thermal,
 )
+from ergoflow import mpemba
+from ergoflow.factory import _MAX_SQUEEZING
 from ergoflow.mpemba import NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
 
 from helpers import rng_for
@@ -269,6 +271,15 @@ class TestEqualChargeAmplitude:
             displaced = ergotropy(displaced_thermal(nbar_pi, mu), spec)
             assert abs(squeezed - displaced) <= 1e-12 * max(1.0, squeezed)
 
+    def test_squeezing_beyond_float_range(self):
+        # math.cosh(2r) raised OverflowError
+        with pytest.raises(ValueError, match="float range"):
+            equal_charge_amplitude(400, 0.2)
+        with pytest.raises(ValueError, match="float range"):
+            equal_charge_amplitude(355.0, 1e300)  # mu^2 overflows
+        mu = equal_charge_amplitude(_MAX_SQUEEZING, 0.2)
+        assert mu == pytest.approx(math.sqrt(0.7 * math.cosh(2.0 * _MAX_SQUEEZING)), rel=1e-12)
+
 
 class TestScan:
     def test_single_point(self):
@@ -309,6 +320,19 @@ class TestScan:
             alone = crossing_report(row.r, grid.mu, row.nbar_pi, row.nbar, spec)
             assert repr(row.report) == repr(alone)
 
+    def test_each_point_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        check = mpemba._check_crossing_args
+        monkeypatch.setattr(mpemba, "_check_crossing_args", counting)
+        result = mpemba_scan(SweepGrid((0.0, 1.0), (0.2, 0.5), (0.4, 0.9), mu=1.0))
+        assert len(calls) == len(result.rows) == 8
+        assert sum(row.report.exists for row in result.rows) == 4
+
     def test_row_ordering(self):
         grid = SweepGrid((0.8, 1.0), (0.3, 0.6), (0.1, 0.9), mu=1.0)
         rows = mpemba_scan(grid).rows
@@ -339,3 +363,20 @@ class TestFasterDischarge:
         tau = np.arange(0, 26) * 0.2
         pair = faster_discharge_demo(0.8, 0.1, 0.6, tau_grid=tau)
         assert len(pair.squeezed) == tau.size
+
+    def test_squeezing_beyond_float_range(self):
+        # equal_charge_amplitude's math.cosh(2r) raised OverflowError
+        with pytest.raises(ValueError, match="float range"):
+            faster_discharge_demo(400, 0.2, 0.4)
+
+    def test_finite_or_value_error_up_to_the_squeezing_limit(self):
+        tau = np.arange(0, 26) * 0.2
+        for r in np.linspace(0.0, _MAX_SQUEEZING, 120):
+            for nbar_pi in (0.0, 0.2, 1e100):
+                try:
+                    pair = faster_discharge_demo(r, nbar_pi, 0.4, tau_grid=tau)
+                except ValueError:
+                    continue
+                assert math.isfinite(pair.mu)
+                for traj in (pair.squeezed, pair.displaced):
+                    assert all(np.all(np.isfinite(column)) for column in vars(traj).values())

@@ -8,7 +8,6 @@ import pytest
 from ergoflow import (
     GaussianState,
     InvalidStateError,
-    PhasePoint,
     SystemBathSpec,
     displaced_thermal,
     ergotropy,
@@ -166,8 +165,9 @@ class TestConstruction:
         assert SystemBathSpec(nbar=1e150).f_beta == 1e150
 
     def test_phase_point_validation(self):
-        with pytest.raises(ValueError):
-            PhasePoint(complex("inf"))
+        for alpha in (complex("inf"), complex(0.0, -math.inf), complex("nan")):
+            with pytest.raises(ValueError, match="must be finite"):
+                evaluate_wigner(thermal_state(0.2), alpha)
 
 
 class TestWignerEntropy:
@@ -224,6 +224,26 @@ class TestRelativeEntropy:
             assert value >= 0.0
             if not a.close_to(b, atol=1e-8):
                 assert value > 0.0
+
+    def test_far_apart_means(self):
+        # |delta|^2 = 1e308 is a float, and K = 0.7 |delta|^2 / 0.49 = 1e308 / 0.7
+        # is too; both used to overflow, to inf and to OverflowError
+        near = relative_wigner_entropy(displaced_thermal(0.2, 5e153), displaced_thermal(0.2, -5e153))
+        assert near == pytest.approx(1e308 / 0.7, rel=1e-14)
+        with pytest.raises(ValueError, match="float range"):
+            relative_wigner_entropy(displaced_thermal(0.2, 1e154), displaced_thermal(0.2, -1e154))
+
+    def test_huge_covariances(self):
+        # det_b / det_a overflows, though K = ln(V_b / V_a) - 1 + V_a / V_b does not
+        wide = thermal_state(1.3e154)
+        expected = math.log(wide.symmetric_variance / 0.5) - 1.0
+        assert relative_wigner_entropy(thermal_state(0.0), wide) == pytest.approx(expected, rel=1e-15)
+        assert relative_wigner_entropy(wide, wide) == 0.0
+        # opposite squeezing at V = 1e154: V_a V_b - Re(M_b M_a*) = 1.81e308 is a
+        # float but twice it is not, and K = 1.81 / 0.19 - 1
+        a = GaussianState.from_moments(0j, 1e154, -0.9e154)
+        b = GaussianState.from_moments(0j, 1e154, 0.9e154)
+        assert relative_wigner_entropy(a, b) == pytest.approx(1.81 / 0.19 - 1.0, rel=1e-12)
 
 
 class TestEnergyAndPassive:
@@ -352,7 +372,7 @@ class TestErgotropySplit:
 
 class TestWignerDensity:
     def test_vacuum_peak(self):
-        assert evaluate_wigner(thermal_state(0.0), PhasePoint(0j)) == pytest.approx(
+        assert evaluate_wigner(thermal_state(0.0), 0j) == pytest.approx(
             2.0 / math.pi, rel=1e-15
         )
 
@@ -365,6 +385,14 @@ class TestWignerDensity:
         assert evaluate_wigner(displaced_thermal(0.2, 1.0), 1.0 + 0j) == pytest.approx(
             1.0 / (0.7 * math.pi), rel=1e-15
         )
+
+    def test_far_points(self):
+        # the offset's square overflowed; the density there underflows to 0
+        state = displaced_thermal(0.2, 1e154)
+        assert evaluate_wigner(state, -1e154) == 0.0
+        assert evaluate_wigner(state, complex(-1.7e308, 1.7e308)) == 0.0
+        assert evaluate_wigner(thermal_state(0.2), 1e200) == 0.0
+        assert evaluate_wigner(state, 1e154) == pytest.approx(1.0 / (0.7 * math.pi), rel=1e-15)
 
     def test_positive_everywhere(self):
         rng = rng_for("wpos")
