@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .factory import _cosh_2r, _seed_scale, _squeezing
-from .states import GaussianState, InvalidStateError, SystemBathSpec, _moduli, _work
+from .factory import _seed_scale, _squeezed_seed, _squeezing
+from .states import GaussianState, SystemBathSpec, _moduli, _state, _work
 
 __all__ = [
     "EffectiveParameters",
@@ -88,9 +88,9 @@ def _decay(spec: SystemBathSpec, t: float) -> float:
     return math.exp(-spec.gamma * t)
 
 
-def _relax(a0, m0, v0_sq, f, x):
-    """Moduli (V, |M|, |<a>|^2) relaxed to x = exp(-gamma t) toward bath scale f, elementwise."""
-    return a0 * x + f * (1.0 - x), m0 * x, v0_sq * x
+def _relax(lam0, m0, v0_sq, f, x):
+    """Moduli (lam, |M|, |<a>|^2) relaxed to x = exp(-gamma t) toward bath scale f, elementwise."""
+    return lam0 * x + f * (1.0 - x), m0 * x, v0_sq * x
 
 
 def evolve_analytic(state0: GaussianState, spec: SystemBathSpec, t: float) -> GaussianState:
@@ -98,34 +98,27 @@ def evolve_analytic(state0: GaussianState, spec: SystemBathSpec, t: float) -> Ga
     f = spec.f_beta
     decay = _decay(spec, t)
     v = state0.alpha_mean * cmath.exp(-(1j * spec.omega + 0.5 * spec.gamma) * t)
-    # convex combination: exact at t = 0 and in the t -> infinity limit
+    # convex combinations: exact at t = 0 and in the t -> infinity limit
     a = state0.symmetric_variance * decay + f * (1.0 - decay)
     m = state0.anomalous_variance * cmath.exp(-(spec.gamma + 2j * spec.omega) * t)
-    return GaussianState.from_moments(v, a, m)
+    return _state(v, a, m, state0._lam * decay + f * (1.0 - decay))
 
 
 def effective_parameters(occ, z, spec: SystemBathSpec, t: float) -> EffectiveParameters:
     """Time-dependent (f_beta_t, r_t, theta_t, delta_beta) of a squeezed thermal seed.
 
     Consistent with evolve_analytic: the evolved covariance has
-    det cov = f_beta_t^2 and V = f_beta_t cosh(2 r_t).  Raises ValueError,
+    det cov = f_beta_t^2 and |M| = f_beta_t sinh(2 r_t).  Raises ValueError,
     as squeezed_thermal(occ, z) does, when cosh 2r overflows (r above about
-    355.2) or the seed's variance f_pi cosh 2r squared is not a float.
+    355.2) or the seed's variance squared is not a float.
     """
     x = _decay(spec, t)
     f_pi, f, zz = _seed_scale(occ), spec.f_beta, _squeezing(z)
-    seed_variance = f_pi * _cosh_2r(zz.r)
-    if not math.isfinite(seed_variance * seed_variance):
-        raise ValueError("squeezed seed exceeds float range: its variance squared overflows")
-    delta_beta = f_pi * x + f * (1.0 - x)
-    sinh_sq = math.sinh(zz.r) ** 2
-    f_t = math.sqrt(delta_beta ** 2 + 4.0 * f_pi * f * x * (1.0 - x) * sinh_sq)
-    cosh_2rt = (delta_beta + 2.0 * f_pi * x * sinh_sq) / f_t
-    r_t = 0.5 * math.acosh(max(1.0, cosh_2rt))
-    if not (math.isfinite(f_t) and math.isfinite(r_t)):
-        raise ValueError("effective parameters exceed float range")
+    _, m0, lam0 = _squeezed_seed(f_pi, zz.r)
+    lam, m, _ = _relax(lam0, m0, 0.0, f, x)
+    f_t = float(_work(lam, m, 0.0, 1.0)[0])
     theta_t = zz.theta - 2.0 * spec.omega * t
-    return EffectiveParameters(f_t, r_t, theta_t, delta_beta)
+    return EffectiveParameters(f_t, 0.5 * math.asinh(m / f_t), theta_t, f_pi * x + f * (1.0 - x))
 
 
 def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> Trajectory:
@@ -134,8 +127,7 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
     The grid must start at 0 and increase strictly.  Row 0's erg_v and
     erg_theta equal ergotropy_split bit for bit; every record has
     e_state - e_passive = ergotropy and erg_v + erg_theta = ergotropy up to roundoff.
-    Raises InvalidStateError where the relaxing V^2 - |M|^2 rounds to <= 0,
-    as it can for squeezing r above about 9.7, instead of returning nan or -inf.
+    Raises ValueError, as mean_energy does, where an energy exceeds float range.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
@@ -147,16 +139,14 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
     if tau.size > 1 and not np.all(np.diff(tau) > 0.0):
         raise ValueError("tau grid must be strictly increasing")
 
-    a, m, v_sq = _relax(*_moduli(state0), spec.f_beta, np.exp(-tau))
-    with np.errstate(invalid="ignore"):
-        f_t, erg_v, erg_theta = _work(a, m, v_sq, spec.omega)
-    if not np.all(f_t > 0.0):
-        raise InvalidStateError("det cov of the relaxing state rounds to <= 0 in floating point")
+    lam, m, v_sq = _relax(*_moduli(state0, spec), spec.f_beta, np.exp(-tau))
+    f_t, erg_v, erg_theta = _work(lam, m, v_sq, spec.omega)
+    a = lam + m
     e_state = spec.omega * (a + v_sq)
     e_passive = spec.omega * f_t
     erg = e_state - e_passive
     entropy = LOG_PI_PLUS_ONE + np.log(f_t)
-    r_t = 0.5 * np.arccosh(np.maximum(a / f_t, 1.0))
+    r_t = 0.5 * np.arcsinh(m / f_t)
     return Trajectory(tau, e_state, e_passive, erg, erg_v, erg_theta, entropy, f_t, r_t)
 
 
@@ -170,8 +160,9 @@ def ergotropy_rate(state0: GaussianState, spec: SystemBathSpec, t: float) -> Erg
     raw time t and evaluated from the relaxed moduli.
     """
     omega, gamma, f = spec.omega, spec.gamma, spec.f_beta
-    a, m, v_sq = _relax(*_moduli(state0), f, _decay(spec, t))
-    f_t = float(_work(a, m, v_sq, omega)[0])
+    lam, m, v_sq = _relax(*_moduli(state0, spec), f, _decay(spec, t))
+    f_t = float(_work(lam, m, v_sq, omega)[0])
+    a = lam + m
     flux = gamma * omega * (a + v_sq - f)
     entropy_term = gamma * omega * (f * a / f_t - f_t)
     return ErgotropyRate(-flux - entropy_term, flux, entropy_term)

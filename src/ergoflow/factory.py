@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState
+from .states import GaussianState, _state
 
 __all__ = [
     "SqueezingParameter",
@@ -65,9 +65,19 @@ def _cosh_2r(r: float) -> float:
     return math.cosh(2.0 * r)
 
 
+def _squeezed_seed(f_pi: float, r: float) -> tuple:
+    """(V, |M|, lam) of squeeze(thermal_state(f_pi - 1/2), r) bit for bit; ValueError as there."""
+    v = _cosh_2r(r) * f_pi
+    if not math.isfinite(v * v):
+        raise ValueError(f"squeezing r = {r} takes the moments beyond float range: V^2 overflows")
+    m = 2.0 * math.cosh(r) * math.sinh(r) * f_pi
+    return v, m, f_pi * f_pi / (v + m)
+
+
 def thermal_state(occ) -> GaussianState:
     """Zero-mean state with covariance (nbar_pi + 1/2) I for occupation occ = nbar_pi >= 0."""
-    return GaussianState.from_moments(0j, _seed_scale(occ), 0j)
+    f = _seed_scale(occ)
+    return _state(0j, f, 0j, f)
 
 
 def displace(state: GaussianState, amp) -> GaussianState:
@@ -75,18 +85,16 @@ def displace(state: GaussianState, amp) -> GaussianState:
     mu = complex(amp)
     if not cmath.isfinite(mu):
         raise ValueError("mu must be finite")
-    return GaussianState.from_moments(
-        state.alpha_mean + mu, state.symmetric_variance, state.anomalous_variance
-    )
+    return _state(state._alpha + mu, state._variance, state._anomalous, state._lam)
 
 
 def squeeze(state: GaussianState, z) -> GaussianState:
     """Apply the Bogoliubov map a -> a cosh r - a+ e^{i theta} sinh r.
 
     The mean transforms linearly, the covariance by congruence; det cov is
-    preserved (the map is symplectic).  Raises ValueError when cosh 2r
-    overflows (r above about 355.2) or the squeezed moments exceed float
-    range.
+    preserved (the map is symplectic), so lam = det / (V + |M|) needs no
+    subtraction.  Raises ValueError when cosh 2r overflows (r above about
+    355.2) or the squeezed moments exceed float range.
     """
     zz = _squeezing(z)
     c2, s2 = _cosh_2r(zz.r), math.sinh(2.0 * zz.r)
@@ -100,7 +108,7 @@ def squeeze(state: GaussianState, z) -> GaussianState:
     new_m = c * c * m - 2.0 * phase * c * s * a + phase * phase * s * s * m.conjugate()
     if not (cmath.isfinite(new_v) and math.isfinite(new_a) and cmath.isfinite(new_m)):
         raise ValueError(f"squeezing r = {zz.r} takes the moments beyond float range")
-    return GaussianState.from_moments(new_v, new_a, new_m)
+    return _state(new_v, new_a, new_m, state.cov_det / (new_a + abs(new_m)))
 
 
 def displaced_thermal(occ, amp) -> GaussianState:

@@ -16,14 +16,15 @@ they do not depend on omega or gamma individually.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory, _relax, sample_trajectory
-from .factory import _MAX_SQUEEZING, _cosh_2r, displaced_thermal, squeezed_thermal
-from .states import InvalidStateError, SystemBathSpec, _work
+from .factory import _cosh_2r, _squeezed_seed, displaced_thermal, squeezed_thermal
+from .states import SystemBathSpec, _check_energy, _work
 
 __all__ = [
     "NOTE_NO_PRECONDITION",
@@ -129,29 +130,29 @@ class DischargePair:
     displaced: Trajectory
 
 
-def _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=False) -> bool:
-    """Validate a point; True when r > 0 and mu != 0, else an error unless boundary_ok.
+def _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=False, omega=1.0) -> tuple:
+    """(tested, seed pair (lam_s, |m_s|, |mu|^2, f, omega)) of a point; tested is r > 0 and mu != 0.
 
-    Raises ValueError for non-finite values, negative occupations, and a point
-    whose seeds exceed float range: the squeezed seed's V^2, |mu|^2 or the
-    bath's (nbar + 1/2)^2 overflows, as GaussianState and SystemBathSpec require.
+    Otherwise the point is an error unless boundary_ok; r <= 0 seeds no
+    squeezing.  Raises ValueError for non-finite values, negative
+    occupations, and seeds beyond float range (their V^2, |mu|^2,
+    (nbar + 1/2)^2 or omega times an energy), as the states would.
     """
     if any(not math.isfinite(v) for v in (r, abs(mu), nbar_pi, nbar)):
         raise ValueError("crossing parameters must be finite")
     if nbar_pi < 0.0 or nbar < 0.0:
         raise ValueError("occupations must be nonnegative")
-    r_seed, mu_abs, f = max(r, 0.0), abs(mu), nbar + 0.5
-    v_s = math.cosh(2.0 * r_seed) * (nbar_pi + 0.5) if r_seed <= _MAX_SQUEEZING else math.inf
-    if not (math.isfinite(v_s * v_s) and math.isfinite(mu_abs * mu_abs) and math.isfinite(f * f)):
-        raise ValueError(
-            "crossing parameters exceed float range: the squeezed seed's V^2, |mu|^2 "
-            "or (nbar + 1/2)^2 overflows"
-        )
+    mu_abs, f = abs(mu), nbar + 0.5
+    if not (math.isfinite(mu_abs * mu_abs) and math.isfinite(f * f)):
+        raise ValueError("crossing point exceeds float range: |mu|^2 or (nbar + 1/2)^2 overflows")
+    v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))
+    v_sq = mu_abs ** 2
+    _check_energy(v_s, v_sq, omega, f)
     if r <= 0.0 and not boundary_ok:
         raise ValueError("squeezing magnitude r must be positive")
     if mu == 0.0 and not boundary_ok:
         raise ValueError("displacement amplitude mu must be nonzero")
-    return r > 0.0 and mu != 0.0
+    return r > 0.0 and mu != 0.0, (lam_s, m_s, v_sq, f, omega)
 
 
 def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
@@ -187,28 +188,13 @@ def _closed_form(r, mu, nbar_pi, nbar) -> float | None:
     return math.log(shifted_gap * charge_gap / (2.0 * f)) - 2.0 * math.log(abs(mu))
 
 
-def _seed(r, mu, nbar_pi, f, omega) -> tuple:
-    """(a_s, |m_s|, |v_d|^2, f, omega) of one point's seed pair, bit for bit factory.squeeze's.
-
-    r <= 0 counts as no squeezing.  A seed whose V^2 - |M|^2 rounds below 0
-    (from r near 9.7) is rejected, not given NaN charges.
-    """
-    f_pi = nbar_pi + 0.5
-    r = max(r, 0.0)
-    a_s = math.cosh(2.0 * r) * f_pi
-    m_s = 2.0 * math.cosh(r) * math.sinh(r) * f_pi
-    if a_s * a_s - m_s * m_s < 0.0:
-        raise InvalidStateError(f"squeezing r = {r} leaves det cov < 0 in floating point")
-    return a_s, m_s, abs(mu) ** 2, f, omega
-
-
-def _charges(x, a_s, m_s, v_sq, f, omega):
+def _charges(x, lam_s, m_s, v_sq, f, omega):
     """Squeezed and displaced ergotropy once the seeds have relaxed to x = exp(-tau).
 
     The squeezed seed has no mean and the displaced one no M, so one core pass over
-    (a_s, |m_s|, |v_d|^2) gives both: its covariance and its displacement share.
+    (lam_s, |m_s|, |v_d|^2) gives both: its covariance and its displacement share.
     """
-    _, erg_d, erg_s = _work(*_relax(a_s, m_s, v_sq, f, x), omega)
+    _, erg_d, erg_s = _work(*_relax(lam_s, m_s, v_sq, f, x), omega)
     return erg_s, erg_d
 
 
@@ -310,8 +296,7 @@ def crossing_time_numeric(
     are resolved, i.e. at least the smallest normal float (so weak charges
     that underflow before they cross give None).
     """
-    _check_crossing_args(r, mu, nbar_pi, nbar)
-    seed = _seed(r, mu, nbar_pi, nbar + 0.5, 1.0 if spec is None else spec.omega)
+    seed = _check_crossing_args(r, mu, nbar_pi, nbar, omega=1.0 if spec is None else spec.omega)[1]
     return _numeric_crossings([seed], tau_max, scan_step)[0]
 
 
@@ -324,12 +309,9 @@ def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_
     points at once.
     """
     omega = 1.0 if spec is None else spec.omega
-    seeds, tested, closed = [], [], []
-    for r, mu, nbar_pi, nbar in points:
-        # r <= 0 or mu = 0 is reported as a missing precondition, without the oracle
-        tested.append(_check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=True))
-        seeds.append(_seed(r, mu, nbar_pi, nbar + 0.5, omega))
-        closed.append(_closed_form(r, mu, nbar_pi, nbar) if tested[-1] else None)
+    # r <= 0 or mu = 0 is reported as a missing precondition, without the oracle
+    tested, seeds = zip(*[_check_crossing_args(*p, boundary_ok=True, omega=omega) for p in points])
+    closed = [_closed_form(*p) if is_tested else None for p, is_tested in zip(points, tested)]
     erg0_s, erg0_d = _charges(1.0, *np.array(seeds).T)
     active = [seed for seed, is_tested in zip(seeds, tested) if is_tested]
     numerics = iter(_numeric_crossings(active, tau_max, scan_step))
@@ -370,17 +352,30 @@ def crossing_report(
 def equal_charge_amplitude(r, nbar_pi) -> float:
     """Displacement amplitude whose charge matches a squeezed thermal seed.
 
-    mu = sqrt(f_pi [cosh(2r) - 1]) makes the two initial ergotropies equal.
-    Raises ValueError, as factory.squeeze does, when cosh 2r overflows (r
-    above about 355.2), and when mu^2 is not a float.
+    mu = sqrt(2 f_pi) sinh r = sqrt(f_pi [cosh(2r) - 1]) makes the two initial
+    ergotropies equal, and the product keeps its precision where cosh(2r) - 1
+    cancels.  Raises ValueError, as factory.squeeze does, when cosh 2r
+    overflows (r above about 355.2), and when mu^2 is not a float.
     """
     if not (math.isfinite(r) and math.isfinite(nbar_pi)) or r < 0.0 or nbar_pi < 0.0:
         raise ValueError("r and nbar_pi must be finite and nonnegative")
-    f_pi = nbar_pi + 0.5
-    mu_sq = f_pi * (_cosh_2r(r) - 1.0)
-    if not math.isfinite(mu_sq):
+    _cosh_2r(r)  # squeeze's range rule
+    # sqrt(f_pi / 2) (2 sinh r) is sqrt(2 f_pi) sinh r bit for bit, and 2 f_pi cannot overflow
+    mu = math.sqrt(0.5 * (nbar_pi + 0.5)) * (2.0 * math.sinh(r))
+    if not math.isfinite(mu * mu):
         raise ValueError("equal-charge amplitude exceeds float range: mu^2 overflows")
-    return math.sqrt(mu_sq)
+    return mu
+
+
+def _ordered_pairs(series, in_order) -> tuple:
+    """(comparisons, violations): adjacent crossings (prev, cur) of each series not in_order."""
+    comparisons = violations = 0
+    for reports in series:
+        taus = [rep.tau_c_closed for rep in reports if rep.exists]
+        for prev, cur in zip(taus, taus[1:]):
+            comparisons += 1
+            violations += int(not in_order(prev, cur))
+    return comparisons, violations
 
 
 def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResult:
@@ -404,26 +399,15 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResu
         for (r, nbar_pi, nbar), rep in zip(points, reports)
     )
 
-    by_key = {(row.r, row.nbar_pi, row.nbar): row.report for row in rows}
-
-    nbar_cmp = nbar_bad = 0
-    for r in grid.r_values:
-        for nbar_pi in grid.nbar_pi_values:
-            series = [by_key[(r, nbar_pi, nbar)] for nbar in grid.nbar_values]
-            taus = [rep.tau_c_closed for rep in series if rep.exists]
-            for prev, cur in zip(taus, taus[1:]):
-                nbar_cmp += 1
-                nbar_bad += int(not cur < prev)
-    nbar_pi_cmp = nbar_pi_bad = 0
-    for r in grid.r_values:
-        for nbar in grid.nbar_values:
-            series = [by_key[(r, nbar_pi, nbar)] for nbar_pi in grid.nbar_pi_values]
-            taus = [rep.tau_c_closed for rep in series if rep.exists]
-            for prev, cur in zip(taus, taus[1:]):
-                nbar_pi_cmp += 1
-                nbar_pi_bad += int(not cur > prev)
-
-    return ScanResult(rows, nbar_cmp, nbar_bad, nbar_pi_cmp, nbar_pi_bad)
+    # tau_c must fall along nbar and rise along nbar_pi
+    n_nbar, block = len(grid.nbar_values), len(grid.nbar_pi_values) * len(grid.nbar_values)
+    along_nbar = [reports[i:i + n_nbar] for i in range(0, len(rows), n_nbar)]
+    along_nbar_pi = [
+        reports[b + j:b + block:n_nbar] for b in range(0, len(rows), block) for j in range(n_nbar)
+    ]
+    return ScanResult(
+        rows, *_ordered_pairs(along_nbar, operator.gt), *_ordered_pairs(along_nbar_pi, operator.lt)
+    )
 
 
 def faster_discharge_demo(

@@ -7,18 +7,20 @@ mode-operator basis u = (a, a+):
 
 where V is the symmetrized variance and M the anomalous variance.  They are
 the entries of the mean vector v = (<a>, <a+>) and the covariance matrix
-cov = [[V, M], [conj(M), V]], so det cov = V^2 - |M|^2 >= 1/4 with the
-vacuum saturating the bound.  GaussianState stores the three moments as
-Python scalars, checked once when the state is made, and builds v and cov
-as arrays only when asked for them.
+cov = [[V, M], [conj(M), V]], whose eigenvalues are lam = V - |M| (the
+variance of the squeezed quadrature) and lam + 2|M|.  So det cov =
+lam (lam + 2|M|) >= 1/4 is a product of positive terms, with the vacuum
+saturating the bound (Weedbrook et al., RMP 84, 621 (2012)).  GaussianState
+stores <a>, V, M and lam as Python scalars, checked once when the state is
+made, and builds v and cov as arrays only when asked for them.
 
 Every quantity in this module is an exact closed form in the moments: the
 mean energy, the Wigner (phase-space) entropy, the relative entropy between
 two Wigner densities, the passive state reachable by unitaries, and the
 ergotropy with its displacement/covariance split, which one elementwise
-core (_work) evaluates for scalars, trajectories and the crossing oracle;
-E_erg = omega f_pi K[W || W_pi] is a checked route.  Units use
-hbar = k_B = 1 throughout.
+core (_work) evaluates on (lam, |M|, |<a>|^2) for scalars, trajectories and
+the crossing oracle; E_erg = omega f_pi K[W || W_pi] is a checked route.
+Units use hbar = k_B = 1 throughout.
 """
 
 from __future__ import annotations
@@ -60,14 +62,14 @@ class InvalidStateError(ValueError):
     """The supplied moments do not describe a physical Gaussian state."""
 
 
-def _validated(alpha: complex, variance: complex | float, anomalous: complex) -> tuple:
-    """(<a>, V, M) as (complex, float, complex) once they pass the state checks.
+def _store(state, alpha: complex, variance: complex | float, anomalous: complex, lam) -> None:
+    """Store (<a>, V, M, lam) on state as (complex, float, complex, float) once they pass checks.
 
-    The moments must be finite, V real to VALIDATION_ATOL, at or above the
-    vacuum floor, and det cov = V^2 - |M|^2 positive and at least 1/4 (to
-    VALIDATION_ATOL); a failure raises InvalidStateError.  Moments whose
-    V^2 - |M|^2 or |<a>|^2 is not a finite float exceed float range and
-    raise ValueError.
+    lam = V - |M| when None.  The moments must be finite, V real to
+    VALIDATION_ATOL, at or above the vacuum floor, and det cov = lam (lam +
+    2|M|) positive and at least 1/4 (to VALIDATION_ATOL); a failure raises
+    InvalidStateError.  Moments whose V^2 or |<a>|^2 is not a finite float
+    exceed float range and raise ValueError.
     """
     if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
         raise InvalidStateError("mean/cov contain non-finite entries")
@@ -76,28 +78,30 @@ def _validated(alpha: complex, variance: complex | float, anomalous: complex) ->
     v = float(variance.real)
     if v < VACUUM_VARIANCE - VALIDATION_ATOL:
         raise InvalidStateError(f"variance {v} below the vacuum floor 1/2")
-    det = v * v - (anomalous.real * anomalous.real + anomalous.imag * anomalous.imag)
     amplitude = abs(alpha)
-    if not (math.isfinite(det) and math.isfinite(amplitude * amplitude)):
-        raise ValueError("moments exceed float range: V^2 - |M|^2 or |<a>|^2 overflows")
+    if not (math.isfinite(v * v) and math.isfinite(amplitude * amplitude)):
+        raise ValueError("moments exceed float range: V^2 or |<a>|^2 overflows")
+    m = abs(anomalous)
+    lam = v - m if lam is None else lam
+    det = lam * (lam + 2.0 * m)
     if det <= 0.0 or det < 0.25 - VALIDATION_ATOL:
         raise InvalidStateError(f"det cov = {det} violates the uncertainty bound 1/4")
-    return alpha, v, anomalous
+    state._alpha, state._variance, state._anomalous, state._lam = alpha, v, anomalous, lam
 
 
 class GaussianState:
     """Immutable carrier of the moments <a>, V and M, checked at construction.
 
-    The moments are stored as Python scalars; :attr:`mean` and :attr:`cov`
-    build fresh read-only arrays from them on each access.  Build a state
-    with :meth:`from_moments`, or from a raw mean vector and covariance
-    matrix (as the RK4 oracle does) with ``GaussianState(mean, cov)``, which
-    first checks the matrix structure and then keeps (mean[0], cov[0, 0],
-    cov[0, 1]).  Moments beyond float range raise ValueError; unphysical
+    The moments and lam are stored as Python scalars; :attr:`mean` and
+    :attr:`cov` build fresh read-only arrays on each access.  The factory
+    constructors and evolve_analytic carry lam without cancellation.  Only
+    :meth:`from_moments` and ``GaussianState(mean, cov)``, for moments from
+    outside, take lam = V - |M|; the latter first checks the matrix
+    structure.  Moments beyond float range raise ValueError; unphysical
     ones raise InvalidStateError.
     """
 
-    __slots__ = ("_alpha", "_variance", "_anomalous")
+    __slots__ = ("_alpha", "_variance", "_anomalous", "_lam")
 
     def __init__(self, mean, cov):
         mean = np.asarray(mean, dtype=complex)
@@ -116,18 +120,12 @@ class GaussianState:
             raise InvalidStateError("diagonal covariance entries must be equal")
         if abs(cov[1, 0] - cov[0, 1].conjugate()) > VALIDATION_ATOL:
             raise InvalidStateError("off-diagonal covariance entries must be conjugate")
-        self._alpha, self._variance, self._anomalous = _validated(
-            complex(mean[0]), cov[0, 0].real, complex(cov[0, 1])
-        )
+        _store(self, complex(mean[0]), cov[0, 0].real, complex(cov[0, 1]), None)
 
     @classmethod
     def from_moments(cls, alpha_mean, symmetric_variance, anomalous_variance):
         """Build a state from <a>, V and M; the conjugate entries are implied."""
-        state = object.__new__(cls)
-        state._alpha, state._variance, state._anomalous = _validated(
-            complex(alpha_mean), complex(symmetric_variance), complex(anomalous_variance)
-        )
-        return state
+        return _state(alpha_mean, symmetric_variance, anomalous_variance)
 
     @property
     def mean(self) -> np.ndarray:
@@ -158,11 +156,8 @@ class GaussianState:
 
     @property
     def cov_det(self) -> float:
-        # V^2 - |M|^2 with every square spelled as a plain product, matching
-        # the relative-entropy trace term bit for bit so K[W||W] is exactly 0
-        # (pow() and x*x can differ in the last ulp)
-        v, m = self._variance, self._anomalous
-        return v * v - (m.real * m.real + m.imag * m.imag)
+        """det cov = lam (lam + 2|M|), a product of positive terms."""
+        return self._lam * (self._lam + 2.0 * abs(self._anomalous))
 
     def close_to(self, other: "GaussianState", atol: float = 1e-12) -> bool:
         """Comparison of the moments <a>, V and M, each to atol."""
@@ -177,6 +172,13 @@ class GaussianState:
             f"GaussianState(<a>={self.alpha_mean:.6g}, V={self.symmetric_variance:.6g}, "
             f"M={self.anomalous_variance:.6g})"
         )
+
+
+def _state(alpha, variance, anomalous, lam=None) -> GaussianState:
+    """State of moments (<a>, V, M) and squeezed-quadrature variance lam (V - |M| when None)."""
+    state = object.__new__(GaussianState)
+    _store(state, complex(alpha), complex(variance), complex(anomalous), lam)
+    return state
 
 
 @dataclass(frozen=True)
@@ -211,9 +213,20 @@ class SystemBathSpec:
         return self.nbar + 0.5
 
 
-def _moduli(state: GaussianState) -> tuple:
-    """(V, |M|, |<a>|^2): all that the energetic quantities read of a state."""
-    return state._variance, abs(state._anomalous), abs(state._alpha) ** 2
+def _check_energy(v, v_sq, omega: float, f: float) -> None:
+    """ValueError unless omega max(V + |<a>|^2, f), a relaxation's largest energy, is a float.
+
+    No term that the core forms along a relaxation toward bath scale f exceeds it.
+    """
+    if not math.isfinite(omega * max(v + v_sq, f)):
+        raise ValueError("energy exceeds float range: omega (V + |<a>|^2) or omega f overflows")
+
+
+def _moduli(state: GaussianState, spec: SystemBathSpec) -> tuple:
+    """(lam, |M|, |<a>|^2), all that the energetics read of a state, checked against spec."""
+    v_sq = abs(state._alpha) ** 2
+    _check_energy(state._variance, v_sq, spec.omega, spec.f_beta)
+    return state._lam, abs(state._anomalous), v_sq
 
 
 def _quadratic_form(state: GaussianState, delta: complex) -> float:
@@ -231,13 +244,14 @@ def _quadratic_form(state: GaussianState, delta: complex) -> float:
     return form * s * s
 
 
-def _work(a, m, v_sq, omega):
-    """(f_pi, erg_v, erg_theta) of moduli (V, |M|, |<a>|^2) = (a, m, v_sq), elementwise.
+def _work(lam, m, v_sq, omega):
+    """(f_pi, erg_v, erg_theta) of moduli (lam, |M|, |<a>|^2) = (lam, m, v_sq), elementwise.
 
-    erg_theta = omega (V - f_pi) is rationalised, so it stays exact where V - f_pi cancels.
+    f_pi = sqrt(lam (lam + 2m)) and erg_theta = omega (V - f_pi) with V = lam + m,
+    rationalised to omega m^2 / (V + f_pi): no term cancels, and none exceeds omega V.
     """
-    f_pi = np.sqrt(a * a - m * m)
-    return f_pi, omega * v_sq, omega * (m * m) / (a + f_pi)
+    f_pi = np.sqrt(lam * (lam + 2.0 * m))
+    return f_pi, omega * v_sq, omega * (m * m / (lam + m + f_pi))
 
 
 def passive_occupation(state: GaussianState) -> float:
@@ -267,22 +281,21 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
         K = -1 + (1/2) [ ln(det_b / det_a) + Tr(cov_b^-1 cov_a)
                          + (v_a - v_b)+ cov_b^-1 (v_a - v_b) ].
 
-    Nonnegative, zero only for identical moments.  The trace and shift
-    terms are summed halved, with the shift's offset scaled by a power of
-    two, so no intermediate overflows where K is a float; a K beyond float
-    range raises ValueError.
+    Nonnegative, zero only for identical moments.  The -1 is folded into
+    the trace term, formed from quartered moment differences, and the
+    shift's offset is scaled by a power of two, so no intermediate
+    overflows where K is a float; a K beyond float range raises ValueError.
     """
     va, ma, da = state_a.symmetric_variance, state_a.anomalous_variance, state_a.cov_det
     vb, mb, db = state_b.symmetric_variance, state_b.anomalous_variance, state_b.cov_det
     ratio = db / da
     log_ratio = math.log(ratio) if ratio < math.inf else math.log(db) - math.log(da)
-    # Re(mb conj(ma)) spelled out in float ops so that it cancels det exactly
-    # when the two states coincide (complex multiply may contract to FMA);
-    # the difference is halved first and doubled last, both exact, so that
-    # it cannot overflow
-    half_trace = (0.5 * (vb * va) - 0.5 * (mb.real * ma.real + mb.imag * ma.imag)) / db * 2.0
+    # Tr(cov_b^-1 cov_a) / 2 - 1 = (V_b dV - Re(M_b conj dM)) / det_b with the
+    # differences quartered (exactly) so no product overflows: 0 for a = b
+    dv, dm = 0.25 * (va - vb), 0.25 * (ma - mb)
+    trace_term = (vb * dv - (mb.real * dm.real + mb.imag * dm.imag)) / db * 4.0
     half_shift = _quadratic_form(state_b, state_a.alpha_mean - state_b.alpha_mean)
-    value = -1.0 + (0.5 * log_ratio + half_trace + half_shift)
+    value = 0.5 * log_ratio + trace_term + half_shift
     if not math.isfinite(value):
         raise ValueError("relative Wigner entropy exceeds float range")
     if value < NEGATIVE_ROUNDOFF_FLOOR:
@@ -291,8 +304,8 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
 
 
 def mean_energy(state: GaussianState, spec: SystemBathSpec) -> float:
-    """Mean energy omega (V + |<a>|^2) of the mode, never below omega/2."""
-    return spec.omega * (state.symmetric_variance + abs(state.alpha_mean) ** 2)
+    """Mean energy omega (V + |<a>|^2), never below omega/2; ValueError where it overflows."""
+    return spec.omega * (state.symmetric_variance + _moduli(state, spec)[2])
 
 
 def passive_state(state: GaussianState) -> GaussianState:
@@ -302,7 +315,7 @@ def passive_state(state: GaussianState) -> GaussianState:
     sqrt(det cov) survives.
     """
     f_pi = passive_occupation(state)
-    return GaussianState.from_moments(0j, f_pi, 0j)
+    return _state(0j, f_pi, 0j, f_pi)
 
 
 def ergotropy(state: GaussianState, spec: SystemBathSpec) -> float:
@@ -322,7 +335,7 @@ def ergotropy_split(state: GaussianState, spec: SystemBathSpec) -> tuple[float, 
     omega (V - f_pi) rationalised.  Both parts are nonnegative, sum to the
     total ergotropy and equal row 0 of sample_trajectory bit for bit.
     """
-    _, erg_v, erg_theta = _work(*_moduli(state), spec.omega)
+    _, erg_v, erg_theta = _work(*_moduli(state, spec), spec.omega)
     return float(erg_v), float(erg_theta)
 
 

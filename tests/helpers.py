@@ -1,10 +1,26 @@
-"""Shared helpers for the test suite: seeded random states and specs."""
+"""Shared helpers for the test suite: seeded random states and specs, decimal references."""
+
+import decimal
+import functools
+from decimal import Decimal
 
 import numpy as np
 
 from ergoflow import SystemBathSpec, random_state
 
-__all__ = ["random_state", "random_spec", "rng_for"]
+__all__ = [
+    "random_state",
+    "random_spec",
+    "rng_for",
+    "REFERENCE_DIGITS",
+    "reference_squeezed",
+    "reference_crossing",
+    "relative_error",
+]
+
+# V - |M| of a squeezed seed at r = 177 is about 1e-307 V, so the reference
+# keeps 420 significant digits, well above the ~310 that this subtraction needs
+REFERENCE_DIGITS = 420
 
 
 def rng_for(tag: str) -> np.random.Generator:
@@ -19,3 +35,53 @@ def random_spec(rng: np.random.Generator, max_nbar: float = 2.0) -> SystemBathSp
         gamma=rng.uniform(0.5, 2.0),
         nbar=rng.uniform(0.0, max_nbar),
     )
+
+
+def _context(digits: int = REFERENCE_DIGITS) -> decimal.Context:
+    return decimal.Context(prec=digits, Emax=10**6, Emin=-(10**6))
+
+
+@functools.lru_cache(maxsize=128)
+def _exp(x: float) -> Decimal:
+    """exp of a float, taken exactly, at REFERENCE_DIGITS."""
+    return Decimal(x).exp(_context())
+
+
+def reference_squeezed(nbar_pi: float, r: float, nbar: float, tau: float) -> tuple:
+    """(V, |M|, f_t, r_t) of squeezed_thermal(nbar_pi, r) relaxed for tau = gamma t toward nbar.
+
+    Decimals at REFERENCE_DIGITS from V = f_pi cosh 2r, |M| = f_pi sinh 2r,
+    f_t = sqrt(V^2 - |M|^2) and r_t = asinh(|M| / f_t) / 2 after the
+    relaxation; f_pi and f are the floats nbar_pi + 1/2 and nbar + 1/2 that
+    the code reads, taken exactly.  The logarithm in r_t needs far fewer
+    digits than the subtractions and runs at 60.
+    """
+    with decimal.localcontext(_context()):
+        f_pi, f = Decimal(nbar_pi + 0.5), Decimal(nbar + 0.5)
+        e2r, x = _exp(2.0 * r), _exp(-tau)
+        v = f_pi * (e2r + 1 / e2r) / 2 * x + f * (1 - x)
+        m = f_pi * (e2r - 1 / e2r) / 2 * x
+        f_t = (v * v - m * m).sqrt()
+        y = m / f_t
+        return v, m, f_t, (y + (y * y + 1).sqrt()).ln(_context(60)) / 2
+
+
+def reference_crossing(r: float, mu: float, nbar_pi: float, nbar: float):
+    """Crossing time ln[1 + (mu^2 - 2 f_pi cosh^2 r)(mu^2 - 2 f_pi sinh^2 r) / (2 mu^2 f)].
+
+    None unless mu^2 < 2 f_pi sinh^2 r, where the squeezed seed starts ahead.
+    """
+    with decimal.localcontext(_context()):
+        f_pi, f, mu_sq = Decimal(nbar_pi + 0.5), Decimal(nbar + 0.5), Decimal(mu) ** 2
+        er = _exp(r)
+        cosh_sq, sinh_sq = ((er + 1 / er) / 2) ** 2, ((er - 1 / er) / 2) ** 2
+        if mu_sq >= 2 * f_pi * sinh_sq:
+            return None
+        ratio = (mu_sq - 2 * f_pi * cosh_sq) * (mu_sq - 2 * f_pi * sinh_sq) / (2 * mu_sq * f)
+        return (1 + ratio).ln(_context(60))
+
+
+def relative_error(value: float, reference: Decimal) -> float:
+    """|value - reference| / |reference|, evaluated at REFERENCE_DIGITS."""
+    with decimal.localcontext(_context()):
+        return float(abs(Decimal(float(value)) - reference) / abs(reference))

@@ -185,6 +185,7 @@ class TestCrossing:
             ["crossing", "--mu", "1e200"],
             ["crossing", "--r", "400"],
             ["simulate", "--family", "squeezed", "--r", "400"],
+            ["simulate", "--family", "displaced", "--mu", "1e100", "--omega", "1e200"],
         ],
     )
     def test_parameters_beyond_float_range_exit_2(self, argv):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ergoflow import (
-    InvalidStateError,
     SqueezingParameter,
     SystemBathSpec,
     displaced_thermal,
@@ -167,12 +166,25 @@ class TestSampleTrajectory:
         traj = sample_trajectory(squeezed_thermal(0.2, 1.0), SystemBathSpec(1.0, 1.0, 1e150), [0.0, 1.0])
         assert np.all(np.isfinite(traj.ergotropy)) and np.all(traj.ergotropy >= 0.0)
 
-    def test_cancelled_determinant_is_rejected(self):
-        # squeezed_thermal(0.2, 18.1) passes its check with a det cov of about 1e15
-        # that cancellation made up; relaxing, V^2 - |M|^2 rounds below 0, which
-        # gave nan and -inf rows
-        with pytest.raises(InvalidStateError, match="rounds to <= 0"):
-            sample_trajectory(squeezed_thermal(0.2, 18.1), SPEC, np.arange(501) * 0.01)
+    def test_large_squeezing_relaxes_to_finite_rows(self):
+        # V^2 - |M|^2 of squeezed_thermal(0.2, 18.1) cancelled to a made-up det cov
+        # of about 1e15, and relaxing it rounded below 0 (nan and -inf rows, later
+        # InvalidStateError); lam (lam + 2|M|) keeps det cov = 0.49
+        traj = sample_trajectory(squeezed_thermal(0.2, 18.1), SPEC, np.arange(501) * 0.01)
+        assert all(np.all(np.isfinite(column)) for column in vars(traj).values())
+        assert traj.f_beta_t[0] == pytest.approx(0.7, rel=1e-15)
+        assert np.all(traj.erg_theta > 0.0) and np.all(np.diff(traj.erg_theta) < 0.0)
+
+    def test_energy_beyond_float_range(self):
+        # omega |<a>|^2 = 1e400 overflowed to inf and a numpy RuntimeWarning
+        state = displaced_thermal(0.2, 1e100)
+        with pytest.raises(ValueError, match="exceeds float range"):
+            sample_trajectory(state, SystemBathSpec(omega=1e200), [0.0, 1.0])
+        # omega V = 7e307 is a float, but the bath's omega f = 2e308, which V relaxes to, is not
+        with pytest.raises(ValueError, match="exceeds float range"):
+            sample_trajectory(thermal_state(0.2), SystemBathSpec(omega=1e308, nbar=1.5), [0.0, 1.0])
+        traj = sample_trajectory(state, SystemBathSpec(omega=1e100), [0.0, 1.0])
+        assert traj.erg_v[0] == pytest.approx(1e300, rel=1e-15)
 
     def test_thermal_never_charged(self):
         traj = sample_trajectory(thermal_state(0.2), SPEC, np.arange(501) * 0.01)
@@ -311,6 +323,22 @@ class TestErgotropyRate:
                 - ergotropy(evolve_analytic(state, spec, t - step), spec)
             ) / (2 * step)
             assert abs(rate.rate - fd) <= 1e-6 * max(1.0, abs(rate.rate))
+
+    def test_large_squeezing_matches_central_differences(self):
+        # the relaxing V^2 - |M|^2 of this seed cancelled to 0, a ZeroDivisionError
+        state, spec, t, step = squeezed_thermal(0.2, 18.1), SystemBathSpec(nbar=0.4), 0.06, 1e-5
+        rate = ergotropy_rate(state, spec, t)
+        assert all(math.isfinite(value) for value in rate)
+        fd = (
+            ergotropy(evolve_analytic(state, spec, t + step), spec)
+            - ergotropy(evolve_analytic(state, spec, t - step), spec)
+        ) / (2 * step)
+        assert abs(rate.rate - fd) <= 1e-6 * max(1.0, abs(rate.rate))
+
+    def test_energy_beyond_float_range(self):
+        # returned rate = -inf and flux = inf
+        with pytest.raises(ValueError, match="exceeds float range"):
+            ergotropy_rate(displaced_thermal(0.2, 1e100), SystemBathSpec(omega=1e200), 0.5)
 
     def test_flux_matches_energy_derivative(self):
         rng = rng_for("fluxfd")

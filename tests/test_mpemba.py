@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ergoflow import (
-    InvalidStateError,
     SweepGrid,
     SystemBathSpec,
     crossing_report,
@@ -23,7 +22,7 @@ from ergoflow import mpemba
 from ergoflow.factory import _MAX_SQUEEZING
 from ergoflow.mpemba import NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
 
-from helpers import rng_for
+from helpers import reference_squeezed, relative_error, rng_for
 
 # bisection-validated closed form value for r=1, mu=1, nbar_pi=0.2, nbar=0.4
 TAU_C_FIG2 = 0.7931038912544939
@@ -188,18 +187,30 @@ class TestCrossingReport:
         assert abs(report.erg0_squeezed - squeezed) <= 1e-12 * squeezed
         assert abs(report.erg0_displaced - displaced) <= rtol_displaced * displaced
 
-    @pytest.mark.parametrize("args", [(8.0, 0.5, 0.0, 0.3), (9.5, 1.0, 0.1, 0.5)])
+    @pytest.mark.parametrize(
+        "args", [(8.0, 0.5, 0.0, 0.3), (9.5, 1.0, 0.1, 0.5), (9.7, 1.0, 0.0, 0.4)]
+    )
     def test_large_squeezing_crosses(self, args):
-        # valid seeds whose V^2 - |M|^2 has lost most of its digits
+        # valid seeds whose V^2 - |M|^2 lost most of its digits, or at r = 9.7
+        # rounded below 0 and raised InvalidStateError
         report = crossing_report(*args)
         assert report.exists
         assert abs(report.tau_c_numeric - report.tau_c_closed) <= 1e-9
         assert math.isfinite(report.erg0_squeezed)
 
-    def test_cancelled_determinant_is_rejected(self):
-        # at r = 9.7 the seed's V^2 - |M|^2 rounds below 0: an error, not a NaN charge
-        with pytest.raises(InvalidStateError):
-            crossing_report(9.7, 1.0, 0.0, 0.4)
+    def test_large_squeezing_initial_charge(self):
+        # where V^2 - |M|^2 rounded to about 0, erg0_squeezed was off by f_pi / V
+        # (1.1e-8 relative here); the bound is the decimal scan's
+        v, _, f_pi, _ = reference_squeezed(0.1, 9.5, 0.5, 0.0)
+        report = crossing_report(9.5, 1.0, 0.1, 0.5)
+        assert relative_error(report.erg0_squeezed, v - f_pi) <= 2e-15
+
+    def test_energy_beyond_float_range(self):
+        # omega |mu|^2 = 1e500 overflowed with a numpy RuntimeWarning
+        with pytest.raises(ValueError, match="exceeds float range"):
+            crossing_report(1.0, 1e150, 0.2, 0.4, SystemBathSpec(omega=1e200))
+        report = crossing_report(1.0, 1e150, 0.2, 0.4, SystemBathSpec(omega=1e-10))
+        assert report.erg0_displaced == pytest.approx(1e290, rel=1e-15)
 
     @pytest.mark.parametrize(
         "args",
@@ -270,6 +281,15 @@ class TestEqualChargeAmplitude:
             squeezed = ergotropy(squeezed_thermal(nbar_pi, r), spec)
             displaced = ergotropy(displaced_thermal(nbar_pi, mu), spec)
             assert abs(squeezed - displaced) <= 1e-12 * max(1.0, squeezed)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-6])
+    def test_weak_squeezing(self, r):
+        # f_pi (cosh 2r - 1) cancelled: 0.0 at r = 1e-9, 1.1e-5 off at r = 1e-6
+        expected = math.sqrt(1.4) * math.sinh(r)
+        assert equal_charge_amplitude(r, 0.2) == pytest.approx(expected, rel=1e-15)
+        # so the displaced battery of the demo started with no charge
+        pair = faster_discharge_demo(r, 0.2, 0.4)
+        assert pair.displaced.erg_v[0] == pytest.approx(pair.squeezed.erg_theta[0], rel=1e-12)
 
     def test_squeezing_beyond_float_range(self):
         # math.cosh(2r) raised OverflowError

@@ -114,6 +114,22 @@ class TestConstruction:
         assert math.isfinite(ergotropy(displaced_thermal(0.2, 1e150), SPEC))
         assert ergotropy(thermal_state(1e150), SPEC) == 0.0
 
+    @pytest.mark.parametrize("r", [3.84, 8.0])
+    def test_strong_squeezing_is_accepted(self, r):
+        # V^2 - |M|^2 of a squeezed vacuum cancelled below the bound 1/4 from
+        # r = 3.84 on (det cov = 0.248 at r = 8), an InvalidStateError
+        state = squeezed_thermal(0.0, r)
+        assert passive_occupation(state) == pytest.approx(0.5, rel=2e-15)
+        assert wigner_entropy(state) == pytest.approx(VACUUM_ENTROPY, rel=1e-15)
+
+    def test_energy_beyond_float_range(self):
+        # omega |<a>|^2 = 1e400 came back as inf
+        state, spec = displaced_thermal(0.2, 1e100), SystemBathSpec(omega=1e200)
+        for fn in (ergotropy, ergotropy_split, mean_energy):
+            with pytest.raises(ValueError, match="exceeds float range"):
+                fn(state, spec)
+        assert ergotropy(state, SystemBathSpec(omega=1e100)) == pytest.approx(1e300, rel=1e-15)
+
     def test_raw_and_moment_constructors_agree(self):
         rng = rng_for("raw-vs-moments")
         for _ in range(50):
@@ -270,6 +286,11 @@ class TestEnergyAndPassive:
     def test_passive_occupation_squeezing_invariant(self):
         for r in (0.3, 1.0, 2.0):
             assert passive_occupation(squeezed_thermal(0.2, r)) == pytest.approx(0.7, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [9.0, 50.0, 170.0])
+    def test_passive_occupation_at_strong_squeezing(self, r):
+        # sqrt(V^2 - |M|^2) gave 0.612 at r = 9 and 1.2e35 at r = 50
+        assert passive_occupation(squeezed_thermal(0.2, r)) == pytest.approx(0.7, rel=2e-15)
 
     def test_passive_state_of_thermal_is_itself(self):
         th = thermal_state(0.4)
