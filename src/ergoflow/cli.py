@@ -288,10 +288,7 @@ def cmd_verify(args) -> int:
     )
     taus = np.linspace(0.5, 5.0, 10)
     times = [float(t) for t in taus / batch_spec.gamma]
-    means, covs = rk4_moment_path(
-        states, batch_spec, args.rk4_dt / batch_spec.gamma, times,
-        omit_gamma_in_noise=args.broken_noise,
-    )
+    means, covs = rk4_moment_path(states, batch_spec, args.rk4_dt / batch_spec.gamma, times)
     deviation = 0.0
     for ti, t in enumerate(times):
         for si, state0 in enumerate(states):
@@ -467,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rk4-dt", type=float, default=1e-3, help="RK4 step (tau units)")
     verify.add_argument("--fock-dt", type=float, default=1e-3, help="Fock RK4 step (tau units)")
     verify.add_argument("--seed", type=int, default=1234, help="seed for the randomized suites")
-    verify.add_argument("--broken-noise", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(handler=cmd_verify)
 
     return parser

@@ -88,15 +88,24 @@ def _decay(spec: SystemBathSpec, t: float) -> float:
     return math.exp(-spec.gamma * t)
 
 
+def _turned(theta: float, spec: SystemBathSpec, t: float) -> float:
+    """Phase theta - 2 omega t that M carries after time t; ValueError where it exceeds float range."""
+    theta_t = theta - 2.0 * spec.omega * t
+    if not math.isfinite(theta_t):
+        raise ValueError("phase theta - 2 omega t exceeds float range")
+    return theta_t
+
+
 def _relax(lam0, m0, v0_sq, f, x):
     """Moduli (lam, |M|, |<a>|^2) relaxed to x = exp(-gamma t) toward bath scale f, elementwise."""
     return lam0 * x + f * (1.0 - x), m0 * x, v0_sq * x
 
 
 def evolve_analytic(state0: GaussianState, spec: SystemBathSpec, t: float) -> GaussianState:
-    """State after damping for time t >= 0 (closed form, semigroup exact)."""
+    """State damped for time t >= 0 (closed form); ValueError where 2 omega t exceeds float range."""
     f = spec.f_beta
     decay = _decay(spec, t)
+    _turned(0.0, spec, t)  # the phase of M below must be a float
     v = state0.alpha_mean * cmath.exp(-(1j * spec.omega + 0.5 * spec.gamma) * t)
     # convex combinations: exact at t = 0 and in the t -> infinity limit
     a = state0.symmetric_variance * decay + f * (1.0 - decay)
@@ -110,14 +119,15 @@ def effective_parameters(occ, z, spec: SystemBathSpec, t: float) -> EffectivePar
     Consistent with evolve_analytic: the evolved covariance has
     det cov = f_beta_t^2 and |M| = f_beta_t sinh(2 r_t).  Raises ValueError,
     as squeezed_thermal(occ, z) does, when cosh 2r overflows (r above about
-    355.2) or the seed's variance squared is not a float.
+    355.2), the seed's variance squared is not a float or theta_t exceeds
+    float range.
     """
     x = _decay(spec, t)
     f_pi, f, zz = _seed_scale(occ), spec.f_beta, _squeezing(z)
     _, m0, lam0 = _squeezed_seed(f_pi, zz.r)
     lam, m, _ = _relax(lam0, m0, 0.0, f, x)
     f_t = float(_work(lam, m, 0.0, 1.0)[0])
-    theta_t = zz.theta - 2.0 * spec.omega * t
+    theta_t = _turned(zz.theta, spec, t)
     return EffectiveParameters(f_t, 0.5 * math.asinh(m / f_t), theta_t, f_pi * x + f * (1.0 - x))
 
 
@@ -157,7 +167,8 @@ def ergotropy_rate(state0: GaussianState, spec: SystemBathSpec, t: float) -> Erg
     outflow, entropy_term = omega sqrt(det cov) dS/dt equals the passive
     energy drift (minus the passive-state flux), and
     rate = -flux - entropy_term.  All derivatives are with respect to the
-    raw time t and evaluated from the relaxed moduli.
+    raw time t and evaluated from the relaxed moduli.  Raises ValueError
+    where the rate or either contribution exceeds float range.
     """
     omega, gamma, f = spec.omega, spec.gamma, spec.f_beta
     lam, m, v_sq = _relax(*_moduli(state0, spec), f, _decay(spec, t))
@@ -165,4 +176,7 @@ def ergotropy_rate(state0: GaussianState, spec: SystemBathSpec, t: float) -> Erg
     a = lam + m
     flux = gamma * omega * (a + v_sq - f)
     entropy_term = gamma * omega * (f * a / f_t - f_t)
+    # false for inf and nan; a finite sum of moduli bounds the rate as well
+    if not abs(flux) + abs(entropy_term) < math.inf:
+        raise ValueError("discharge rate exceeds float range: gamma omega times an energy overflows")
     return ErgotropyRate(-flux - entropy_term, flux, entropy_term)

@@ -53,14 +53,13 @@ NOTE_NO_CROSSING = "no crossing on scan window"
 # equal-charge boundary, where the curves touch at tau = 0 only.
 _EQUAL_CHARGE_RTOL = 1e-12
 
-# Bisection oracle: scan window and step in tau, stopping tolerances, the cap
-# on halvings per bracket, and how far a gap sample must stand above the
-# roundoff of the two charges it separates to count toward a sign change.
+# Bisection oracle: scan window and step in tau, the most scan steps a window
+# may hold, and how far a gap sample must stand above the roundoff of the two
+# charges it separates to count toward a sign change.  Each bracket is halved
+# down to adjacent floats, so no stopping tolerance is needed.
 _TAU_MAX = 50.0
 _SCAN_STEP = 0.01
-_G_TOL = 1e-12
-_TAU_TOL = 1e-12
-_MAX_BISECTIONS = 256
+_MAX_SCAN_STEPS = 10**6
 _GAP_SIGNIFICANCE = 1e-13
 
 
@@ -198,34 +197,26 @@ def _charges(x, lam_s, m_s, v_sq, f, omega):
     return erg_s, erg_d
 
 
-def _bisect(lo, hi, g_lo, moments):
+def _bisect(lo, hi, lo_positive, moments):
     """Bisect every bracket [lo, hi] of the gap at once; moments has one column per bracket.
 
-    A bracket is done when it is below _TAU_TOL and its best |g| below _G_TOL,
-    or when g is exactly 0 at a midpoint; after _MAX_BISECTIONS halvings the
-    best midpoint so far is returned.
+    g > 0 holds at lo (lo_positive) or at hi, not both.  Each bracket is halved
+    until its midpoint equals an endpoint (adjacent floats) or g is exactly 0
+    there, and that midpoint is returned, within an ulp of where g > 0 flips.
     """
     out = np.empty(lo.size)
     pending = np.arange(lo.size)
-    best_tau, best_g = lo.copy(), g_lo.copy()
-    for _ in range(_MAX_BISECTIONS):
+    while pending.size:
         mid = 0.5 * (lo + hi)
         erg_s, erg_d = _charges(np.exp(-mid), *moments)
         g_mid = erg_s - erg_d
-        better = np.abs(g_mid) < np.abs(best_g)
-        best_tau = np.where(better, mid, best_tau)
-        best_g = np.where(better, g_mid, best_g)
-        done = ((hi - lo <= _TAU_TOL) & (np.abs(best_g) <= _G_TOL)) | (g_mid == 0.0)
-        out[pending[done]] = best_tau[done]
+        done = (mid == lo) | (mid == hi) | (g_mid == 0.0)
+        out[pending[done]] = mid[done]
         keep = ~done
-        if not keep.any():
-            return out
-        same_side = (g_mid > 0.0) == (g_lo > 0.0)
+        same_side = (g_mid > 0.0) == lo_positive
         lo = np.where(same_side, mid, lo)[keep]
-        g_lo = np.where(same_side, g_mid, g_lo)[keep]
         hi = np.where(same_side, hi, mid)[keep]
-        pending, best_tau, best_g, moments = pending[keep], best_tau[keep], best_g[keep], moments[:, keep]
-    out[pending] = best_tau
+        pending, lo_positive, moments = pending[keep], lo_positive[keep], moments[:, keep]
     return out
 
 
@@ -234,16 +225,22 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
 
     seeds holds the moments of one seed pair per point.  Each gap
     g(tau) = erg_squeezed(tau) - erg_displaced(tau) is scanned on
-    [0, tau_max] at scan_step for its first sign change; then all bracketed
-    points are bisected together.  A point gets 0.0 when its tau = 0 charges
-    coincide and None when g shows no sign change where the charges are
-    resolved.
+    [0, tau_max] at scan_step for its first change of g > 0 (an exact zero
+    counts as non-positive); then all bracketed points are bisected together.
+    A point gets 0.0 when its tau = 0 charges coincide and None when g > 0
+    does not change where the charges are resolved.  Raises ValueError
+    unless tau_max and scan_step are finite and positive and the window
+    holds at most _MAX_SCAN_STEPS steps.
     """
+    if not (0.0 < tau_max < math.inf and 0.0 < scan_step < math.inf):
+        raise ValueError("tau_max and scan_step must be finite and positive")
+    if tau_max / scan_step > _MAX_SCAN_STEPS:
+        raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")
     n = max(1, int(round(tau_max / scan_step)))
     taus = np.arange(n + 1) * scan_step
     decay = np.exp(-taus)
     times = [None] * len(seeds)
-    bracketed, lo, hi, g_lo, columns = [], [], [], [], []
+    bracketed = []
     for i, moments in enumerate(seeds):
         erg_s, erg_d = _charges(decay, *moments)
         gap = erg_s - erg_d
@@ -257,23 +254,15 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
         # where the two charges agree to roundoff, the gap sign is noise; only
         # count a flip with at least one side clear of its own charges' roundoff
         significant = resolved & (np.abs(gap) > _GAP_SIGNIFICANCE * (erg_s + erg_d))
-        # signs, not the product of neighbouring gaps, which underflows to 0
-        sign = np.sign(gap)
-        raw_flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-        flips = raw_flips[significant[raw_flips] | significant[raw_flips + 1]]
-        zeros = np.nonzero(gap == 0.0)[0]
-        exact_hits = zeros[significant[zeros - 1]]
-        if exact_hits.size and (not flips.size or exact_hits[0] <= flips[0]):
-            times[i] = float(taus[exact_hits[0]])
-        elif flips.size:
-            bracketed.append(i)
-            lo.append(taus[flips[0]])
-            hi.append(taus[flips[0] + 1])
-            g_lo.append(gap[flips[0]])
-            columns.append(moments)
+        positive = gap > 0.0
+        flips = np.nonzero(positive[:-1] != positive[1:])[0]
+        flips = flips[significant[flips] | significant[flips + 1]]
+        if flips.size:
+            bracketed.append((i, flips[0], positive[flips[0]], moments))
     if bracketed:
-        roots = _bisect(np.array(lo), np.array(hi), np.array(g_lo), np.array(columns).T)
-        for i, tau in zip(bracketed, roots):
+        points, k, lo_positive, columns = map(np.array, zip(*bracketed))
+        roots = _bisect(taus[k], taus[k + 1], lo_positive, columns.T)
+        for i, tau in zip(points, roots):
             times[i] = float(tau)
     return times
 
@@ -290,11 +279,12 @@ def crossing_time_numeric(
     """Bisection oracle for the crossing time, built on the relaxed seed moments.
 
     Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, tau_max] at
-    scan_step for a sign change, then bisects until the bracket is below
-    1e-12 and |g| below 1e-12.  Returns 0.0 when the initial charges
-    already coincide, and None when g never changes sign while both charges
-    are resolved, i.e. at least the smallest normal float (so weak charges
-    that underflow before they cross give None).
+    scan_step for a sign change, then bisects it down to adjacent floats.
+    Returns 0.0 when the initial charges already coincide, and None when g
+    never changes sign while both charges are resolved, i.e. at least the
+    smallest normal float (so weak charges that underflow before they cross
+    give None).  Raises ValueError unless tau_max and scan_step are finite
+    and positive and the window holds at most 10^6 steps.
     """
     seed = _check_crossing_args(r, mu, nbar_pi, nbar, omega=1.0 if spec is None else spec.omega)[1]
     return _numeric_crossings([seed], tau_max, scan_step)[0]

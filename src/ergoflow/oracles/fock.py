@@ -15,7 +15,7 @@ matrices are fine at the cutoffs used here (N <= 80).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +53,10 @@ class CutoffError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Validated density matrix on the truncated ladder basis."""
+    """Validated density matrix on the truncated ladder basis, with its ascending spectrum."""
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex)
@@ -69,10 +70,12 @@ class FockDensityMatrix:
         trace = float(np.trace(matrix).real)
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {trace} deviates from 1 beyond tolerance")
-        if float(np.linalg.eigvalsh(matrix)[0]) < EIGENVALUE_FLOOR:
+        spectrum = np.linalg.eigvalsh(matrix)
+        if float(spectrum[0]) < EIGENVALUE_FLOOR:
             raise ValueError("density matrix negativity beyond tolerance")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        for name, value in (("matrix", matrix), ("spectrum", spectrum)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -183,14 +186,11 @@ def fock_ergotropy(rho: FockDensityMatrix, spec: SystemBathSpec) -> float:
 
     The passive energy pairs the density-matrix eigenvalues, sorted
     descending, with the ladder energies sorted ascending.  Eigenvalues in
-    [EIGENVALUE_FLOOR, 0) are clipped to zero before reordering.
+    [EIGENVALUE_FLOOR, 0) of the validated spectrum are clipped to zero first.
     """
     energies = spec.omega * (np.arange(rho.dim) + 0.5)
     energy = float(energies @ np.diag(rho.matrix).real)
-    eigenvalues = np.linalg.eigvalsh(rho.matrix)
-    if float(eigenvalues[0]) < EIGENVALUE_FLOOR:
-        raise ValueError("density matrix negativity beyond tolerance")
-    descending = np.clip(eigenvalues, 0.0, None)[::-1]
+    descending = np.clip(rho.spectrum, 0.0, None)[::-1]
     return energy - float(energies @ descending)
 
 

@@ -69,8 +69,6 @@ def rk4_moment_path(
     spec: SystemBathSpec,
     dt: float,
     record_times: Sequence[float],
-    *,
-    omit_gamma_in_noise: bool = False,
 ):
     """Integrate a batch of states, recording moments at the requested times.
 
@@ -94,9 +92,8 @@ def rk4_moment_path(
     # L = diag(l0, l1), so dv/dt = l0 v and (L C + C L+)_jk = l_j C_jk + C_jk conj(l_k)
     l0 = -0.5 * (spec.gamma + 2j * spec.omega)
     l1 = -0.5 * (spec.gamma - 2j * spec.omega)
-    # The stationary covariance f I forces the noise prefactor gamma; the
-    # unscaled variant exists only for the mutation sanity check in `verify`.
-    noise = (1.0 if omit_gamma_in_noise else spec.gamma) * spec.f_beta
+    # the stationary covariance f I forces the noise prefactor gamma
+    noise = spec.gamma * spec.f_beta
     left = np.array([l0, l0, l0, l1, l1])
     right = np.array([0.0, l0.conjugate(), l1.conjugate(), l0.conjugate(), l1.conjugate()])
     forcing = np.array([0.0, noise, 0.0, 0.0, noise], dtype=complex)

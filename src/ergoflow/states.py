@@ -304,8 +304,9 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
 
 
 def mean_energy(state: GaussianState, spec: SystemBathSpec) -> float:
-    """Mean energy omega (V + |<a>|^2), never below omega/2; ValueError where it overflows."""
-    return spec.omega * (state.symmetric_variance + _moduli(state, spec)[2])
+    """Mean energy omega ((lam + |M|) + |<a>|^2), the core's sum; ValueError past float range."""
+    lam, m, v_sq = _moduli(state, spec)
+    return spec.omega * ((lam + m) + v_sq)
 
 
 def passive_state(state: GaussianState) -> GaussianState:

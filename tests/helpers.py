@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random states and specs, decimal references."""
+"""Shared helpers for the test suite: seeded random states and specs, decimal references,
+and the moment ODE stepped as written."""
 
 import decimal
 import functools
@@ -16,6 +17,7 @@ __all__ = [
     "reference_squeezed",
     "reference_crossing",
     "relative_error",
+    "literal_moment_path",
 ]
 
 # V - |M| of a squeezed seed at r = 177 is about 1e-307 V, so the reference
@@ -85,3 +87,47 @@ def relative_error(value: float, reference: Decimal) -> float:
     """|value - reference| / |reference|, evaluated at REFERENCE_DIGITS."""
     with decimal.localcontext(_context()):
         return float(abs(Decimal(float(value)) - reference) / abs(reference))
+
+
+def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=False):
+    """The moment ODE stepped as written, dv/dt = L v and dC/dt = L C + C L+ + N,
+    with 2x2 matrix products and the same step and record rules as the oracle.
+
+    Returns (means, covs) shaped like rk4_moment_path's.  omit_gamma_in_noise
+    drops the gamma of N = gamma f I, the fault the mutation tests inject.
+    """
+    drift = -0.5 * np.array(
+        [[spec.gamma + 2j * spec.omega, 0.0], [0.0, spec.gamma - 2j * spec.omega]], dtype=complex
+    )
+    drift_h = drift.conj().T
+    prefactor = 1.0 if omit_gamma_in_noise else spec.gamma
+    noise = prefactor * spec.f_beta * np.eye(2, dtype=complex)
+
+    def rhs(v, c):
+        return drift[0, 0] * v, drift @ c + c @ drift_h + noise
+
+    def step(v, c, h):
+        k1v, k1c = rhs(v, c)
+        k2v, k2c = rhs(v + 0.5 * h * k1v, c + 0.5 * h * k1c)
+        k3v, k3c = rhs(v + 0.5 * h * k2v, c + 0.5 * h * k2c)
+        k4v, k4c = rhs(v + h * k3v, c + h * k3c)
+        return (
+            v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            c + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
+        )
+
+    v = np.array([s.alpha_mean for s in states], dtype=complex)
+    c = np.stack([s.cov for s in states]).astype(complex)
+    rec_v, rec_c = [], []
+    t_now = 0.0
+    for target in record_times:
+        while target - t_now > dt * (1.0 + 1e-9):
+            v, c = step(v, c, dt)
+            t_now += dt
+        remainder = target - t_now
+        if remainder > 1e-14 * max(1.0, target):
+            v, c = step(v, c, remainder)
+        t_now = target
+        rec_v.append(v.copy())
+        rec_c.append(c.copy())
+    return np.stack(rec_v), np.stack(rec_c)

@@ -1,5 +1,6 @@
 """Command-line surface: CSV schemas, determinism, config files, exit codes."""
 
+import functools
 import math
 import os
 import subprocess
@@ -19,6 +20,9 @@ from ergoflow import (
     squeezed_thermal,
 )
 from ergoflow.cli import SWEEP_HEADER, TRAJECTORY_HEADER, parse_config_text
+from ergoflow.oracles import lyapunov
+
+from helpers import literal_moment_path
 
 
 def run(argv, capsys):
@@ -198,6 +202,42 @@ class TestCrossing:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "float range" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scan-step", "0"],  # ZeroDivisionError
+            ["--tau-max", "inf"],  # OverflowError
+            ["--tau-max", "nan"],  # "cannot convert float NaN to integer"
+            ["--tau-max=-1"],  # scanned backwards to "no crossing" and exit 0
+            ["--scan-step=-0.01"],  # likewise
+        ],
+        ids=["zero-step", "infinite-window", "nan-window", "negative-window", "negative-step"],
+    )
+    def test_invalid_scan_window_exits_2(self, capsys, flags):
+        code, out, err = run(["crossing", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: tau_max and scan_step must be finite and positive\n"
+
+    def test_oversized_scan_window_exits_2(self, capsys):
+        # 10^7 steps: refused before any window-sized array is made
+        code, out, err = run(["crossing", "--tau-max", "1e5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "more than 1000000 steps" in err
+
+    def test_longer_window_finds_a_late_crossing(self, capsys):
+        # tau_c = 57.31 lies beyond the default window of 50
+        code, out, _ = run(["crossing", "--r", "15"], capsys)
+        assert code == 0
+        assert "no crossing: no crossing on scan window" in out
+        code, out, _ = run(["crossing", "--r", "15", "--tau-max", "100"], capsys)
+        assert code == 0
+        closed = float(out.split("tau_c closed form = ")[1].split()[0])
+        numeric = float(out.split("tau_c numeric     = ")[1].split()[0])
+        assert closed == pytest.approx(57.3126, abs=1e-4)
+        assert abs(numeric - closed) <= 2e-14
+
     def test_csv_side_output(self, tmp_path, capsys):
         out = tmp_path / "crossing.csv"
         code, _, _ = run(
@@ -320,8 +360,11 @@ class TestVerify:
         assert out.count("PASS") >= 7
         assert "FAIL" not in out
 
-    def test_broken_noise_convention_fails(self, capsys):
-        code, out, _ = run(self.FAST + ["--broken-noise"], capsys)
+    def test_broken_noise_convention_fails(self, capsys, monkeypatch):
+        # verify must catch an RK4 oracle that drops gamma from the noise N = gamma f I
+        broken = functools.partial(literal_moment_path, omit_gamma_in_noise=True)
+        monkeypatch.setattr(lyapunov, "rk4_moment_path", broken)
+        code, out, _ = run(self.FAST, capsys)
         assert code == 1
         assert "FAIL" in out
 

@@ -73,6 +73,13 @@ class TestEvolveAnalytic:
             one_step = evolve_analytic(state, spec, t1 + t2)
             assert two_steps.close_to(one_step, atol=1e-12)
 
+    def test_phase_beyond_float_range(self):
+        # 2 omega t = 2e400: cmath.exp raised "math domain error"
+        with pytest.raises(ValueError, match="exceeds float range"):
+            evolve_analytic(displaced_thermal(0.2, 1.0), SystemBathSpec(omega=1e200), 1e200)
+        settled = evolve_analytic(displaced_thermal(0.2, 1.0), SystemBathSpec(omega=1e200), 1e100)
+        assert settled.close_to(thermal_state(0.0), atol=0.0)
+
     def test_uncertainty_preserved(self):
         rng = rng_for("detfloor")
         for _ in range(200):
@@ -135,6 +142,12 @@ class TestEffectiveParameters:
             effective_parameters(0.2, 400, SystemBathSpec(nbar=0.4), 1.0)
         with pytest.raises(ValueError, match="float range"):
             effective_parameters(1e200, 1.0, SPEC, 1.0)
+
+    def test_phase_beyond_float_range(self):
+        # theta_t = -2 omega t was returned as -inf
+        with pytest.raises(ValueError, match="exceeds float range"):
+            effective_parameters(0.2, 1.0, SystemBathSpec(omega=1e200), 1e200)
+        assert effective_parameters(0.2, 1.0, SystemBathSpec(omega=1e200), 1e100).theta_t == -2e300
 
     def test_finite_or_value_error_up_to_the_squeezing_limit(self):
         for r in np.linspace(0.0, _MAX_SQUEEZING, 120):
@@ -241,6 +254,7 @@ class TestSampleTrajectory:
             spec = random_spec(rng)
             traj = sample_trajectory(state, spec, tau)
             assert (traj.erg_v[0], traj.erg_theta[0]) == ergotropy_split(state, spec)
+            assert traj.e_state[0] == mean_energy(state, spec)
 
     def test_displaced_charge_independent_of_seed_temperature(self):
         tau = np.arange(0, 301) * 0.01
@@ -339,6 +353,9 @@ class TestErgotropyRate:
         # returned rate = -inf and flux = inf
         with pytest.raises(ValueError, match="exceeds float range"):
             ergotropy_rate(displaced_thermal(0.2, 1e100), SystemBathSpec(omega=1e200), 0.5)
+        # each energy is a float, but gamma omega times one is not
+        with pytest.raises(ValueError, match="exceeds float range"):
+            ergotropy_rate(displaced_thermal(0.2, 1e10), SystemBathSpec(gamma=1e300), 0.0)
 
     def test_flux_matches_energy_derivative(self):
         rng = rng_for("fluxfd")

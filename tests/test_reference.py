@@ -69,8 +69,25 @@ def test_crossings_match_reference(nbar_pi):
                 continue
             report = crossing_report(r, mu, nbar_pi, SPEC.nbar)
             assert report.exists, (r, mu)
-            assert abs(report.tau_c_numeric - float(tau_c)) <= 1e-9, (r, mu)
+            assert relative_error(report.tau_c_numeric, tau_c) <= REFERENCE_RTOL, (r, mu)
             v, _, f_pi, _ = reference_squeezed(nbar_pi, r, SPEC.nbar, 0.0)
             assert relative_error(report.erg0_squeezed, v - f_pi) <= REFERENCE_RTOL, (r, mu)
             compared += 1
     assert compared >= 30
+
+
+# Machine epsilon; near the equal-charge boundary the crossing time is
+# proportional to the charge gap eps, so an input rounding of mu moves it by
+# about epsilon / eps relative.  Measured worst: 0.4 epsilon / eps for the
+# oracle and 0.6 epsilon / eps for the closed form.
+EPSILON = 2.2e-16
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-11])
+def test_crossings_near_equal_charge_match_reference(eps):
+    mu = equal_charge_amplitude(1.0, 0.2) * (1.0 - eps)
+    tau_c = reference_crossing(1.0, mu, 0.2, SPEC.nbar)
+    report = crossing_report(1.0, mu, 0.2, SPEC.nbar)
+    assert report.exists
+    assert relative_error(report.tau_c_numeric, tau_c) <= 4.0 * EPSILON / eps
+    assert relative_error(report.tau_c_closed, tau_c) <= 4.0 * EPSILON / eps
