@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .factory import (
     squeezed_thermal,
     thermal_state,
 )
-from .mpemba import ScanRow, SweepGrid, crossing_report, mpemba_scan
+from .mpemba import _MAX_SCAN_STEPS, ScanRow, SweepGrid, crossing_report, mpemba_scan
 from .states import InvalidStateError, SystemBathSpec, ergotropy, mean_energy, wigner_entropy
 
 __all__ = ["main", "build_parser", "parse_config_text"]
@@ -43,6 +44,9 @@ SWEEP_HEADER = (
 )
 
 FAMILIES = ("thermal", "displaced", "squeezed", "squeezed-displaced")
+# the most steps a simulate grid and the most points a sweep grid may hold,
+# the bound the crossing scan puts on its window
+_MAX_GRID = _MAX_SCAN_STEPS
 
 
 class CliError(Exception):
@@ -150,10 +154,13 @@ def _trajectory_csv(time_values, traj) -> str:
 
 
 def cmd_simulate(args) -> int:
-    if args.dt <= 0.0:
-        raise CliError("--dt must be positive")
+    for flag, value in (("--dt", args.dt), ("--tmax", args.tmax)):
+        if not 0.0 < value < math.inf:
+            raise CliError(f"{flag} must be finite and positive")
     if args.tmax < args.dt:
         raise CliError("--tmax must be at least one step --dt")
+    if args.tmax / args.dt > _MAX_GRID:
+        raise CliError(f"the time grid holds more than {_MAX_GRID} steps of --dt")
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=args.nbar)
     state = _build_family(args)
     steps = int(round(args.tmax / args.dt))
@@ -213,24 +220,33 @@ def cmd_crossing(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _axis(axis_args, fixed, name):
+def _axis_count(axis_args, name) -> int:
+    """Points on a MIN MAX COUNT axis, 1 when the value is fixed; checked before any grid is made."""
+    if axis_args is None:
+        return 1
+    lo, hi, count = axis_args
+    if not (0.0 <= lo < math.inf and 0.0 <= hi < math.inf):
+        raise CliError(f"the {name} axis needs a finite, nonnegative MIN and MAX")
+    if not (count.is_integer() and count >= 1):
+        raise CliError(f"the {name} axis needs a whole COUNT of at least one point")
+    return int(count)
+
+
+def _axis(axis_args, fixed, count):
     if axis_args is None:
         return (float(fixed),)
-    lo, hi, count = axis_args
-    count = int(count)
-    if count < 1:
-        raise CliError(f"the {name} axis needs at least one point")
-    if count == 1:
-        return (float(lo),)
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
+    return tuple(float(v) for v in np.linspace(axis_args[0], axis_args[1], count))
 
 
 def cmd_sweep(args) -> int:
+    counts = (_axis_count(args.nbar_pi_axis, "nbar_pi"), _axis_count(args.nbar_axis, "nbar"))
+    if len(args.r) * counts[0] * counts[1] > _MAX_GRID:
+        raise CliError(f"the sweep grid holds more than {_MAX_GRID} points")
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=0.0)
     grid = SweepGrid(
         r_values=tuple(args.r),
-        nbar_pi_values=_axis(args.nbar_pi_axis, args.nbar_pi, "nbar_pi"),
-        nbar_values=_axis(args.nbar_axis, args.nbar, "nbar"),
+        nbar_pi_values=_axis(args.nbar_pi_axis, args.nbar_pi, counts[0]),
+        nbar_values=_axis(args.nbar_axis, args.nbar, counts[1]),
         mu=args.mu,
     )
     result = mpemba_scan(grid, spec)

@@ -224,9 +224,10 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     """Bisection oracle for a batch of seed pairs: one crossing time (or None) each.
 
     seeds holds the moments of one seed pair per point.  Each gap
-    g(tau) = erg_squeezed(tau) - erg_displaced(tau) is scanned on
-    [0, tau_max] at scan_step for its first change of g > 0 (an exact zero
-    counts as non-positive); then all bracketed points are bisected together.
+    g(tau) = erg_squeezed(tau) - erg_displaced(tau) is sampled at the
+    multiples of scan_step below tau_max and at tau_max, for its first change
+    of g > 0 (an exact zero counts as non-positive); then all bracketed
+    points are bisected together, so no crossing beyond tau_max is reported.
     A point gets 0.0 when its tau = 0 charges coincide and None when g > 0
     does not change where the charges are resolved.  Raises ValueError
     unless tau_max and scan_step are finite and positive and the window
@@ -236,8 +237,9 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
         raise ValueError("tau_max and scan_step must be finite and positive")
     if tau_max / scan_step > _MAX_SCAN_STEPS:
         raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")
-    n = max(1, int(round(tau_max / scan_step)))
-    taus = np.arange(n + 1) * scan_step
+    # the multiples of scan_step below tau_max, then tau_max itself
+    taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
+    taus = np.append(taus[taus < tau_max], tau_max)
     decay = np.exp(-taus)
     times = [None] * len(seeds)
     bracketed = []

@@ -11,6 +11,11 @@ is applied term by term with fixed-step RK4, and the ergotropy comes from
 sorting the density-matrix spectrum against the ladder energies.  This is
 the ground truth the Gaussian closed forms are tested against; dense
 matrices are fine at the cutoffs used here (N <= 80).
+
+The master equation is stepped on the raveled (row-major) matrix.  There
+rho[j+1, k+1] sits N + 1 places after rho[j, k], so both jump terms are
+products of contiguous 1-D slices; their weights are 0 where such a shift
+would wrap from the last column into the next row.
 """
 
 from __future__ import annotations
@@ -143,23 +148,31 @@ def fock_gaussian_state(
 
 
 def _rhs_factory(dim: int, spec: SystemBathSpec):
+    """rhs(rho, out, scratch) of the master equation on the raveled matrix, for _rk4_path."""
     n = np.arange(dim, dtype=float)
     j, k = n[:, None], n[None, :]
     g_down = spec.gamma * (1.0 + spec.nbar)
     g_up = spec.gamma * spec.nbar
     # elementwise part: commutator phases plus both anticommutator halves
-    local = -1j * spec.omega * (j - k) - 0.5 * g_down * (j + k) - 0.5 * g_up * (j + k + 2.0)
-    # a rho a+ shifts indices down, a+ rho a shifts them up; both carry the
-    # same sqrt(jk)-type weights
-    shift_w = np.sqrt(np.outer(n[1:], n[1:]))
-    down_w = g_down * shift_w
-    up_w = g_up * shift_w
+    local = (-1j * spec.omega * (j - k) - 0.5 * g_down * (j + k) - 0.5 * g_up * (j + k + 2.0)).ravel()
+    # a rho a+ takes rho[j+1, k+1] to (j, k), a+ rho a takes rho[j, k] to
+    # (j+1, k+1); both carry the weight sqrt((j+1)(k+1)), indexed by the
+    # smaller raveled index and 0 in the last column, where the shift wraps
+    shift = dim + 1
+    shift_w = np.zeros((dim - 1, dim))
+    shift_w[:, :-1] = np.sqrt(np.outer(n[1:], n[1:]))
+    shift_w = shift_w.ravel()[:-1]
+    # complex, as numpy would cast them on every call
+    down_w = (g_down * shift_w).astype(complex)
+    up_w = (g_up * shift_w).astype(complex)
+    size = shift_w.size
+    mul, add = np.multiply, np.add
 
-    def rhs(rho):
-        out = local * rho
-        out[:-1, :-1] += down_w * rho[1:, 1:]
-        out[1:, 1:] += up_w * rho[:-1, :-1]
-        return out
+    def rhs(rho, out, scratch):
+        jump, lower, upper = scratch[:size], out[:size], out[shift:]
+        mul(local, rho, out)
+        add(lower, mul(down_w, rho[shift:], jump), lower)
+        add(upper, mul(up_w, rho[:size], jump), upper)
 
     return rhs
 
@@ -177,8 +190,9 @@ def fock_lindblad_path(
     raises instead of propagating.  The state at one time t is
     ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
     """
-    records = _rk4_path(_rhs_factory(rho0.dim, spec), rho0.matrix, dt, times)
-    return [FockDensityMatrix(rho) for rho in records]
+    dim = rho0.dim
+    records = _rk4_path(_rhs_factory(dim, spec), rho0.matrix.ravel(), dt, times)
+    return [FockDensityMatrix(rho.reshape(dim, dim)) for rho in records]
 
 
 def fock_ergotropy(rho: FockDensityMatrix, spec: SystemBathSpec) -> float:

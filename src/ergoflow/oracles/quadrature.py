@@ -33,9 +33,9 @@ def _log_density(state: GaussianState, re, im):
 
 
 def _axes(extent: float, n: int):
+    """The grid axis, then as a column (Re alpha) and a row (Im alpha) that broadcast to the grid."""
     x = np.linspace(-extent, extent, n)
-    re, im = np.meshgrid(x, x, indexing="ij")
-    return x, re, im
+    return x, x[:, None], x[None, :]
 
 
 def _integrate(values, x):

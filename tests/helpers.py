@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: seeded random states and specs, decimal references,
-and the moment ODE stepped as written."""
+and the moment ODE and Fock master equation stepped as written."""
 
 import decimal
 import functools
@@ -18,6 +18,7 @@ __all__ = [
     "reference_crossing",
     "relative_error",
     "literal_moment_path",
+    "literal_fock_path",
 ]
 
 # V - |M| of a squeezed seed at r = 177 is about 1e-307 V, so the reference
@@ -87,6 +88,46 @@ def relative_error(value: float, reference: Decimal) -> float:
     """|value - reference| / |reference|, evaluated at REFERENCE_DIGITS."""
     with decimal.localcontext(_context()):
         return float(abs(Decimal(float(value)) - reference) / abs(reference))
+
+
+def literal_fock_path(matrix, spec, dt, record_times):
+    """The truncated-Fock master equation stepped on the 2-D matrix with shifted 2-D slices,
+    with the same step and record rules as the oracle; returns the (T, N, N) records."""
+    n = np.arange(matrix.shape[0], dtype=float)
+    j, k = n[:, None], n[None, :]
+    g_down = spec.gamma * (1.0 + spec.nbar)
+    g_up = spec.gamma * spec.nbar
+    local = -1j * spec.omega * (j - k) - 0.5 * g_down * (j + k) - 0.5 * g_up * (j + k + 2.0)
+    shift_w = np.sqrt(np.outer(n[1:], n[1:]))
+    down_w = g_down * shift_w
+    up_w = g_up * shift_w
+
+    def rhs(rho):
+        out = local * rho
+        out[:-1, :-1] += down_w * rho[1:, 1:]
+        out[1:, 1:] += up_w * rho[:-1, :-1]
+        return out
+
+    def step(rho, h):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    rho = np.array(matrix, dtype=complex)
+    records = []
+    t_now = 0.0
+    for target in record_times:
+        while target - t_now > dt * (1.0 + 1e-9):
+            rho = step(rho, dt)
+            t_now += dt
+        remainder = target - t_now
+        if remainder > 1e-14 * max(1.0, target):
+            rho = step(rho, remainder)
+        t_now = target
+        records.append(rho.copy())
+    return np.stack(records)
 
 
 def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=False):

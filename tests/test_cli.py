@@ -124,6 +124,24 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tmax", "inf"], "--tmax must be finite and positive"),  # OverflowError
+            (["--tmax", "nan"], "--tmax must be finite and positive"),  # "cannot convert float NaN"
+            (["--dt", "nan"], "--dt must be finite and positive"),  # likewise
+            (["--dt", "inf"], "--dt must be finite and positive"),  # "--tmax must be at least one step"
+            # 10^7 steps: refused before any grid-sized array is made
+            (["--tmax", "1e7", "--dt", "1"], "the time grid holds more than 1000000 steps of --dt"),
+        ],
+        ids=["infinite-tmax", "nan-tmax", "nan-dt", "infinite-dt", "oversized-grid"],
+    )
+    def test_invalid_time_grid_exits_2(self, capsys, flags, message):
+        code, out, err = run(["simulate", "--family", "thermal", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             [
@@ -278,6 +296,27 @@ class TestSweep:
         )
         assert code == 2
         assert "at least one point" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--nbar-axis", "0", "2", "inf"], "the nbar axis needs a whole COUNT"),  # OverflowError
+            (["--nbar-axis", "0", "2", "nan"], "the nbar axis needs a whole COUNT"),
+            (["--nbar-axis", "0", "2", "2.5"], "the nbar axis needs a whole COUNT"),  # ran 2 points
+            (["--nbar-pi-axis", "0", "inf", "3"], "the nbar_pi axis needs a finite"),  # RuntimeWarning
+            # 1000 x 1001 points: refused before any axis is made
+            (
+                ["--nbar-axis", "0", "2", "1000", "--nbar-pi-axis", "0", "1", "1001"],
+                "the sweep grid holds more than 1000000 points",
+            ),
+        ],
+        ids=["infinite-count", "nan-count", "fractional-count", "infinite-max", "oversized-grid"],
+    )
+    def test_invalid_axis_exits_2(self, capsys, flags, message):
+        code, out, err = run(["sweep", "--r", "1", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_closed_form_columns_match_library(self, tmp_path, capsys):
         # tau_c_closed and the tau = 0 charges are written exactly as the

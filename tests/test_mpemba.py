@@ -162,6 +162,24 @@ class TestCrossingReport:
         assert report.validity_note == NOTE_NO_CROSSING
 
     @pytest.mark.parametrize(
+        "shortfall, tau_max, tau_c",
+        [
+            (1e-3, 0.001, 0.0015609741006315544),  # window shorter than one scan step
+            (0.018, 0.026, 0.029745525364655065),  # last whole step would end at 0.03
+        ],
+    )
+    def test_crossing_beyond_window_is_not_reported(self, shortfall, tau_max, tau_c):
+        mu = equal_charge_amplitude(1.0, 0.2) * (1.0 - shortfall)
+        report = crossing_report(1.0, mu, 0.2, 0.4, tau_max=tau_max, scan_step=0.01)
+        assert report.tau_c_closed == pytest.approx(tau_c, rel=1e-12)
+        assert not report.exists
+        assert report.tau_c_numeric is None
+        assert report.validity_note == NOTE_NO_CROSSING
+        # a window just past the crossing finds it
+        longer = crossing_report(1.0, mu, 0.2, 0.4, tau_max=1.1 * tau_c, scan_step=0.01)
+        assert abs(longer.tau_c_numeric - tau_c) <= 1e-15
+
+    @pytest.mark.parametrize(
         "r, mu, tau_c",
         [
             (1e-7, 1e-8, 4.69236673101826),  # tau = 0 charges 1.4e-14 and 1.6e-16

@@ -33,7 +33,7 @@ from ergoflow.oracles.fock import (
 )
 from ergoflow.oracles.lyapunov import _rk4_path, convergence_order, rk4_moment_path
 
-from helpers import literal_moment_path, random_spec, rng_for
+from helpers import literal_fock_path, literal_moment_path, random_spec, rng_for
 
 SPEC = SystemBathSpec(omega=1.0, gamma=1.0, nbar=0.4)
 THETA11_AT_1 = 1.53773261683512
@@ -50,7 +50,7 @@ class TestRK4Driver:
             return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         y0 = np.array([1.0, -0.75])
-        records = _rk4_path(lambda y: -y, y0, 0.1, [0.0, 0.25, 0.25, 0.3])
+        records = _rk4_path(lambda y, out, _: np.negative(y, out=out), y0, 0.1, [0.0, 0.25, 0.25, 0.3])
         assert len(records) == 4
         assert np.array_equal(records[0], y0) and records[0] is not y0
         assert np.array_equal(records[1], records[2])
@@ -71,12 +71,12 @@ class TestRK4Driver:
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_step(self, dt):
         with pytest.raises(ValueError):
-            _rk4_path(lambda y: -y, np.ones(1), dt, [1.0])
+            _rk4_path(lambda y, out, _: np.negative(y, out=out), np.ones(1), dt, [1.0])
 
     @pytest.mark.parametrize("times", [[-0.1], [math.nan], [math.inf], [0.5, 0.2]])
     def test_rejects_bad_record_times(self, times):
         with pytest.raises(ValueError):
-            _rk4_path(lambda y: -y, np.ones(1), 0.1, times)
+            _rk4_path(lambda y, out, _: np.negative(y, out=out), np.ones(1), 0.1, times)
 
 
 def _final_moments(state, spec, dt, t):
@@ -297,6 +297,19 @@ class TestFockOracle:
         with pytest.raises(ValueError):
             fock_lindblad_path(rho0, SPEC, [0.5], dt=dt)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [(0.2, 0j, 0.8, 1.1), (0.1, 0.9 + 0.4j, 0.0, 0.0), (0.7, 0j, 0.0, 0.0)],
+        ids=["squeezed", "displaced", "thermal"],
+    )
+    def test_raveled_stepper_is_the_literal_master_equation(self, seed):
+        rho0 = fock_gaussian_state(*seed, dim=60)
+        spec = random_spec(rng_for("fockliteral"))
+        # 0.1234 is not a multiple of dt, so a shortened step is taken
+        times = [0.0, 0.1234, 0.1234, 0.3]
+        records = np.stack([rho.matrix for rho in fock_lindblad_path(rho0, spec, times, dt=1e-3)])
+        assert np.array_equal(records, literal_fock_path(rho0.matrix, spec, 1e-3, times))
+
     def test_records_stay_valid_along_path(self):
         rho0 = fock_gaussian_state(0.2, 0j, 1.0, 0.0, dim=60)
         taus = np.linspace(0.25, 1.5, 6)
@@ -304,6 +317,22 @@ class TestFockOracle:
         # FockDensityMatrix validation ran at every record; spot-check trace
         for record in records:
             assert abs(float(np.trace(record.matrix).real) - 1.0) <= 1e-6
+
+
+def _meshgrid_reference(state_a, state_b, omega, extent, n):
+    """The grid integrals on full np.meshgrid planes: (norm, energy, entropy), relative entropy, W."""
+    x = np.linspace(-extent, extent, n)
+    re, im = np.meshgrid(x, x, indexing="ij")
+    log_a = quadrature._log_density(state_a, re, im)
+    log_b = quadrature._log_density(state_b, re, im)
+    w = np.exp(log_a)
+
+    def integrate(values):
+        return float(np.trapezoid(np.trapezoid(values, x, axis=1), x))
+
+    moments = (integrate(w), omega * integrate((re ** 2 + im ** 2) * w), integrate(-w * log_a))
+    return moments, integrate(w * (log_a - log_b)), w
+
 
 
 class TestQuadrature:
@@ -350,3 +379,14 @@ class TestQuadrature:
             closed = relative_wigner_entropy(a, b)
             by_grid = quadrature.relative_entropy_quadrature(a, b, extent=8.0, n=500)
             assert by_grid == pytest.approx(closed, abs=1e-6)
+
+    def test_broadcast_axes_match_meshgrid_bit_for_bit(self):
+        a = squeezed_displaced_thermal(0.2, 0.5 - 0.3j, SqueezingParameter(0.3, 0.9))
+        b = thermal_state(0.3)
+        for extent, n in ((6.0, 400), (5.0, 101)):
+            moments, relative, w = _meshgrid_reference(a, b, 1.3, extent, n)
+            assert quadrature.norm_energy_entropy(a, 1.3, extent, n) == moments
+            assert quadrature.relative_entropy_quadrature(a, b, extent, n) == relative
+            grid, axis = quadrature.wigner_grid(a, extent, n)
+            assert np.array_equal(grid, w)
+            assert np.array_equal(axis, np.linspace(-extent, extent, n))
