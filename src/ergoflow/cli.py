@@ -291,6 +291,12 @@ def cmd_verify(args) -> int:
     # an empty batch or trajectory would pass its check without checking anything
     if args.states < 1 or args.points < 1:
         raise CliError("--states and --points must be at least 1")
+    # the RK4 batch runs to tau = 5 and the Fock trajectory to tau = 3
+    for flag, dt, span in (("--rk4-dt", args.rk4_dt, 5.0), ("--fock-dt", args.fock_dt, 3.0)):
+        if not 0.0 < dt < math.inf:
+            raise CliError(f"{flag} must be finite and positive")
+        if span / dt > _MAX_GRID:
+            raise CliError(f"{flag} takes more than {_MAX_GRID} steps")
     rng = np.random.default_rng(args.seed)
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=args.nbar)
     checks = []

@@ -129,9 +129,9 @@ def squeezed_displaced_thermal(occ, amp, z) -> GaussianState:
     return squeeze(displace(thermal_state(occ), amp), z)
 
 
-def random_state(rng: np.random.Generator, max_nbar=2.0, max_r=1.5, max_mu=2.0) -> GaussianState:
-    """Random member of the composite family, for randomized verification suites."""
-    occ = rng.uniform(0.0, max_nbar)
-    z = SqueezingParameter(rng.uniform(0.0, max_r), rng.uniform(0.0, 2.0 * math.pi))
-    mu = max_mu * rng.uniform(0.0, 1.0) * cmath.exp(2j * math.pi * rng.uniform(0.0, 1.0))
+def random_state(rng: np.random.Generator) -> GaussianState:
+    """Random composite state for randomized suites: uniform nbar_pi, r, |mu| in [0, 2), [0, 1.5), [0, 2)."""
+    occ = rng.uniform(0.0, 2.0)
+    z = SqueezingParameter(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi))
+    mu = 2.0 * rng.uniform(0.0, 1.0) * cmath.exp(2j * math.pi * rng.uniform(0.0, 1.0))
     return squeezed_displaced_thermal(occ, mu, z)

@@ -269,27 +269,19 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     return times
 
 
-def crossing_time_numeric(
-    r,
-    mu,
-    nbar_pi,
-    nbar,
-    spec: SystemBathSpec | None = None,
-    tau_max: float = _TAU_MAX,
-    scan_step: float = _SCAN_STEP,
-) -> float | None:
+def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = None) -> float | None:
     """Bisection oracle for the crossing time, built on the relaxed seed moments.
 
-    Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, tau_max] at
-    scan_step for a sign change, then bisects it down to adjacent floats.
-    Returns 0.0 when the initial charges already coincide, and None when g
-    never changes sign while both charges are resolved, i.e. at least the
-    smallest normal float (so weak charges that underflow before they cross
-    give None).  Raises ValueError unless tau_max and scan_step are finite
-    and positive and the window holds at most 10^6 steps.
+    Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, 50] at steps
+    of 0.01 (_TAU_MAX and _SCAN_STEP) for a sign change, then bisects it down
+    to adjacent floats.  Returns 0.0 when the initial charges already
+    coincide, and None when g never changes sign while both charges are
+    resolved, i.e. at least the smallest normal float (so weak charges that
+    underflow before they cross give None).  crossing_report takes another
+    scan window.
     """
     seed = _check_crossing_args(r, mu, nbar_pi, nbar, omega=1.0 if spec is None else spec.omega)[1]
-    return _numeric_crossings([seed], tau_max, scan_step)[0]
+    return _numeric_crossings([seed], _TAU_MAX, _SCAN_STEP)[0]
 
 
 def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_step: float) -> list:
@@ -402,19 +394,15 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResu
     )
 
 
-def faster_discharge_demo(
-    r,
-    nbar_pi,
-    nbar,
-    spec: SystemBathSpec | None = None,
-    tau_grid=None,
-) -> DischargePair:
+def faster_discharge_demo(r, nbar_pi, nbar, tau_grid=None) -> DischargePair:
     """Equal initial charge, unequal discharge: squeezed loses work faster.
 
     Uses the equal-charge amplitude, so the two trajectories start with the
     same ergotropy and the displaced one stays strictly above for tau > 0.
+    Both relax toward a bath of occupation nbar at omega = 1, sampled on
+    tau_grid (0 to 5 in steps of 0.01 when None).
     """
-    spec = SystemBathSpec(nbar=nbar) if spec is None else SystemBathSpec(spec.omega, spec.gamma, nbar)
+    spec = SystemBathSpec(nbar=nbar)
     mu = equal_charge_amplitude(r, nbar_pi)
     if tau_grid is None:
         tau_grid = np.arange(501) * 0.01

@@ -20,6 +20,8 @@ would wrap from the last column into the next row.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,11 +126,17 @@ def fock_gaussian_state(
 ) -> FockDensityMatrix:
     """Thermal seed displaced then squeezed, as an explicit density matrix.
 
-    Raises CutoffError when the top TAIL_LEVELS levels carry TAIL_TOL or
-    more population, i.e. when dim is too small for the requested state.
+    Raises ValueError, before anything is built, unless nbar_pi >= 0, mu,
+    r >= 0 and theta are finite and the cutoff dim is at least 1, and
+    CutoffError when the top TAIL_LEVELS levels carry TAIL_TOL or more
+    population, i.e. when dim is too small for the requested state.
     """
-    if nbar_pi < 0.0:
-        raise ValueError("nbar_pi must be nonnegative")
+    if not (math.isfinite(nbar_pi) and cmath.isfinite(mu) and math.isfinite(r) and math.isfinite(theta)):
+        raise ValueError("nbar_pi, mu, r and theta must be finite")
+    if nbar_pi < 0.0 or r < 0.0:
+        raise ValueError("nbar_pi and r must be nonnegative")
+    if dim < 1:
+        raise ValueError(f"the Fock cutoff must be at least 1, got {dim}")
     ratio = nbar_pi / (1.0 + nbar_pi)
     populations = ratio ** np.arange(dim) / (1.0 + nbar_pi)
     rho = np.diag(populations).astype(complex)

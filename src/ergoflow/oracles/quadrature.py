@@ -16,7 +16,6 @@ import numpy as np
 from ..states import GaussianState
 
 __all__ = [
-    "wigner_grid",
     "norm_energy_entropy",
     "relative_entropy_quadrature",
 ]
@@ -40,12 +39,6 @@ def _axes(extent: float, n: int):
 
 def _integrate(values, x):
     return float(np.trapezoid(np.trapezoid(values, x, axis=1), x))
-
-
-def wigner_grid(state: GaussianState, extent: float = 6.0, n: int = 400):
-    """Wigner density on the square [-extent, extent]^2; returns (W, axis)."""
-    x, re, im = _axes(extent, n)
-    return np.exp(_log_density(state, re, im)), x
 
 
 def norm_energy_entropy(

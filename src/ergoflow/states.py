@@ -12,7 +12,7 @@ variance of the squeezed quadrature) and lam + 2|M|.  So det cov =
 lam (lam + 2|M|) >= 1/4 is a product of positive terms, with the vacuum
 saturating the bound (Weedbrook et al., RMP 84, 621 (2012)).  GaussianState
 stores <a>, V, M and lam as Python scalars, checked once when the state is
-made, and builds v and cov as arrays only when asked for them.
+made from its moments, and builds cov as an array only when asked for it.
 
 Every quantity in this module is an exact closed form in the moments: the
 mean energy, the Wigner (phase-space) entropy, the relative entropy between
@@ -45,8 +45,8 @@ __all__ = [
     "evaluate_wigner",
 ]
 
-# Absolute tolerance for the structural checks (hermiticity, real diagonal,
-# vacuum floor).  Loose enough that round-tripping a state through the
+# Absolute tolerance for the moment checks (V real, vacuum floor, det cov at
+# least 1/4).  Loose enough that round-tripping a state through the
 # dissipative dynamics never spuriously rejects it.
 VALIDATION_ATOL = 1e-10
 
@@ -62,77 +62,27 @@ class InvalidStateError(ValueError):
     """The supplied moments do not describe a physical Gaussian state."""
 
 
-def _store(state, alpha: complex, variance: complex | float, anomalous: complex, lam) -> None:
-    """Store (<a>, V, M, lam) on state as (complex, float, complex, float) once they pass checks.
-
-    lam = V - |M| when None.  The moments must be finite, V real to
-    VALIDATION_ATOL, at or above the vacuum floor, and det cov = lam (lam +
-    2|M|) positive and at least 1/4 (to VALIDATION_ATOL); a failure raises
-    InvalidStateError.  Moments whose V^2 or |<a>|^2 is not a finite float
-    exceed float range and raise ValueError.
-    """
-    if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
-        raise InvalidStateError("mean/cov contain non-finite entries")
-    if abs(variance.imag) > VALIDATION_ATOL:
-        raise InvalidStateError("diagonal covariance entries must be real")
-    v = float(variance.real)
-    if v < VACUUM_VARIANCE - VALIDATION_ATOL:
-        raise InvalidStateError(f"variance {v} below the vacuum floor 1/2")
-    amplitude = abs(alpha)
-    if not (math.isfinite(v * v) and math.isfinite(amplitude * amplitude)):
-        raise ValueError("moments exceed float range: V^2 or |<a>|^2 overflows")
-    m = abs(anomalous)
-    lam = v - m if lam is None else lam
-    det = lam * (lam + 2.0 * m)
-    if det <= 0.0 or det < 0.25 - VALIDATION_ATOL:
-        raise InvalidStateError(f"det cov = {det} violates the uncertainty bound 1/4")
-    state._alpha, state._variance, state._anomalous, state._lam = alpha, v, anomalous, lam
-
-
 class GaussianState:
-    """Immutable carrier of the moments <a>, V and M, checked at construction.
+    """Immutable carrier of the moments <a>, V and M, checked once when the state is made.
 
-    The moments and lam are stored as Python scalars; :attr:`mean` and
-    :attr:`cov` build fresh read-only arrays on each access.  The factory
-    constructors and evolve_analytic carry lam without cancellation.  Only
-    :meth:`from_moments` and ``GaussianState(mean, cov)``, for moments from
-    outside, take lam = V - |M|; the latter first checks the matrix
-    structure.  Moments beyond float range raise ValueError; unphysical
-    ones raise InvalidStateError.
+    The moments and lam are stored as Python scalars; :attr:`cov` builds a
+    fresh read-only array on each access.  :meth:`from_moments` is the entry
+    point for moments from outside and takes lam = V - |M|; the factory
+    constructors and evolve_analytic carry lam without that cancellation.
+    Moments beyond float range raise ValueError; unphysical ones raise
+    InvalidStateError.
     """
 
     __slots__ = ("_alpha", "_variance", "_anomalous", "_lam")
 
-    def __init__(self, mean, cov):
-        mean = np.asarray(mean, dtype=complex)
-        cov = np.asarray(cov, dtype=complex)
-        if mean.shape != (2,) or cov.shape != (2, 2):
-            raise InvalidStateError(
-                f"expected mean shape (2,) and cov shape (2, 2), got {mean.shape} and {cov.shape}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise InvalidStateError("mean/cov contain non-finite entries")
-        if abs(mean[1] - mean[0].conjugate()) > VALIDATION_ATOL:
-            raise InvalidStateError("mean vector must be (<a>, <a>*)")
-        if abs(cov[0, 0].imag) > VALIDATION_ATOL or abs(cov[1, 1].imag) > VALIDATION_ATOL:
-            raise InvalidStateError("diagonal covariance entries must be real")
-        if abs(cov[0, 0] - cov[1, 1]) > VALIDATION_ATOL:
-            raise InvalidStateError("diagonal covariance entries must be equal")
-        if abs(cov[1, 0] - cov[0, 1].conjugate()) > VALIDATION_ATOL:
-            raise InvalidStateError("off-diagonal covariance entries must be conjugate")
-        _store(self, complex(mean[0]), cov[0, 0].real, complex(cov[0, 1]), None)
+    def __init__(self, *args, **kwargs):
+        # _state makes every state without calling this, so a direct call would leave the slots unset
+        raise TypeError("build a GaussianState with GaussianState.from_moments(<a>, V, M)")
 
     @classmethod
     def from_moments(cls, alpha_mean, symmetric_variance, anomalous_variance):
         """Build a state from <a>, V and M; the conjugate entries are implied."""
         return _state(alpha_mean, symmetric_variance, anomalous_variance)
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Read-only mean vector (<a>, <a>*), built on each access."""
-        mean = np.array((self._alpha, self._alpha.conjugate()))
-        mean.flags.writeable = False
-        return mean
 
     @property
     def cov(self) -> np.ndarray:
@@ -159,14 +109,6 @@ class GaussianState:
         """det cov = lam (lam + 2|M|), a product of positive terms."""
         return self._lam * (self._lam + 2.0 * abs(self._anomalous))
 
-    def close_to(self, other: "GaussianState", atol: float = 1e-12) -> bool:
-        """Comparison of the moments <a>, V and M, each to atol."""
-        return (
-            abs(self._alpha - other._alpha) <= atol
-            and abs(self._variance - other._variance) <= atol
-            and abs(self._anomalous - other._anomalous) <= atol
-        )
-
     def __repr__(self):
         return (
             f"GaussianState(<a>={self.alpha_mean:.6g}, V={self.symmetric_variance:.6g}, "
@@ -175,9 +117,32 @@ class GaussianState:
 
 
 def _state(alpha, variance, anomalous, lam=None) -> GaussianState:
-    """State of moments (<a>, V, M) and squeezed-quadrature variance lam (V - |M| when None)."""
+    """State of moments (<a>, V, M) and squeezed-quadrature variance lam, once they pass checks.
+
+    lam = V - |M| when None.  The moments must be finite, V real to
+    VALIDATION_ATOL, at or above the vacuum floor, and det cov = lam (lam +
+    2|M|) positive and at least 1/4 (to VALIDATION_ATOL); a failure raises
+    InvalidStateError.  Moments whose V^2 or |<a>|^2 is not a finite float
+    exceed float range and raise ValueError.
+    """
+    alpha, variance, anomalous = complex(alpha), complex(variance), complex(anomalous)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
+        raise InvalidStateError("mean/cov contain non-finite entries")
+    if abs(variance.imag) > VALIDATION_ATOL:
+        raise InvalidStateError("diagonal covariance entries must be real")
+    v = float(variance.real)
+    if v < VACUUM_VARIANCE - VALIDATION_ATOL:
+        raise InvalidStateError(f"variance {v} below the vacuum floor 1/2")
+    amplitude = abs(alpha)
+    if not (math.isfinite(v * v) and math.isfinite(amplitude * amplitude)):
+        raise ValueError("moments exceed float range: V^2 or |<a>|^2 overflows")
+    m = abs(anomalous)
+    lam = v - m if lam is None else lam
+    det = lam * (lam + 2.0 * m)
+    if det <= 0.0 or det < 0.25 - VALIDATION_ATOL:
+        raise InvalidStateError(f"det cov = {det} violates the uncertainty bound 1/4")
     state = object.__new__(GaussianState)
-    _store(state, complex(alpha), complex(variance), complex(anomalous), lam)
+    state._alpha, state._variance, state._anomalous, state._lam = alpha, v, anomalous, lam
     return state
 
 

@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: seeded random states and specs, decimal references,
-and the moment ODE and Fock master equation stepped as written."""
+"""Shared helpers for the test suite: seeded random states and specs, moment comparison,
+decimal references, and the moment ODE and Fock master equation stepped as written."""
 
 import decimal
 import functools
@@ -13,6 +13,7 @@ __all__ = [
     "random_state",
     "random_spec",
     "rng_for",
+    "moments_close",
     "REFERENCE_DIGITS",
     "reference_squeezed",
     "reference_crossing",
@@ -37,6 +38,15 @@ def random_spec(rng: np.random.Generator, max_nbar: float = 2.0) -> SystemBathSp
         omega=rng.uniform(0.5, 2.0),
         gamma=rng.uniform(0.5, 2.0),
         nbar=rng.uniform(0.0, max_nbar),
+    )
+
+
+def moments_close(a, b, atol: float) -> bool:
+    """True when the moments <a>, V and M of states a and b each agree to atol."""
+    return (
+        abs(a.alpha_mean - b.alpha_mean) <= atol
+        and abs(a.symmetric_variance - b.symmetric_variance) <= atol
+        and abs(a.anomalous_variance - b.anomalous_variance) <= atol
     )
 
 

@@ -20,7 +20,7 @@ from ergoflow import (
     squeezed_thermal,
 )
 from ergoflow.cli import SWEEP_HEADER, TRAJECTORY_HEADER, parse_config_text
-from ergoflow.oracles import lyapunov
+from ergoflow.oracles import fock, lyapunov
 
 from helpers import literal_moment_path
 
@@ -414,6 +414,37 @@ class TestVerify:
         code, _, err = run(args, capsys)
         assert code == 2
         assert "at least 1" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mu", "nan", "must be finite"),  # was exit 1 with a nan FAIL row
+            ("--mu", "inf", "must be finite"),  # was a numpy RuntimeWarning
+            ("--cutoff", "0", "cutoff"),  # was numpy's zero-size message
+            ("--rk4-dt", "1e-12", "--rk4-dt"),  # was about 5e12 RK4 steps
+            ("--fock-dt", "1e-12", "--fock-dt"),
+            ("--rk4-dt", "nan", "--rk4-dt"),
+        ],
+    )
+    def test_invalid_input_is_usage_error(self, capsys, monkeypatch, flag, value, message):
+        real = lyapunov._rk4_path
+
+        def bounded(rhs, y0, dt, record_times):
+            # fail at once instead of hanging on a step count beyond 10^6
+            if max(record_times) / dt > 1e6:
+                pytest.fail(f"verify integrated {max(record_times) / dt:.0e} steps")
+            return real(rhs, y0, dt, record_times)
+
+        monkeypatch.setattr(lyapunov, "_rk4_path", bounded)
+        monkeypatch.setattr(fock, "_rk4_path", bounded)
+        args = list(self.FAST)
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert message in err
 
     def test_inadequate_cutoff_is_loud(self, capsys):
         code, _, err = run(self.FAST[:-2] + ["--r", "1.0", "--cutoff", "10"], capsys)

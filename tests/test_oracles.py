@@ -97,8 +97,11 @@ class TestLyapunovRK4:
     def test_fig2_covariance_to_1e8(self):
         state = squeezed_thermal(0.2, 1.0)
         mean, cov = _final_moments(state, SPEC, 1e-4, 1.0)
-        # the raw record passes the state constructor's structural checks
-        GaussianState((mean, mean.conjugate()), cov)
+        # the raw record is a covariance matrix to 1e-10: real and equal
+        # diagonal entries, conjugate off-diagonal ones, and physical moments
+        assert max(abs(cov[0, 0].imag), abs(cov[1, 1].imag), abs(cov[0, 0] - cov[1, 1])) <= 1e-10
+        assert abs(cov[1, 0] - cov[0, 1].conjugate()) <= 1e-10
+        GaussianState.from_moments(mean, cov[0, 0], cov[0, 1])
         assert abs(cov[0, 0] - THETA11_AT_1) <= 1e-8
         exact = evolve_analytic(state, SPEC, 1.0)
         assert np.max(np.abs(cov - exact.cov)) <= 1e-8
@@ -240,6 +243,23 @@ class TestFockOracle:
         with pytest.raises(CutoffError):
             fock_gaussian_state(0.2, 0j, 1.0, 0.0, dim=10)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.2, complex(math.nan, 0.0)), "must be finite"),  # was the undisplaced thermal state
+            ((0.2, 0j, math.nan), "must be finite"),  # was the unsqueezed thermal state
+            ((math.nan,), "must be finite"),  # was built, then rejected as a matrix
+            ((0.2, complex(math.inf, 0.0)), "must be finite"),  # was a numpy RuntimeWarning
+            ((0.2, 0j, 0.5, math.inf), "must be finite"),
+            ((0.2, 0j, -0.5), "nonnegative"),
+            ((0.2, 0j, 0.0, 0.0, 0), "cutoff"),  # was numpy's zero-size message
+            ((0.2, 0j, 0.0, 0.0, -3), "cutoff"),
+        ],
+    )
+    def test_invalid_seed_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            fock_gaussian_state(*args)
+
     def test_thermal_state_is_stationary(self):
         rho0 = fock_gaussian_state(SPEC.nbar, dim=40)
         rho1 = fock_lindblad_path(rho0, SPEC, [1.0])[0]
@@ -320,7 +340,7 @@ class TestFockOracle:
 
 
 def _meshgrid_reference(state_a, state_b, omega, extent, n):
-    """The grid integrals on full np.meshgrid planes: (norm, energy, entropy), relative entropy, W."""
+    """The grid integrals on full np.meshgrid planes: (norm, energy, entropy) and relative entropy."""
     x = np.linspace(-extent, extent, n)
     re, im = np.meshgrid(x, x, indexing="ij")
     log_a = quadrature._log_density(state_a, re, im)
@@ -331,7 +351,7 @@ def _meshgrid_reference(state_a, state_b, omega, extent, n):
         return float(np.trapezoid(np.trapezoid(values, x, axis=1), x))
 
     moments = (integrate(w), omega * integrate((re ** 2 + im ** 2) * w), integrate(-w * log_a))
-    return moments, integrate(w * (log_a - log_b)), w
+    return moments, integrate(w * (log_a - log_b))
 
 
 
@@ -384,9 +404,6 @@ class TestQuadrature:
         a = squeezed_displaced_thermal(0.2, 0.5 - 0.3j, SqueezingParameter(0.3, 0.9))
         b = thermal_state(0.3)
         for extent, n in ((6.0, 400), (5.0, 101)):
-            moments, relative, w = _meshgrid_reference(a, b, 1.3, extent, n)
+            moments, relative = _meshgrid_reference(a, b, 1.3, extent, n)
             assert quadrature.norm_energy_entropy(a, 1.3, extent, n) == moments
             assert quadrature.relative_entropy_quadrature(a, b, extent, n) == relative
-            grid, axis = quadrature.wigner_grid(a, extent, n)
-            assert np.array_equal(grid, w)
-            assert np.array_equal(axis, np.linspace(-extent, extent, n))
