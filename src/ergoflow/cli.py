@@ -47,6 +47,10 @@ FAMILIES = ("thermal", "displaced", "squeezed", "squeezed-displaced")
 # the most steps a simulate grid and the most points a sweep grid may hold,
 # the bound the crossing scan puts on its window
 _MAX_GRID = _MAX_SCAN_STEPS
+# the most random states verify's RK4 batch and the most points its Fock trajectory
+# may hold: 10^4 states run for tens of seconds, and each point keeps a density matrix
+_MAX_STATES = 10**4
+_MAX_POINTS = 10**3
 
 
 class CliError(Exception):
@@ -289,8 +293,12 @@ def cmd_verify(args) -> int:
     from .oracles.quadrature import norm_energy_entropy
 
     # an empty batch or trajectory would pass its check without checking anything
-    if args.states < 1 or args.points < 1:
-        raise CliError("--states and --points must be at least 1")
+    for flag, count, most in (
+        ("--states", args.states, _MAX_STATES),
+        ("--points", args.points, _MAX_POINTS),
+    ):
+        if not 1 <= count <= most:
+            raise CliError(f"{flag} must be at least 1 and at most {most}")
     # the RK4 batch runs to tau = 5 and the Fock trajectory to tau = 3
     for flag, dt, span in (("--rk4-dt", args.rk4_dt, 5.0), ("--fock-dt", args.fock_dt, 3.0)):
         if not 0.0 < dt < math.inf:
@@ -481,8 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--r", type=float, default=1.0, help="squeezing magnitude for the Fock checks")
     verify.add_argument("--mu", type=float, default=1.0, help="displacement amplitude for the Fock checks")
     verify.add_argument("--cutoff", type=int, default=60, help="Fock-space cutoff")
-    verify.add_argument("--states", type=int, default=20, help="random states for the RK4 batch")
-    verify.add_argument("--points", type=int, default=5, help="trajectory sample points for the Fock check")
+    verify.add_argument(
+        "--states", type=int, default=20, help=f"random states for the RK4 batch (1 to {_MAX_STATES})"
+    )
+    verify.add_argument(
+        "--points",
+        type=int,
+        default=5,
+        help=f"trajectory sample points for the Fock check (1 to {_MAX_POINTS})",
+    )
     verify.add_argument("--rk4-dt", type=float, default=1e-3, help="RK4 step (tau units)")
     verify.add_argument("--fock-dt", type=float, default=1e-3, help="Fock RK4 step (tau units)")
     verify.add_argument("--seed", type=int, default=1234, help="seed for the randomized suites")

@@ -1,13 +1,16 @@
 """Shared helpers for the test suite: seeded random states and specs, moment comparison,
-decimal references, and the moment ODE and Fock master equation stepped as written."""
+decimal references, the moment ODE and Fock master equation stepped as written, and the
+crossing scan one point at a time."""
 
 import decimal
 import functools
+import math
+import sys
 from decimal import Decimal
 
 import numpy as np
 
-from ergoflow import SystemBathSpec, random_state
+from ergoflow import SystemBathSpec, mpemba, random_state
 
 __all__ = [
     "random_state",
@@ -20,6 +23,7 @@ __all__ = [
     "relative_error",
     "literal_moment_path",
     "literal_fock_path",
+    "literal_crossing_scan",
 ]
 
 # V - |M| of a squeezed seed at r = 177 is about 1e-307 V, so the reference
@@ -182,3 +186,33 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
         rec_v.append(v.copy())
         rec_c.append(c.copy())
     return np.stack(rec_v), np.stack(rec_c)
+
+
+def literal_crossing_scan(seeds, tau_max, scan_step):
+    """The crossing oracle with each point's gap sampled over the whole window on its own,
+    with the same samples, resolution, significance and first-flip rules and the same
+    bisection; returns one crossing time (or None) per seed pair."""
+    taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
+    taus = np.append(taus[taus < tau_max], tau_max)
+    decay = np.exp(-taus)
+    times = [None] * len(seeds)
+    bracketed = []
+    for i, moments in enumerate(seeds):
+        erg_s, erg_d = mpemba._charges(decay, *moments)
+        gap = erg_s - erg_d
+        resolved = np.minimum(erg_s, erg_d) >= sys.float_info.min * max(1.0, moments[-1])
+        if resolved[0] and abs(gap[0]) <= mpemba._EQUAL_CHARGE_RTOL * (erg_s[0] + erg_d[0]):
+            times[i] = 0.0
+            continue
+        significant = resolved & (np.abs(gap) > mpemba._GAP_SIGNIFICANCE * (erg_s + erg_d))
+        positive = gap > 0.0
+        flips = np.nonzero(positive[:-1] != positive[1:])[0]
+        flips = flips[significant[flips] | significant[flips + 1]]
+        if flips.size:
+            bracketed.append((i, flips[0], positive[flips[0]], moments))
+    if bracketed:
+        points, k, lo_positive, columns = map(np.array, zip(*bracketed))
+        roots = mpemba._bisect(taus[k], taus[k + 1], lo_positive, columns.T)
+        for i, tau in zip(points, roots):
+            times[i] = float(tau)
+    return times

@@ -416,6 +416,28 @@ class TestVerify:
         assert "at least 1" in err
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--states", "10001"),  # 20000 states took 34 s
+            ("--states", str(10**12)),  # would ask for terabytes
+            ("--points", "1001"),
+            ("--points", str(10**12)),
+        ],
+    )
+    def test_oversized_check_is_usage_error(self, capsys, monkeypatch, flag, value):
+        def refuse(*args, **kwargs):
+            pytest.fail(f"verify ran with {flag} {value}")
+
+        # the state draws and the Fock trajectory are where the counts are spent
+        monkeypatch.setattr(cli, "random_state", refuse)
+        monkeypatch.setattr(fock, "fock_lindblad_path", refuse)
+        args = list(self.FAST)
+        args[args.index(flag) + 1] = value
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert f"{flag} must be at least 1 and at most" in err
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--mu", "nan", "must be finite"),  # was exit 1 with a nan FAIL row

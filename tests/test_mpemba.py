@@ -22,11 +22,23 @@ from ergoflow import mpemba
 from ergoflow.factory import _MAX_SQUEEZING
 from ergoflow.mpemba import NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
 
-from helpers import reference_squeezed, relative_error, rng_for
+from helpers import literal_crossing_scan, reference_squeezed, relative_error, rng_for
 
 # bisection-validated closed form value for r=1, mu=1, nbar_pi=0.2, nbar=0.4
 TAU_C_FIG2 = 0.7931038912544939
 MU_EQUAL_R1 = 1.3905168045581262  # sqrt(0.7 (cosh 2 - 1))
+
+
+def amplitude_crossing_at(tau, r, nbar_pi, nbar):
+    """The displacement amplitude whose closed-form crossing time is tau.
+
+    y = mu^2 solves (y - 2 f_pi cosh^2 r)(y - 2 f_pi sinh^2 r) = 2 f (e^tau - 1) y;
+    the smaller root, taken in its rationalised form, is the one below the squeezed charge.
+    """
+    f_pi = nbar_pi + 0.5
+    a, b = 2.0 * f_pi * math.cosh(r) ** 2, 2.0 * f_pi * math.sinh(r) ** 2
+    total = a + b + 2.0 * (nbar + 0.5) * math.expm1(tau)
+    return math.sqrt(2.0 * a * b / (total + math.sqrt(total * total - 4.0 * a * b)))
 
 
 class TestClosedForm:
@@ -123,6 +135,61 @@ class TestNumericOracle:
         assert closed == pytest.approx(37.5313645784688, rel=1e-12)
         assert numeric is not None
         assert abs(numeric - closed) <= 1e-9
+
+    @pytest.mark.parametrize("tau_max, last_sample", [(50.0, 49.99), (7.305, 7.3)])
+    def test_batched_scan_is_the_per_point_scan(self, tau_max, last_sample):
+        # more points than one block of the scan, with flips on either side of the
+        # sample its first two chunks share and in the pair that ends at tau_max
+        step = mpemba._SCAN_STEP
+        edge = (mpemba._MIN_CHUNK - 1) * step
+        brackets = [(edge - step, edge), (edge, edge + step), (last_sample, tau_max)]
+        points = [
+            (1.0, amplitude_crossing_at(0.5 * (lo + hi), 1.0, 0.2, 0.4), 0.2, 0.4)
+            for lo, hi in brackets
+        ]
+        points += [
+            (1.0, equal_charge_amplitude(1.0, 0.2), 0.2, 0.4),  # equal charges: 0.0
+            (1.0, 1.5, 0.2, 0.4),  # no precondition
+            (0.5, 3.0, 1.0, 0.0),  # no precondition
+            (1e-150, 1e-160, 0.2, 0.4),  # the charges underflow before they cross: None
+            (1e-7, 1e-8, 0.2, 0.4),  # weak charges that do cross
+            (3.0, 1e-6, 0.2, 0.0),  # a late crossing, near tau = 37.5
+        ]
+        rng = rng_for("batched crossing scan")
+        for _ in range(mpemba._SCAN_BUDGET // mpemba._MIN_CHUNK + 100):
+            r, nbar_pi, nbar = rng.uniform(0.05, 3.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+            mu = rng.uniform(0.0, 1.3) * equal_charge_amplitude(r, nbar_pi)
+            points.append((r, mu, nbar_pi, nbar))
+        omegas = rng.uniform(0.5, 2.0, len(points))
+        seeds = [mpemba._check_crossing_args(*p, omega=w)[1] for p, w in zip(points, omegas)]
+        times = mpemba._numeric_crossings(seeds, tau_max, step)
+        assert times == literal_crossing_scan(seeds, tau_max, step)
+        # the edge cases are where they were placed
+        for (lo, hi), found in zip(brackets, times):
+            assert lo < found < hi
+        assert times[3:8] == [0.0, None, None, None, pytest.approx(4.69236673101826, rel=1e-9)]
+        # the random points both cross and miss
+        assert sum(t is None for t in times) > 10
+        assert sum(t is not None and t > 0.0 for t in times) > 100
+
+    def test_scan_stops_at_the_first_sign_change(self, monkeypatch):
+        samples = []
+
+        def counting(x, *moments):
+            erg_s, erg_d = charges(x, *moments)
+            samples.append(erg_s.size)
+            return erg_s, erg_d
+
+        charges = mpemba._charges
+        monkeypatch.setattr(mpemba, "_charges", counting)
+        window = round(mpemba._TAU_MAX / mpemba._SCAN_STEP) + 1
+        assert crossing_time_numeric(1.0, 1.0, 0.2, 0.4) == pytest.approx(TAU_C_FIG2, abs=1e-9)
+        # tau_c = 0.79 is sample 79 of 5001; the bisection's samples count too
+        assert sum(samples) < window // 10
+        samples.clear()
+        # without a crossing, the scan reaches the end of the window
+        assert crossing_time_numeric(1.0, 1.5, 0.2, 0.4) is None
+        assert sum(samples) >= window
 
     def test_scaling_invariance(self):
         # tau_c is a function of tau = gamma t only; omega never enters
