@@ -121,6 +121,20 @@ class TestLyapunovRK4:
         order = convergence_order(state, SPEC, 1.0, [0.04, 0.02, 0.01, 0.005])
         assert order == pytest.approx(4.0, abs=0.2)
 
+    @pytest.mark.parametrize(
+        "dts", [[0.04], [0.04, 0.04], [], [0.04, 0.0], [0.04, -0.02], [0.04, math.nan], [0.04, math.inf]]
+    )
+    def test_convergence_order_needs_two_distinct_steps(self, dts):
+        state = squeezed_displaced_thermal(0.2, 0.8, SqueezingParameter(1.0, 0.4))
+        with pytest.raises(ValueError, match="step sizes"):
+            convergence_order(state, SPEC, 1.0, dts)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.25, 1.0])
+    def test_convergence_order_undefined_at_the_fixed_point(self, nbar):
+        # RK4 keeps the thermal state exactly, so every error is 0
+        with pytest.raises(ValueError, match="undefined"):
+            convergence_order(thermal_state(nbar), SystemBathSpec(nbar=nbar), 1.0, [0.04, 0.02, 0.01])
+
     def test_batch_path_matches_single_calls(self):
         rng = rng_for("rkbatch")
         states = [random_state(rng) for _ in range(4)]
@@ -132,6 +146,21 @@ class TestLyapunovRK4:
                 mean, cov = _final_moments(state, SPEC, 1e-3, t)
                 assert abs(means[ti, si] - mean) <= 1e-12
                 assert np.max(np.abs(covs[ti, si] - cov)) <= 1e-12
+
+    def test_batch_rows_equal_single_state_records(self):
+        # each state's coefficients are tiled along the raveled batch, so a
+        # row must not see another state's moments or rates
+        rng = rng_for("rkrows")
+        specs = [random_spec(rng) for _ in range(7)]
+        states = [random_state(rng) for _ in range(7)]
+        # 0.2345 is not a multiple of dt, so a shortened step is taken
+        times = [0.1, 0.2345]
+        for spec in specs:
+            means, covs = rk4_moment_path(states, spec, 1e-3, times)
+            for si, state in enumerate(states):
+                mean, cov = rk4_moment_path([state], spec, 1e-3, times)
+                assert np.array_equal(means[:, si], mean[:, 0])
+                assert np.array_equal(covs[:, si], cov[:, 0])
 
     def test_empty_record_times(self):
         # no records, like fock_lindblad_path's [], with the batch axis kept
