@@ -51,6 +51,9 @@ _MAX_GRID = _MAX_SCAN_STEPS
 # may hold: 10^4 states run for tens of seconds, and each point keeps a density matrix
 _MAX_STATES = 10**4
 _MAX_POINTS = 10**3
+# the largest Fock cutoff verify builds: its dense matrices grow as the square of the
+# cutoff and its run time faster, about 5 s at 200, 14 s at 300 and 30 s at 400
+_MAX_CUTOFF = 200
 
 
 class CliError(Exception):
@@ -296,6 +299,7 @@ def cmd_verify(args) -> int:
     for flag, count, most in (
         ("--states", args.states, _MAX_STATES),
         ("--points", args.points, _MAX_POINTS),
+        ("--cutoff", args.cutoff, _MAX_CUTOFF),
     ):
         if not 1 <= count <= most:
             raise CliError(f"{flag} must be at least 1 and at most {most}")
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--nbar-pi", type=float, default=0.2, help="seed thermal occupation")
     verify.add_argument("--r", type=float, default=1.0, help="squeezing magnitude for the Fock checks")
     verify.add_argument("--mu", type=float, default=1.0, help="displacement amplitude for the Fock checks")
-    verify.add_argument("--cutoff", type=int, default=60, help="Fock-space cutoff")
+    verify.add_argument("--cutoff", type=int, default=60, help=f"Fock-space cutoff (1 to {_MAX_CUTOFF})")
     verify.add_argument(
         "--states", type=int, default=20, help=f"random states for the RK4 batch (1 to {_MAX_STATES})"
     )

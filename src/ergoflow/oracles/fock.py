@@ -12,10 +12,16 @@ sorting the density-matrix spectrum against the ladder energies.  This is
 the ground truth the Gaussian closed forms are tested against; dense
 matrices are fine at the cutoffs used here (N <= 80).
 
-The master equation is stepped on the raveled (row-major) matrix.  There
-rho[j+1, k+1] sits N + 1 places after rho[j, k], so both jump terms are
-products of contiguous 1-D slices; their weights are 0 where such a shift
-would wrap from the last column into the next row.
+The master equation keeps j - k fixed, so only the lower triangle is
+stepped, N(N+1)/2 entries instead of N^2.  It is stored band by band:
+rho[j+d, j] for d = 0..N-1, then j = 0..N-1-d.  There rho[j+d+1, j+1] is
+the next entry of the same band, so both jump terms are products of
+contiguous 1-D slices shifted by one; their weights are 0 at the last
+entry of each band, where such a shift would run into the next band.
+Each record is the Hermitian matrix of its band vector, so it is exactly
+Hermitian with a real diagonal; the upper triangle it replaces is what
+stepping the full matrix gives for a Hermitian seed, because the step
+commutes with complex conjugation.
 """
 
 from __future__ import annotations
@@ -146,6 +152,10 @@ def fock_gaussian_state(
     if r > 0.0:
         s_op = squeezing_operator(r, theta, dim)
         rho = s_op @ rho @ s_op.conj().T
+    # the Hermitian matrix of the lower triangle, which is all eigvalsh reads
+    upper = np.triu_indices(dim, 1)
+    rho[upper] = rho.T[upper].conj()
+    np.fill_diagonal(rho, rho.diagonal().real)
     tail = float(np.sum(np.diag(rho)[dim - TAIL_LEVELS :]).real)
     if tail >= TAIL_TOL:
         raise CutoffError(
@@ -155,21 +165,26 @@ def fock_gaussian_state(
     return FockDensityMatrix(rho)
 
 
+def _bands(dim: int):
+    """Row and column indices of the lower triangle, band by band: rho[j+d, j] for d = 0..dim-1."""
+    cols = np.concatenate([np.arange(dim - d) for d in range(dim)])
+    rows = cols + np.repeat(np.arange(dim), np.arange(dim, 0, -1))
+    return rows, cols
+
+
 def _rhs_factory(dim: int, spec: SystemBathSpec):
-    """rhs(rho, out, scratch) of the master equation on the raveled matrix, for _rk4_path."""
-    n = np.arange(dim, dtype=float)
-    j, k = n[:, None], n[None, :]
+    """rhs(rho, out, scratch) of the master equation on the band vector, for _rk4_path."""
+    rows, cols = _bands(dim)
+    j, k = rows.astype(float), cols.astype(float)
     g_down = spec.gamma * (1.0 + spec.nbar)
     g_up = spec.gamma * spec.nbar
     # elementwise part: commutator phases plus both anticommutator halves
-    local = (-1j * spec.omega * (j - k) - 0.5 * g_down * (j + k) - 0.5 * g_up * (j + k + 2.0)).ravel()
+    local = -1j * spec.omega * (j - k) - 0.5 * g_down * (j + k) - 0.5 * g_up * (j + k + 2.0)
     # a rho a+ takes rho[j+1, k+1] to (j, k), a+ rho a takes rho[j, k] to
     # (j+1, k+1); both carry the weight sqrt((j+1)(k+1)), indexed by the
-    # smaller raveled index and 0 in the last column, where the shift wraps
-    shift = dim + 1
-    shift_w = np.zeros((dim - 1, dim))
-    shift_w[:, :-1] = np.sqrt(np.outer(n[1:], n[1:]))
-    shift_w = shift_w.ravel()[:-1]
+    # entry nearer the band start and 0 at each band end, where the shift
+    # would run into the next band
+    shift_w = np.where(rows == dim - 1, 0.0, np.sqrt((j + 1.0) * (k + 1.0)))[:-1]
     # complex, as numpy would cast them on every call
     down_w = (g_down * shift_w).astype(complex)
     up_w = (g_up * shift_w).astype(complex)
@@ -177,9 +192,9 @@ def _rhs_factory(dim: int, spec: SystemBathSpec):
     mul, add = np.multiply, np.add
 
     def rhs(rho, out, scratch):
-        jump, lower, upper = scratch[:size], out[:size], out[shift:]
+        jump, lower, upper = scratch[:size], out[:size], out[1:]
         mul(local, rho, out)
-        add(lower, mul(down_w, rho[shift:], jump), lower)
+        add(lower, mul(down_w, rho[1:], jump), lower)
         add(upper, mul(up_w, rho[:size], jump), upper)
 
     return rhs
@@ -193,14 +208,27 @@ def fock_lindblad_path(
 ) -> list[FockDensityMatrix]:
     """RK4 sample path of the master equation at the requested (raw) times.
 
-    The whole path is integrated first; then each record is revalidated for
-    hermiticity, trace and positivity, so integrator drift beyond tolerance
-    raises instead of propagating.  The state at one time t is
-    ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
+    It steps the Hermitian matrix given by rho0's lower triangle and the
+    real part of its diagonal; rho0's upper triangle is never read.  The
+    whole path is integrated first; then each record is rebuilt as an
+    exactly Hermitian matrix and revalidated for trace and positivity, so
+    integrator drift beyond tolerance raises instead of propagating.  The
+    state at one time t is ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
     """
     dim = rho0.dim
-    records = _rk4_path(_rhs_factory(dim, spec), rho0.matrix.ravel(), dt, times)
-    return [FockDensityMatrix(rho.reshape(dim, dim)) for rho in records]
+    rows, cols = _bands(dim)
+    lower, upper = rows * dim + cols, cols * dim + rows
+    band = rho0.matrix.ravel()[lower]
+    # the main diagonal is the first band
+    band[:dim] = band[:dim].real
+    matrices = []
+    for record in _rk4_path(_rhs_factory(dim, spec), band, dt, times):
+        full = np.empty(dim * dim, dtype=complex)
+        # conjugates first, so the diagonal keeps its stepped value
+        full[upper] = record.conj()
+        full[lower] = record
+        matrices.append(FockDensityMatrix(full.reshape(dim, dim)))
+    return matrices
 
 
 def fock_ergotropy(rho: FockDensityMatrix, spec: SystemBathSpec) -> float:

@@ -422,14 +422,17 @@ class TestVerify:
             ("--states", str(10**12)),  # would ask for terabytes
             ("--points", "1001"),
             ("--points", str(10**12)),
+            ("--cutoff", "201"),
+            ("--cutoff", str(10**5)),  # asked for a dense 160 GB matrix
         ],
     )
     def test_oversized_check_is_usage_error(self, capsys, monkeypatch, flag, value):
         def refuse(*args, **kwargs):
             pytest.fail(f"verify ran with {flag} {value}")
 
-        # the state draws and the Fock trajectory are where the counts are spent
+        # the state draws, the Fock seeds and the Fock trajectory are where the counts are spent
         monkeypatch.setattr(cli, "random_state", refuse)
+        monkeypatch.setattr(fock, "fock_gaussian_state", refuse)
         monkeypatch.setattr(fock, "fock_lindblad_path", refuse)
         args = list(self.FAST)
         args[args.index(flag) + 1] = value

@@ -21,6 +21,7 @@ from ergoflow import (
 )
 from ergoflow.oracles import quadrature
 from ergoflow.oracles.fock import (
+    HERMITICITY_ATOL,
     CutoffError,
     FockDensityMatrix,
     annihilation,
@@ -359,6 +360,55 @@ class TestFockOracle:
         records = np.stack([rho.matrix for rho in fock_lindblad_path(rho0, spec, times, dt=1e-3)])
         assert np.array_equal(records, literal_fock_path(rho0.matrix, spec, 1e-3, times))
 
+    @pytest.mark.parametrize(
+        "seed",
+        [(0.2, 0j, 0.8, 1.1), (0.1, 0.9 + 0.4j, 0.0, 0.0), (0.1, 0.6 - 0.3j, 0.5, 2.0)],
+        ids=["squeezed", "displaced", "squeezed-displaced"],
+    )
+    def test_gaussian_state_is_the_hermitian_matrix_of_its_lower_triangle(self, seed):
+        nbar_pi, mu, r, theta = seed
+        rho = fock_gaussian_state(*seed, dim=60)
+        # the product of the operators, before the upper triangle is replaced
+        ratio = nbar_pi / (1.0 + nbar_pi)
+        product = np.diag(ratio ** np.arange(60) / (1.0 + nbar_pi)).astype(complex)
+        if mu:
+            product = displacement_operator(mu, 60) @ product @ displacement_operator(mu, 60).conj().T
+        if r:
+            product = squeezing_operator(r, theta, 60) @ product @ squeezing_operator(r, theta, 60).conj().T
+        assert not np.array_equal(product, product.conj().T)
+        matrix = rho.matrix
+        assert np.array_equal(matrix, matrix.conj().T)
+        assert np.all(matrix.diagonal().imag == 0.0)
+        assert np.array_equal(np.tril(matrix, -1), np.tril(product, -1))
+        assert np.array_equal(matrix.diagonal().real, product.diagonal().real)
+        # eigvalsh reads the lower triangle and the real diagonal only
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(product))
+
+    @staticmethod
+    def _perturbed_upper_triangle(rho):
+        """rho with its upper triangle and the imaginary part of its diagonal moved within HERMITICITY_ATOL."""
+        dim = rho.dim
+        matrix = rho.matrix.copy()
+        upper = np.triu_indices(dim, 1)
+        noise = rng_for("fockupper").uniform(-0.4, 0.4, (2, upper[0].size)) * HERMITICITY_ATOL
+        matrix[upper] += noise[0] + 1j * noise[1]
+        matrix[np.diag_indices(dim)] += 0.4j * HERMITICITY_ATOL
+        return FockDensityMatrix(matrix)
+
+    def test_path_reads_only_the_lower_triangle(self):
+        rho0 = fock_gaussian_state(0.1, 0.6 - 0.3j, 0.5, 2.0, dim=40)
+        perturbed = self._perturbed_upper_triangle(rho0)
+        assert not np.array_equal(perturbed.matrix, rho0.matrix)
+        times = [0.0, 0.05, 0.1234]
+        for a, b in zip(fock_lindblad_path(perturbed, SPEC, times), fock_lindblad_path(rho0, SPEC, times)):
+            assert np.array_equal(a.matrix, b.matrix)
+
+    def test_records_are_exactly_hermitian(self):
+        rho0 = self._perturbed_upper_triangle(fock_gaussian_state(0.2, 0j, 0.8, 1.1, dim=40))
+        for record in fock_lindblad_path(rho0, SPEC, [0.0, 0.05, 0.1234]):
+            assert np.array_equal(record.matrix, record.matrix.conj().T)
+            assert np.all(record.matrix.diagonal().imag == 0.0)
+
     def test_records_stay_valid_along_path(self):
         rho0 = fock_gaussian_state(0.2, 0j, 1.0, 0.0, dim=60)
         taus = np.linspace(0.25, 1.5, 6)
@@ -432,7 +482,29 @@ class TestQuadrature:
     def test_broadcast_axes_match_meshgrid_bit_for_bit(self):
         a = squeezed_displaced_thermal(0.2, 0.5 - 0.3j, SqueezingParameter(0.3, 0.9))
         b = thermal_state(0.3)
-        for extent, n in ((6.0, 400), (5.0, 101)):
+        # 17 and 2 points a side fit in one row block
+        for extent, n in ((6.0, 400), (5.0, 101), (3.0, 17), (3.0, 2)):
             moments, relative = _meshgrid_reference(a, b, 1.3, extent, n)
             assert quadrature.norm_energy_entropy(a, 1.3, extent, n) == moments
             assert quadrature.relative_entropy_quadrature(a, b, extent, n) == relative
+
+    @pytest.mark.parametrize(
+        "extent, n",
+        [
+            (math.nan, 400),  # was nan
+            (math.inf, 400),  # was nan
+            (0.0, 400),  # was 0 from a zero-width grid
+            (-6.0, 400),  # was the extent 6 grid walked backwards
+            (6.0, 1),  # was 0 from a single point
+            (6.0, 0),  # was 0 from an empty grid
+            (6.0, -5),  # was numpy's linspace message
+            (6.0, 400.0),  # was a TypeError
+            (6.0, True),  # was 0, read as one point
+        ],
+    )
+    def test_invalid_grid_rejected(self, extent, n):
+        state = thermal_state(0.3)
+        with pytest.raises(ValueError, match="quadrature grid"):
+            quadrature.norm_energy_entropy(state, 1.0, extent, n)
+        with pytest.raises(ValueError, match="quadrature grid"):
+            quadrature.relative_entropy_quadrature(state, state, extent, n)
