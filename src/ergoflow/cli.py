@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 tolerance breach, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 from pathlib import Path
@@ -385,7 +384,7 @@ def cmd_verify(args) -> int:
     )
 
     evolved_rho = fock_lindblad_path(displaced_rho, spec, [t_one], dt=args.fock_dt / spec.gamma)[0]
-    expected_mean = complex(args.mu) * cmath.exp(-(1j * spec.omega + 0.5 * spec.gamma) * t_one)
+    expected_mean = evolve_analytic(displaced_thermal(args.nbar_pi, args.mu), spec, t_one).alpha_mean
     checks.append(
         ("fock displaced-state mean decay", abs(fock_moments(evolved_rho)[0] - expected_mean), 1e-6)
     )

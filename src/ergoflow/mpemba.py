@@ -5,9 +5,9 @@ displaced thermal one can nevertheless fall below it in finite time, because
 its passive-state energy is pumped up transiently while the displaced
 family's passive energy relaxes monotonically.  This module locates that
 crossing in closed form, cross-validates it with a bisection oracle that
-bisects a whole batch of parameter points at once as arrays, finds
-equal-charge displacement amplitudes, and sweeps the crossing time over
-bath/seed temperature axes.
+scans and bisects a whole batch of parameter points at once, one array
+entry per point, finds equal-charge displacement amplitudes, and sweeps
+the crossing time over bath/seed temperature axes.
 
 All crossing times are reported in the dimensionless variable tau = gamma t;
 they do not depend on omega or gamma individually.
@@ -205,37 +205,33 @@ def _charges(x, lam_s, m_s, v_sq, f, omega):
 def _bisect(lo, hi, lo_positive, moments):
     """Bisect every bracket [lo, hi] of the gap at once; moments has one column per bracket.
 
-    g > 0 holds at lo (lo_positive) or at hi, not both.  Each bracket is halved
-    until its midpoint equals an endpoint (adjacent floats) or g is exactly 0
-    there, and that midpoint is returned, within an ulp of where g > 0 flips.
+    g > 0 holds at lo (lo_positive) or at hi, not both.  Each round halves every
+    bracket; one whose midpoint equals an endpoint (adjacent floats) or has g
+    exactly 0 collapses to lo = hi = mid, and once all have, mid is returned,
+    within an ulp of where g > 0 flips.
     """
-    out = np.empty(lo.size)
-    pending = np.arange(lo.size)
-    while pending.size:
+    while True:
         mid = 0.5 * (lo + hi)
         erg_s, erg_d = _charges(np.exp(-mid), *moments)
         g_mid = erg_s - erg_d
         done = (mid == lo) | (mid == hi) | (g_mid == 0.0)
-        out[pending[done]] = mid[done]
-        keep = ~done
+        if done.all():
+            return mid
         same_side = (g_mid > 0.0) == lo_positive
-        lo = np.where(same_side, mid, lo)[keep]
-        hi = np.where(same_side, hi, mid)[keep]
-        pending, lo_positive, moments = pending[keep], lo_positive[keep], moments[:, keep]
-    return out
+        lo = np.where(done | same_side, mid, lo)
+        hi = np.where(done | ~same_side, mid, hi)
 
 
-def _first_flips(decay, moments, floor, pending) -> list:
-    """Scan the pending points' gaps together; (points, k, g > 0 at k) per chunk of samples.
+def _first_flips(decay, moments, floor, pending, first, lo_positive):
+    """Scan the pending points' gaps together; set first[i] to k and lo_positive[i] to g > 0 at k.
 
-    Each point's first significant change of g > 0 lies between samples k and
-    k + 1 of decay.  The chunks start at _MIN_CHUNK samples and grow fourfold,
-    up to _SCAN_BUDGET elements over the pending points (at most
-    _SCAN_BUDGET // _MIN_CHUNK of them); adjacent chunks share their edge
-    sample, and a point leaves at its first flip, so only points that never
-    cross scan all of decay.
+    Point i's first significant change of g > 0 lies between samples k and
+    k + 1 of decay; first stays as it is for a point without one.  The chunks
+    start at _MIN_CHUNK samples and grow fourfold, up to _SCAN_BUDGET
+    elements over the pending points (at most _SCAN_BUDGET // _MIN_CHUNK of
+    them); adjacent chunks share their edge sample, and a point leaves at its
+    first flip, so only points that never cross scan all of decay.
     """
-    flips_by_chunk = []
     start, width = 0, _MIN_CHUNK
     while pending.size and start < decay.size - 1:
         stop = min(decay.size, start + min(width, _SCAN_BUDGET // pending.size))
@@ -250,10 +246,10 @@ def _first_flips(decay, moments, floor, pending) -> list:
         flips = (positive[:, :-1] != positive[:, 1:]) & (significant[:, :-1] | significant[:, 1:])
         found = flips.any(axis=1)
         k = flips[found].argmax(axis=1)
-        flips_by_chunk.append((pending[found], start + k, positive[found, k]))
+        first[pending[found]] = start + k
+        lo_positive[pending[found]] = positive[found, k]
         pending = pending[~found]
         start, width = stop - 1, 4 * width
-    return flips_by_chunk
 
 
 def _numeric_crossings(seeds, tau_max, scan_step) -> list:
@@ -265,11 +261,11 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     of g > 0 (an exact zero counts as non-positive); then all bracketed
     points are bisected together, so no crossing beyond tau_max is reported.
     The points are scanned together in bounded chunks of samples, and each
-    stops at its first sign change (_first_flips).  A point gets 0.0 when
-    its tau = 0 charges coincide and None when g > 0 does not change where
-    the charges are resolved.  Raises ValueError unless tau_max and
-    scan_step are finite and positive and the window holds at most
-    _MAX_SCAN_STEPS steps.
+    stops at its first sign change (_first_flips), kept in per-point arrays.
+    A point gets 0.0 when its tau = 0 charges coincide and None when g > 0
+    does not change where the charges are resolved.  Raises ValueError
+    unless tau_max and scan_step are finite and positive and the window
+    holds at most _MAX_SCAN_STEPS steps.
     """
     if not (0.0 < tau_max < math.inf and 0.0 < scan_step < math.inf):
         raise ValueError("tau_max and scan_step must be finite and positive")
@@ -290,15 +286,14 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
         np.abs(erg_s - erg_d) <= _EQUAL_CHARGE_RTOL * (erg_s + erg_d)
     )
     times = np.where(equal[:, 0], 0.0, math.nan)
+    # each point's first-flip sample (-1 for none) and whether g > 0 there
+    first, lo_positive = np.full(times.size, -1), np.zeros(times.size, dtype=bool)
     pending, block = np.flatnonzero(~equal[:, 0]), _SCAN_BUDGET // _MIN_CHUNK
-    brackets = [
-        chunk
-        for i in range(0, pending.size, block)
-        for chunk in _first_flips(decay, moments, floor, pending[i:i + block])
-    ]
-    if brackets:
-        points, k, lo_positive = map(np.concatenate, zip(*brackets))
-        times[points] = _bisect(taus[k], taus[k + 1], lo_positive, moments[:, points, 0])
+    for i in range(0, pending.size, block):
+        _first_flips(decay, moments, floor, pending[i:i + block], first, lo_positive)
+    points = np.flatnonzero(first >= 0)
+    k = first[points]
+    times[points] = _bisect(taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0])
     return [None if math.isnan(t) else t for t in times.tolist()]
 
 

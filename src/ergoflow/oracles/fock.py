@@ -172,9 +172,8 @@ def _bands(dim: int):
     return rows, cols
 
 
-def _rhs_factory(dim: int, spec: SystemBathSpec):
-    """rhs(rho, out, scratch) of the master equation on the band vector, for _rk4_path."""
-    rows, cols = _bands(dim)
+def _rhs_factory(dim: int, rows, cols, spec: SystemBathSpec):
+    """rhs(rho, out, scratch) of the master equation for _rk4_path; rows, cols = _bands(dim)."""
     j, k = rows.astype(float), cols.astype(float)
     g_down = spec.gamma * (1.0 + spec.nbar)
     g_up = spec.gamma * spec.nbar
@@ -209,10 +208,10 @@ def fock_lindblad_path(
     """RK4 sample path of the master equation at the requested (raw) times.
 
     It steps the Hermitian matrix given by rho0's lower triangle and the
-    real part of its diagonal; rho0's upper triangle is never read.  The
-    whole path is integrated first; then each record is rebuilt as an
-    exactly Hermitian matrix and revalidated for trace and positivity, so
-    integrator drift beyond tolerance raises instead of propagating.  The
+    real part of its diagonal; rho0's upper triangle is never read.  Each
+    record is rebuilt as an exactly Hermitian matrix as soon as it is
+    reached, and revalidated for trace and positivity, so integrator drift
+    beyond tolerance raises instead of propagating.  The
     state at one time t is ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
     """
     dim = rho0.dim
@@ -222,7 +221,7 @@ def fock_lindblad_path(
     # the main diagonal is the first band
     band[:dim] = band[:dim].real
     matrices = []
-    for record in _rk4_path(_rhs_factory(dim, spec), band, dt, times):
+    for record in _rk4_path(_rhs_factory(dim, rows, cols, spec), band, dt, times):
         full = np.empty(dim * dim, dtype=complex)
         # conjugates first, so the diagonal keeps its stepped value
         full[upper] = record.conj()

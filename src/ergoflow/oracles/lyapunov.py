@@ -38,7 +38,7 @@ __all__ = ["rk4_moment_path", "convergence_order"]
 
 
 def _rk4_path(rhs, y0, dt, record_times):
-    """Classical RK4 from y0 at t = 0; a copy of y at each record time.
+    """Classical RK4 from y0 at t = 0; yields a copy of y at each record time.
 
     rhs(y, out, scratch) writes dy/dt at y into out and may overwrite
     scratch, a buffer shaped like y.  y0 is copied once (integers become
@@ -53,7 +53,8 @@ def _rk4_path(rhs, y0, dt, record_times):
 
     Each record time is reached by whole steps of dt while more than dt
     remains, then one shortened step when the remainder is not negligible.
-    The moment and Fock oracles both integrate through this driver.
+    The arguments are checked at once and each record is yielded when it is
+    reached.  The moment and Fock oracles both integrate through this driver.
     """
     if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError("dt must be finite and positive")
@@ -83,18 +84,19 @@ def _rk4_path(rhs, y0, dt, record_times):
         add(stage, k4, stage)
         add(y, mul(sixth, stage, stage), y)
 
-    records = []
-    t_now = 0.0
-    for target in record_times:
-        while target - t_now > dt * (1.0 + 1e-9):
-            step(*whole)
-            t_now += dt
-        remainder = target - t_now
-        if remainder > 1e-14 * max(1.0, target):
-            step(*factors(remainder))
-        t_now = target
-        records.append(y.copy())
-    return records
+    def records():
+        t_now = 0.0
+        for target in record_times:
+            while target - t_now > dt * (1.0 + 1e-9):
+                step(*whole)
+                t_now += dt
+            remainder = target - t_now
+            if remainder > 1e-14 * max(1.0, target):
+                step(*factors(remainder))
+            t_now = target
+            yield y.copy()
+
+    return records()
 
 
 def rk4_moment_path(
@@ -140,7 +142,7 @@ def rk4_moment_path(
 
     # divergence is reported via the finiteness check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        path = _rk4_path(rhs, y0, dt, record_times)
+        path = list(_rk4_path(rhs, y0, dt, record_times))
     shape = (len(path), batch, 5)
     records = np.stack(path).reshape(shape) if path else np.empty(shape, dtype=complex)
     if not np.all(np.isfinite(records)):

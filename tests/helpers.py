@@ -188,15 +188,31 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
     return np.stack(rec_v), np.stack(rec_c)
 
 
+def literal_bisect(lo, hi, lo_positive, moments):
+    """One bracket of the gap halved until its midpoint equals an endpoint or g is exactly 0
+    there, with the oracle's ufuncs on 1-element arrays; returns that midpoint."""
+    lo, hi = np.array([lo]), np.array([hi])
+    columns = [np.array([value]) for value in moments]
+    while True:
+        mid = 0.5 * (lo + hi)
+        erg_s, erg_d = mpemba._charges(np.exp(-mid), *columns)
+        g_mid = erg_s - erg_d
+        if mid[0] == lo[0] or mid[0] == hi[0] or g_mid[0] == 0.0:
+            return float(mid[0])
+        if (g_mid[0] > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
 def literal_crossing_scan(seeds, tau_max, scan_step):
     """The crossing oracle with each point's gap sampled over the whole window on its own,
-    with the same samples, resolution, significance and first-flip rules and the same
-    bisection; returns one crossing time (or None) per seed pair."""
+    with the same samples, resolution, significance and first-flip rules, and each bracket
+    bisected on its own (literal_bisect); returns one crossing time (or None) per seed pair."""
     taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
     taus = np.append(taus[taus < tau_max], tau_max)
     decay = np.exp(-taus)
     times = [None] * len(seeds)
-    bracketed = []
     for i, moments in enumerate(seeds):
         erg_s, erg_d = mpemba._charges(decay, *moments)
         gap = erg_s - erg_d
@@ -209,10 +225,6 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
         flips = np.nonzero(positive[:-1] != positive[1:])[0]
         flips = flips[significant[flips] | significant[flips + 1]]
         if flips.size:
-            bracketed.append((i, flips[0], positive[flips[0]], moments))
-    if bracketed:
-        points, k, lo_positive, columns = map(np.array, zip(*bracketed))
-        roots = mpemba._bisect(taus[k], taus[k + 1], lo_positive, columns.T)
-        for i, tau in zip(points, roots):
-            times[i] = float(tau)
+            k = flips[0]
+            times[i] = literal_bisect(taus[k], taus[k + 1], bool(positive[k]), moments)
     return times

@@ -131,10 +131,11 @@ class TestSimulate:
             (["--tmax", "nan"], "--tmax must be finite and positive"),  # "cannot convert float NaN"
             (["--dt", "nan"], "--dt must be finite and positive"),  # likewise
             (["--dt", "inf"], "--dt must be finite and positive"),  # "--tmax must be at least one step"
+            (["--tmax", "0.1", "--dt", "0.5"], "--tmax must be at least one step --dt"),
             # 10^7 steps: refused before any grid-sized array is made
             (["--tmax", "1e7", "--dt", "1"], "the time grid holds more than 1000000 steps of --dt"),
         ],
-        ids=["infinite-tmax", "nan-tmax", "nan-dt", "infinite-dt", "oversized-grid"],
+        ids=["infinite-tmax", "nan-tmax", "nan-dt", "infinite-dt", "tmax-below-dt", "oversized-grid"],
     )
     def test_invalid_time_grid_exits_2(self, capsys, flags, message):
         code, out, err = run(["simulate", "--family", "thermal", *flags], capsys)
@@ -372,6 +373,27 @@ class TestConfigFile:
         code, out, _ = run(["simulate", "--config", str(cfg)], capsys)
         assert code == 0
         assert float(out.strip().split("\n")[-1].split(",")[0]) == pytest.approx(1.0)
+
+    def test_false_switch_and_equals_form(self, tmp_path, capsys):
+        # "key = false" leaves the switch off; --config=PATH reads the file as --config PATH does
+        cfg = tmp_path / "run.cfg"
+        base = "family = squeezed\nr = 1.0\nnbar-pi = 0.2\ntmax = 1\ndt = 0.5\ngamma = 2\n"
+        cfg.write_text(base)
+        _, off, _ = run(["simulate", "--config", str(cfg)], capsys)
+        cfg.write_text(base + "absolute-time = true\n")
+        _, on, _ = run(["simulate", "--config", str(cfg)], capsys)
+        cfg.write_text(base + "absolute-time = false\n")
+        code, out, _ = run(["simulate", f"--config={cfg}"], capsys)
+        assert code == 0
+        assert out == off != on
+
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = thermal\nabsolute-time\n")
+        code, out, err = run(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config line 2 is not 'key = value'" in err
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

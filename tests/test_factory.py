@@ -31,6 +31,9 @@ def test_parameter_validation():
         thermal_state(math.inf)
     with pytest.raises(ValueError):
         SqueezingParameter(-1.0)
+    for r, theta in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="squeezing parameters must be finite"):
+            SqueezingParameter(r, theta)
     with pytest.raises(ValueError, match="mu must be finite"):
         displace(thermal_state(0.2), complex("nan"))
     with pytest.raises(ValueError, match="mu must be finite"):

@@ -376,6 +376,11 @@ class TestEqualChargeAmplitude:
         pair = faster_discharge_demo(r, 0.2, 0.4)
         assert pair.displaced.erg_v[0] == pytest.approx(pair.squeezed.erg_theta[0], rel=1e-12)
 
+    @pytest.mark.parametrize("r, nbar_pi", [(-0.5, 0.2), (math.nan, 0.2), (1.0, -0.1), (1.0, math.inf)])
+    def test_invalid_input(self, r, nbar_pi):
+        with pytest.raises(ValueError, match="r and nbar_pi must be finite and nonnegative"):
+            equal_charge_amplitude(r, nbar_pi)
+
     def test_squeezing_beyond_float_range(self):
         # math.cosh(2r) raised OverflowError
         with pytest.raises(ValueError, match="float range"):
@@ -398,6 +403,9 @@ class TestScan:
             SweepGrid((), (0.5,), (0.5,), mu=1.0)
         with pytest.raises(ValueError):
             SweepGrid((1.0,), (0.5,), (-0.5,), mu=1.0)
+        for mu in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+                SweepGrid((1.0,), (0.5,), (0.5,), mu=mu)
 
     def test_fixed_seed_occupation_sweep(self):
         # higher bath temperature brings the crossing earlier

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestRK4Driver:
             return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         y0 = np.array([1.0, -0.75])
-        records = _rk4_path(lambda y, out, _: np.negative(y, out=out), y0, 0.1, [0.0, 0.25, 0.25, 0.3])
+        records = list(_rk4_path(lambda y, out, _: np.negative(y, out=out), y0, 0.1, [0.0, 0.25, 0.25, 0.3]))
         assert len(records) == 4
         assert np.array_equal(records[0], y0) and records[0] is not y0
         assert np.array_equal(records[1], records[2])
@@ -268,6 +269,8 @@ class TestFockOracle:
             FockDensityMatrix(half_nan)
         with pytest.raises(ValueError):
             FockDensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+        with pytest.raises(ValueError, match="square"):
+            FockDensityMatrix(np.eye(2, 3, dtype=complex))
 
     def test_cutoff_inadequacy_is_loud(self):
         with pytest.raises(CutoffError):
@@ -416,6 +419,20 @@ class TestFockOracle:
         # FockDensityMatrix validation ran at every record; spot-check trace
         for record in records:
             assert abs(float(np.trace(record.matrix).real) - 1.0) <= 1e-6
+
+    def test_path_builds_each_record_as_it_is_reached(self):
+        # the bound lies between the measured peaks of a path that builds each
+        # matrix as its record arrives (1.23 times the matrices' bytes) and of
+        # one that holds every band vector until it builds any matrix (1.62)
+        rho0 = fock_gaussian_state(0.2, 0j, 0.5, 0.0, dim=80)
+        tracemalloc.start()
+        try:
+            records = fock_lindblad_path(rho0, SPEC, np.linspace(0.0, 0.05, 50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 50
+        assert peak <= 1.4 * sum(record.matrix.nbytes for record in records)
 
 
 def _meshgrid_reference(state_a, state_b, omega, extent, n):

@@ -136,6 +136,10 @@ class TestConstruction:
         assert state.cov is not cov
         assert not cov.flags.writeable
 
+    def test_repr_shows_the_moments(self):
+        state = GaussianState.from_moments(0.5 - 0.25j, 1.2, 0.3j)
+        assert repr(state) == "GaussianState(<a>=0.5-0.25j, V=1.2, M=0+0.3j)"
+
     def test_validation_tolerance_absorbs_roundoff(self):
         # an imaginary part of V at the 1e-12 scale must not reject a state
         state = GaussianState.from_moments(0, 0.7 + 1e-12j, 0.1)
@@ -146,6 +150,11 @@ class TestConstruction:
             SystemBathSpec(omega=0.0)
         with pytest.raises(ValueError):
             SystemBathSpec(gamma=-1.0)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            SystemBathSpec(gamma=0.0)
+        for name in ("omega", "gamma", "nbar"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SystemBathSpec(**{name: math.nan})
         with pytest.raises(ValueError):
             SystemBathSpec(nbar=-0.1)
         assert SystemBathSpec(nbar=0.4).f_beta == 0.9
