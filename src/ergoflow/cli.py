@@ -47,7 +47,7 @@ FAMILIES = ("thermal", "displaced", "squeezed", "squeezed-displaced")
 # the bound the crossing scan puts on its window
 _MAX_GRID = _MAX_SCAN_STEPS
 # the most random states verify's RK4 batch and the most points its Fock trajectory
-# may hold: 10^4 states run for tens of seconds, and each point keeps a density matrix
+# may hold, for run time: 10^4 states take tens of seconds, 10^3 points at cutoff 200 about 13 s
 _MAX_STATES = 10**4
 _MAX_POINTS = 10**3
 # the largest Fock cutoff verify builds: its dense matrices grow as the square of the
@@ -269,30 +269,109 @@ def cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------- verify
+# Each check takes (args, spec, seeds), seeds being the squeezed, thermal and
+# displaced Fock seeds, and returns its largest deviation.  It imports its
+# oracle when it runs, so only verify loads the oracles.
 
 
-def _quadrature_states():
+def _moment_deviation(mean, cov, state) -> float:
+    """Largest deviation of an RK4 record's mean and covariance from the state's."""
+    return max(float(np.max(np.abs(cov - state.cov))), abs(complex(mean) - state.alpha_mean))
+
+
+def _rk4_batch(args, spec, seeds):
+    from .oracles.lyapunov import rk4_moment_path
+    rng = np.random.default_rng(args.seed)
+    states = [random_state(rng) for _ in range(args.states)]
+    # the spec is randomized with gamma bounded away from 1 so a wrong noise
+    # prefactor cannot hide behind gamma = 1
+    batch_spec = SystemBathSpec(
+        omega=rng.uniform(0.5, 2.0), gamma=rng.uniform(1.25, 2.0), nbar=rng.uniform(0.0, 2.0)
+    )
+    times = [float(t) for t in np.linspace(0.5, 5.0, 10) / batch_spec.gamma]
+    means, covs = rk4_moment_path(states, batch_spec, args.rk4_dt / batch_spec.gamma, times)
+    return max(
+        _moment_deviation(means[ti, si], covs[ti, si], evolve_analytic(state0, batch_spec, t))
+        for ti, t in enumerate(times)
+        for si, state0 in enumerate(states)
+    )
+
+
+def _rk4_order(args, spec, seeds):
+    from .oracles.lyapunov import convergence_order
+    probe = squeezed_displaced_thermal(0.2, 0.8, SqueezingParameter(1.0, 0.3))
+    dts = [dt / spec.gamma for dt in (0.04, 0.02, 0.01)]
+    return abs(convergence_order(probe, spec, 1.0 / spec.gamma, dts) - 4.0)
+
+
+def _rk4_thermal(args, spec, seeds):
+    from .oracles.lyapunov import rk4_moment_path
+    thermal = thermal_state(spec.nbar)
+    means, covs = rk4_moment_path([thermal], spec, args.rk4_dt / spec.gamma, [1.0 / spec.gamma])
+    return _moment_deviation(means[0, 0], covs[0, 0], thermal)
+
+
+def _fock_seed(args, spec, seeds):
+    from .oracles.fock import fock_ergotropy
+    return abs(fock_ergotropy(seeds[0], spec) - ergotropy(squeezed_thermal(args.nbar_pi, args.r), spec))
+
+
+def _fock_trajectory(args, spec, seeds):
+    # each record is reduced as it is reached, so one density matrix is held at a time
+    from .oracles.fock import _fock_records, fock_ergotropy
+    gauss = squeezed_thermal(args.nbar_pi, args.r)
+    times = np.linspace(3.0 / args.points, 3.0, args.points) / spec.gamma
+    records = _fock_records(seeds[0], spec, [float(t) for t in times], args.fock_dt / spec.gamma)
+    return max(
+        abs(fock_ergotropy(rho, spec) - ergotropy(evolve_analytic(gauss, spec, t), spec))
+        for rho, t in zip(records, times)
+    )
+
+
+def _fock_thermal(args, spec, seeds):
+    from .oracles.fock import fock_lindblad_path
+    rho = fock_lindblad_path(seeds[1], spec, [1.0 / spec.gamma], dt=args.fock_dt / spec.gamma)[0]
+    return float(np.max(np.abs(np.diag(rho.matrix).real - np.diag(seeds[1].matrix).real)))
+
+
+def _fock_displaced(args, spec, seeds):
+    from .oracles.fock import fock_lindblad_path, fock_moments
+    rho = fock_lindblad_path(seeds[2], spec, [1.0 / spec.gamma], dt=args.fock_dt / spec.gamma)[0]
+    exact = evolve_analytic(displaced_thermal(args.nbar_pi, args.mu), spec, 1.0 / spec.gamma)
+    return abs(fock_moments(rho)[0] - exact.alpha_mean)
+
+
+def _quadrature(args, spec, seeds):
+    from .oracles.quadrature import norm_energy_entropy
+    deviations = []
     # compact states whose 5-sigma support fits inside the default grid
-    return (
+    for state in (
         thermal_state(0.0),
         thermal_state(0.4),
         displaced_thermal(0.2, 0.9 + 0.3j),
         squeezed_thermal(0.2, SqueezingParameter(0.4, 1.1)),
         squeezed_displaced_thermal(0.1, 0.6j, SqueezingParameter(0.3, 0.5)),
-    )
+    ):
+        norm, energy, entropy = norm_energy_entropy(state, spec.omega)
+        deviations += [abs(norm - 1.0), abs(energy - mean_energy(state, spec)), abs(entropy - wigner_entropy(state))]
+    return max(deviations)
+
+
+# verify's checks in print order: (printed name, check, tolerance)
+_CHECKS = (
+    ("rk4 vs analytic moments", _rk4_batch, 1e-8),
+    ("rk4 convergence order (|order - 4|)", _rk4_order, 0.2),
+    ("rk4 stationary thermal state", _rk4_thermal, 1e-12),
+    ("fock vs gaussian ergotropy at tau=0", _fock_seed, 1e-4),
+    ("fock vs gaussian ergotropy on trajectory", _fock_trajectory, 1e-3),
+    ("fock thermal-state stationarity", _fock_thermal, 1e-8),
+    ("fock displaced-state mean decay", _fock_displaced, 1e-6),
+    ("quadrature norm/energy/entropy", _quadrature, 1e-6),
+)
 
 
 def cmd_verify(args) -> int:
-    # the oracles are imported here, so the other subcommands never load them
-    from .oracles.fock import (
-        CutoffError,
-        fock_ergotropy,
-        fock_gaussian_state,
-        fock_lindblad_path,
-        fock_moments,
-    )
-    from .oracles.lyapunov import convergence_order, rk4_moment_path
-    from .oracles.quadrature import norm_energy_entropy
+    from .oracles.fock import CutoffError, fock_gaussian_state
 
     # an empty batch or trajectory would pass its check without checking anything
     for flag, count, most in (
@@ -308,101 +387,20 @@ def cmd_verify(args) -> int:
             raise CliError(f"{flag} must be finite and positive")
         if span / dt > _MAX_GRID:
             raise CliError(f"{flag} takes more than {_MAX_GRID} steps")
-    rng = np.random.default_rng(args.seed)
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=args.nbar)
-    checks = []
-
-    # closed-form evolution vs batched RK4 moments at ten trajectory points;
-    # the spec is randomized with gamma bounded away from 1 so a wrong noise
-    # prefactor cannot hide behind gamma = 1
-    states = [random_state(rng) for _ in range(args.states)]
-    batch_spec = SystemBathSpec(
-        omega=rng.uniform(0.5, 2.0), gamma=rng.uniform(1.25, 2.0), nbar=rng.uniform(0.0, 2.0)
-    )
-    taus = np.linspace(0.5, 5.0, 10)
-    times = [float(t) for t in taus / batch_spec.gamma]
-    means, covs = rk4_moment_path(states, batch_spec, args.rk4_dt / batch_spec.gamma, times)
-    deviation = 0.0
-    for ti, t in enumerate(times):
-        for si, state0 in enumerate(states):
-            exact = evolve_analytic(state0, batch_spec, t)
-            deviation = max(
-                deviation,
-                float(np.max(np.abs(covs[ti, si] - exact.cov))),
-                abs(complex(means[ti, si]) - exact.alpha_mean),
-            )
-    checks.append(("rk4 vs analytic moments", deviation, 1e-8))
-
-    t_one = 1.0 / spec.gamma
-    probe = squeezed_displaced_thermal(0.2, 0.8, SqueezingParameter(1.0, 0.3))
-    order = convergence_order(probe, spec, t_one, [dt / spec.gamma for dt in (0.04, 0.02, 0.01)])
-    checks.append(("rk4 convergence order (|order - 4|)", abs(order - 4.0), 0.2))
-
-    thermal = thermal_state(spec.nbar)
-    means, covs = rk4_moment_path([thermal], spec, args.rk4_dt / spec.gamma, [t_one])
-    checks.append(
-        (
-            "rk4 stationary thermal state",
-            max(float(np.max(np.abs(covs[0, 0] - thermal.cov))), abs(complex(means[0, 0]))),
-            1e-12,
-        )
-    )
-
     # Fock-space ground truth; a cutoff too small for a seed is a breach (exit code 1)
     try:
-        squeezed_rho = fock_gaussian_state(args.nbar_pi, 0j, args.r, 0.0, args.cutoff)
-        thermal_rho = fock_gaussian_state(spec.nbar, dim=args.cutoff)
-        displaced_rho = fock_gaussian_state(args.nbar_pi, complex(args.mu), 0.0, 0.0, args.cutoff)
+        seeds = (
+            fock_gaussian_state(args.nbar_pi, 0j, args.r, 0.0, args.cutoff),
+            fock_gaussian_state(spec.nbar, dim=args.cutoff),
+            fock_gaussian_state(args.nbar_pi, complex(args.mu), 0.0, 0.0, args.cutoff),
+        )
     except CutoffError as err:
         raise CliError(str(err), code=1) from err
-    gauss_squeezed = squeezed_thermal(args.nbar_pi, args.r)
-    checks.append(
-        (
-            "fock vs gaussian ergotropy at tau=0",
-            abs(fock_ergotropy(squeezed_rho, spec) - ergotropy(gauss_squeezed, spec)),
-            1e-4,
-        )
-    )
-
-    sample_taus = np.linspace(3.0 / args.points, 3.0, args.points)
-    records = fock_lindblad_path(
-        squeezed_rho, spec, [float(t) for t in sample_taus / spec.gamma], dt=args.fock_dt / spec.gamma
-    )
-    traj_dev = max(
-        abs(fock_ergotropy(record, spec) - ergotropy(evolve_analytic(gauss_squeezed, spec, t), spec))
-        for record, t in zip(records, sample_taus / spec.gamma)
-    )
-    checks.append(("fock vs gaussian ergotropy on trajectory", traj_dev, 1e-3))
-
-    evolved_rho = fock_lindblad_path(thermal_rho, spec, [t_one], dt=args.fock_dt / spec.gamma)[0]
-    checks.append(
-        (
-            "fock thermal-state stationarity",
-            float(np.max(np.abs(np.diag(evolved_rho.matrix).real - np.diag(thermal_rho.matrix).real))),
-            1e-8,
-        )
-    )
-
-    evolved_rho = fock_lindblad_path(displaced_rho, spec, [t_one], dt=args.fock_dt / spec.gamma)[0]
-    expected_mean = evolve_analytic(displaced_thermal(args.nbar_pi, args.mu), spec, t_one).alpha_mean
-    checks.append(
-        ("fock displaced-state mean decay", abs(fock_moments(evolved_rho)[0] - expected_mean), 1e-6)
-    )
-
-    quad_dev = 0.0
-    for state in _quadrature_states():
-        norm, energy, entropy = norm_energy_entropy(state, spec.omega)
-        quad_dev = max(
-            quad_dev,
-            abs(norm - 1.0),
-            abs(energy - mean_energy(state, spec)),
-            abs(entropy - wigner_entropy(state)),
-        )
-    checks.append(("quadrature norm/energy/entropy", quad_dev, 1e-6))
-
-    width = max(len(name) for name, _, _ in checks)
+    width = max(len(name) for name, _, _ in _CHECKS)
     failed = False
-    for name, dev, tol in checks:
+    for name, check, tol in _CHECKS:
+        dev = check(args, spec, seeds)
         ok = dev <= tol
         failed = failed or not ok
         print(f"{name:<{width}}  max deviation {dev:10.3e}  tolerance {tol:8.1e}  {'PASS' if ok else 'FAIL'}")

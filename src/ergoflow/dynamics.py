@@ -135,7 +135,9 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
     """Sample the relaxation of state0 on a dimensionless tau = gamma t grid.
 
     The grid must start at 0 and increase strictly.  Row 0's erg_v and
-    erg_theta equal ergotropy_split bit for bit; every record has
+    erg_theta equal ergotropy_split's of state0 and spec bit for bit (the
+    relaxation is exact at tau = 0, and the shared core uses only correctly
+    rounded operations); every record has
     e_state - e_passive = ergotropy and erg_v + erg_theta = ergotropy up to roundoff.
     Raises ValueError, as mean_energy does, where an energy exceeds float range.
     """

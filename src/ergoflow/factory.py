@@ -66,7 +66,10 @@ def _cosh_2r(r: float) -> float:
 
 
 def _squeezed_seed(f_pi: float, r: float) -> tuple:
-    """(V, |M|, lam) of squeeze(thermal_state(f_pi - 1/2), r) bit for bit; ValueError as there."""
+    """(V, |M|, lam) equal bit for bit to squeeze(thermal_state(f_pi - 1/2), r)'s; ValueError as there.
+
+    Both use only math, so they agree at any numpy CPU level.
+    """
     v = _cosh_2r(r) * f_pi
     if not math.isfinite(v * v):
         raise ValueError(f"squeezing r = {r} takes the moments beyond float range: V^2 overflows")

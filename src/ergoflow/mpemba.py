@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _relax, sample_trajectory
 from .factory import _cosh_2r, _squeezed_seed, displaced_thermal, squeezed_thermal
-from .states import SystemBathSpec, _check_energy, _work
+from .states import SystemBathSpec, _check_energy, _modulus, _work
 
 __all__ = [
     "NOTE_NO_PRECONDITION",
@@ -139,14 +139,14 @@ def _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=False, omega=1.0) -> 
 
     Otherwise the point is an error unless boundary_ok; r <= 0 seeds no
     squeezing.  Raises ValueError for non-finite values, negative
-    occupations, and seeds beyond float range (their V^2, |mu|^2,
+    occupations, and seeds beyond float range (their V^2, |mu|, |mu|^2,
     (nbar + 1/2)^2 or omega times an energy), as the states would.
     """
-    if any(not math.isfinite(v) for v in (r, abs(mu), nbar_pi, nbar)):
+    mu_abs, f = _modulus(mu, "mu"), nbar + 0.5
+    if any(not math.isfinite(v) for v in (r, mu_abs, nbar_pi, nbar)):
         raise ValueError("crossing parameters must be finite")
     if nbar_pi < 0.0 or nbar < 0.0:
         raise ValueError("occupations must be nonnegative")
-    mu_abs, f = abs(mu), nbar + 0.5
     if not (math.isfinite(mu_abs * mu_abs) and math.isfinite(f * f)):
         raise ValueError("crossing point exceeds float range: |mu|^2 or (nbar + 1/2)^2 overflows")
     v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))

@@ -26,13 +26,12 @@ commutes with complex conjugation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..states import SystemBathSpec
+from ..states import SystemBathSpec, _modulus
 from .lyapunov import _rk4_path
 
 __all__ = [
@@ -132,12 +131,12 @@ def fock_gaussian_state(
 ) -> FockDensityMatrix:
     """Thermal seed displaced then squeezed, as an explicit density matrix.
 
-    Raises ValueError, before anything is built, unless nbar_pi >= 0, mu,
+    Raises ValueError, before anything is built, unless nbar_pi >= 0, |mu|,
     r >= 0 and theta are finite and the cutoff dim is at least 1, and
     CutoffError when the top TAIL_LEVELS levels carry TAIL_TOL or more
     population, i.e. when dim is too small for the requested state.
     """
-    if not (math.isfinite(nbar_pi) and cmath.isfinite(mu) and math.isfinite(r) and math.isfinite(theta)):
+    if not all(math.isfinite(v) for v in (nbar_pi, _modulus(mu, "mu"), r, theta)):
         raise ValueError("nbar_pi, mu, r and theta must be finite")
     if nbar_pi < 0.0 or r < 0.0:
         raise ValueError("nbar_pi and r must be nonnegative")
@@ -214,20 +213,23 @@ def fock_lindblad_path(
     beyond tolerance raises instead of propagating.  The
     state at one time t is ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
     """
+    return list(_fock_records(rho0, spec, times, dt))
+
+
+def _fock_records(rho0, spec, times, dt):
+    """fock_lindblad_path's records, each yielded as soon as it is reached and validated."""
     dim = rho0.dim
     rows, cols = _bands(dim)
     lower, upper = rows * dim + cols, cols * dim + rows
     band = rho0.matrix.ravel()[lower]
     # the main diagonal is the first band
     band[:dim] = band[:dim].real
-    matrices = []
     for record in _rk4_path(_rhs_factory(dim, rows, cols, spec), band, dt, times):
         full = np.empty(dim * dim, dtype=complex)
         # conjugates first, so the diagonal keeps its stepped value
         full[upper] = record.conj()
         full[lower] = record
-        matrices.append(FockDensityMatrix(full.reshape(dim, dim)))
-    return matrices
+        yield FockDensityMatrix(full.reshape(dim, dim))
 
 
 def fock_ergotropy(rho: FockDensityMatrix, spec: SystemBathSpec) -> float:

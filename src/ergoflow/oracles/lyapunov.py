@@ -14,7 +14,9 @@ genuine cross-check.  rk4_moment_path is the one entry point, batched over
 initial states and recording raw moment arrays; the RK4 driver here also
 integrates the Fock oracle's master equation.  It steps in preallocated
 buffers that each right-hand side writes into, so a step allocates nothing,
-and its records equal those of the textbook RK4 step bit for bit.
+and its records equal bit for bit those of the textbook RK4 step written
+with the same numpy ufuncs and run in the same process (tests/helpers.py
+has both literal steppers).
 
 A step is some thirty ufunc calls on small arrays, so their per-call cost,
 not the arithmetic, sets its time.  numpy runs its fast contiguous loop
@@ -46,10 +48,10 @@ def _rk4_path(rhs, y0, dt, record_times):
     allocates nothing.  Each stage runs the ufuncs of y + 0.5*h*k1,
     y + 0.5*h*k2, y + h*k3 and y + (h/6)*(k1 + 2.0*k2 + 2.0*k3 + k4) in the
     same order on the same operands, so the records equal those of the
-    textbook step bit for bit.  The factors 0.5*h, h, h/6 and 2.0 are 0-d
-    arrays in y's dtype (the values numpy would convert the Python floats
-    to), made once for dt and once per shortened step; the module docstring
-    says why.
+    textbook step, run in the same process, bit for bit.  The factors 0.5*h,
+    h, h/6 and 2.0 are 0-d arrays in y's dtype (the values numpy would
+    convert the Python floats to), made once for dt and once per shortened
+    step; the module docstring says why.
 
     Each record time is reached by whole steps of dt while more than dt
     remains, then one shortened step when the remainder is not negligible.

@@ -10,7 +10,8 @@ The grid is integrated in blocks of _ROW_BLOCK rows: each block's
 integrands and their trapezoid sums along the rows are made while the
 block is in cache, and the outer trapezoid runs once over all the row
 sums.  Each row is reduced by the same contiguous pairwise sum as on the
-whole grid, so the results equal whole-grid sums bit for bit.
+whole grid, so the results equal whole-grid sums, formed with the same
+numpy in the same process, bit for bit.
 """
 
 from __future__ import annotations

@@ -122,8 +122,8 @@ def _state(alpha, variance, anomalous, lam=None) -> GaussianState:
     lam = V - |M| when None.  The moments must be finite, V real to
     VALIDATION_ATOL, at or above the vacuum floor, and det cov = lam (lam +
     2|M|) positive and at least 1/4 (to VALIDATION_ATOL); a failure raises
-    InvalidStateError.  Moments whose V^2 or |<a>|^2 is not a finite float
-    exceed float range and raise ValueError.
+    InvalidStateError.  Moments whose V^2, |<a>|^2 or |M| is not a finite
+    float exceed float range and raise ValueError.
     """
     alpha, variance, anomalous = complex(alpha), complex(variance), complex(anomalous)
     if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
@@ -133,10 +133,12 @@ def _state(alpha, variance, anomalous, lam=None) -> GaussianState:
     v = float(variance.real)
     if v < VACUUM_VARIANCE - VALIDATION_ATOL:
         raise InvalidStateError(f"variance {v} below the vacuum floor 1/2")
-    amplitude = abs(alpha)
+    try:
+        amplitude, m = abs(alpha), abs(anomalous)
+    except OverflowError:  # as in _modulus, inline since every state made passes here
+        raise ValueError("moments exceed float range: |<a>| or |M| overflows") from None
     if not (math.isfinite(v * v) and math.isfinite(amplitude * amplitude)):
         raise ValueError("moments exceed float range: V^2 or |<a>|^2 overflows")
-    m = abs(anomalous)
     lam = v - m if lam is None else lam
     det = lam * (lam + 2.0 * m)
     if det <= 0.0 or det < 0.25 - VALIDATION_ATOL:
@@ -185,6 +187,14 @@ def _check_energy(v, v_sq, omega: float, f: float) -> None:
     """
     if not math.isfinite(omega * max(v + v_sq, f)):
         raise ValueError("energy exceeds float range: omega (V + |<a>|^2) or omega f overflows")
+
+
+def _modulus(z: complex, name: str) -> float:
+    """|z| of a finite or infinite z; ValueError where it exceeds float range (abs raises OverflowError)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise ValueError(f"{name} exceeds float range: |{name}| overflows") from None
 
 
 def _moduli(state: GaussianState, spec: SystemBathSpec) -> tuple:
@@ -246,10 +256,17 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
         K = -1 + (1/2) [ ln(det_b / det_a) + Tr(cov_b^-1 cov_a)
                          + (v_a - v_b)+ cov_b^-1 (v_a - v_b) ].
 
-    Nonnegative, zero only for identical moments.  The -1 is folded into
+    Nonnegative, and 0.0 for identical moments.  The -1 is folded into
     the trace term, formed from quartered moment differences, and the
     shift's offset is scaled by a power of two, so no intermediate
     overflows where K is a float; a K beyond float range raises ValueError.
+
+    The absolute error is a few ulps of the largest term, 1 + |ln(det_b /
+    det_a)| / 2 + (V_b max(V_a, V_b) + |M_b| max(|M_a|, |M_b|) + (V_b +
+    |M_b|) |<a>_a - <a>_b|^2) / det_b: at most 2.3 ulps in 10^4 random pairs
+    against a 60-digit evaluation of the same moments.  So a K below that
+    reads 0.0 for distinct moments: squeezed_thermal(0.2, 1e-9) against its
+    passive state gives 0.0, where K is 8.9e-18.
     """
     va, ma, da = state_a.symmetric_variance, state_a.anomalous_variance, state_a.cov_det
     vb, mb, db = state_b.symmetric_variance, state_b.anomalous_variance, state_b.cov_det
@@ -299,7 +316,8 @@ def ergotropy_split(state: GaussianState, spec: SystemBathSpec) -> tuple[float, 
 
     Returns (omega |<a>|^2, omega |M|^2 / (V + f_pi)), the second being
     omega (V - f_pi) rationalised.  Both parts are nonnegative, sum to the
-    total ergotropy and equal row 0 of sample_trajectory bit for bit.
+    total ergotropy and equal the erg_v and erg_theta of row 0 of
+    sample_trajectory(state, spec, grid) bit for bit.
     """
     _, erg_v, erg_theta = _work(*_moduli(state, spec), spec.omega)
     return float(erg_v), float(erg_theta)

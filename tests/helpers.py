@@ -146,7 +146,7 @@ def literal_fock_path(matrix, spec, dt, record_times):
 
 def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=False):
     """The moment ODE stepped as written, dv/dt = L v and dC/dt = L C + C L+ + N,
-    with 2x2 matrix products and the same step and record rules as the oracle.
+    on (B, 2, 2) covariances, with the same step and record rules as the oracle.
 
     Returns (means, covs) shaped like rk4_moment_path's.  omit_gamma_in_noise
     drops the gamma of N = gamma f I, the fault the mutation tests inject.
@@ -154,12 +154,16 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
     drift = -0.5 * np.array(
         [[spec.gamma + 2j * spec.omega, 0.0], [0.0, spec.gamma - 2j * spec.omega]], dtype=complex
     )
-    drift_h = drift.conj().T
     prefactor = 1.0 if omit_gamma_in_noise else spec.gamma
     noise = prefactor * spec.f_beta * np.eye(2, dtype=complex)
+    # L is diagonal, so L C scales the rows of C and C L+ its columns.  Written
+    # as numpy's elementwise complex products, as the oracle forms them: a 2x2
+    # `@` runs in BLAS, which picks its own CPU kernels, so its last bit may
+    # differ from numpy's at a lower NPY_ENABLE_CPU_FEATURES level
+    rows, cols = drift.diagonal()[:, None], drift.diagonal().conj()
 
     def rhs(v, c):
-        return drift[0, 0] * v, drift @ c + c @ drift_h + noise
+        return drift[0, 0] * v, rows * c + c * cols + noise
 
     def step(v, c, h):
         k1v, k1c = rhs(v, c)

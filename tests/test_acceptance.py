@@ -173,14 +173,23 @@ class TestPropertySuites:
     CASES = 1000
 
     def test_route_equivalence(self):
+        # the paper's identity E_erg = omega f_pi K[W || W_passive] holds to an absolute
+        # error of a few ulps of the mean energy E, which sets the scale of K's terms:
+        # at most 8.5e-16 E over 20000 random states, each at t = 0, 0.3, 1 and 3,
+        # so the bound 1e-14 E has more than 10x headroom
         rng = rng_for("prop-routes")
         for _ in range(self.CASES):
-            state = random_state(rng)
+            state0 = random_state(rng)
             spec = random_spec(rng)
-            via_entropy = ergotropy(state, spec)
-            direct = mean_energy(state, spec) - spec.omega * passive_occupation(state)
-            assert abs(via_entropy - direct) <= 1e-12 * max(1.0, via_entropy)
-        _announce("property: relative-entropy route == energy-difference route (1000)")
+            for t in (0.0, 0.3, 1.0, 3.0):
+                state = evolve_analytic(state0, spec, t)
+                erg = ergotropy(state, spec)
+                f_pi = passive_occupation(state)
+                via_entropy = spec.omega * f_pi * relative_wigner_entropy(state, passive_state(state))
+                direct = mean_energy(state, spec) - spec.omega * f_pi
+                assert abs(via_entropy - erg) <= 1e-14 * mean_energy(state, spec)
+                assert abs(direct - erg) <= 1e-12 * max(1.0, erg)
+        _announce("property: relative-entropy route == energy-difference route == ergotropy (1000 x 4)")
 
     def test_split_equality(self):
         rng = rng_for("prop-split")

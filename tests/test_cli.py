@@ -1,10 +1,12 @@
 """Command-line surface: CSV schemas, determinism, config files, exit codes."""
 
+import dataclasses
 import functools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from ergoflow import (
     squeezed_thermal,
 )
 from ergoflow.cli import SWEEP_HEADER, TRAJECTORY_HEADER, parse_config_text
-from ergoflow.oracles import fock, lyapunov
+from ergoflow.oracles import fock, lyapunov, quadrature
 
 from helpers import literal_moment_path
 
@@ -209,6 +211,9 @@ class TestCrossing:
             ["crossing", "--r", "400"],
             ["simulate", "--family", "squeezed", "--r", "400"],
             ["simulate", "--family", "displaced", "--mu", "1e100", "--omega", "1e200"],
+            # |mu| itself overflows: each was an OverflowError traceback and exit 1
+            ["crossing", "--mu", "1.5e308+1.5e308j"],
+            ["simulate", "--family", "displaced", "--mu", "1.5e308+1.5e308j"],
         ],
     )
     def test_parameters_beyond_float_range_exit_2(self, argv):
@@ -408,6 +413,38 @@ class TestConfigFile:
         assert "cannot read config file" in err
 
 
+def _warmer(oracle):
+    """oracle(first, spec, ...) run against a bath 0.1 warmer than the one it is given."""
+
+    def wrong(first, spec, *args, **kwargs):
+        return oracle(first, dataclasses.replace(spec, nbar=spec.nbar + 0.1), *args, **kwargs)
+
+    return wrong
+
+
+# for each verify row, the oracle to replace and a wrong version of it made from the real one;
+# each is a fault that the row catches
+WRONG_ORACLES = {
+    # the reduced suite keeps gamma = 1, where only the randomized batch spec sees gamma dropped
+    "rk4 vs analytic moments": (
+        lyapunov, "rk4_moment_path", lambda real: functools.partial(literal_moment_path, omit_gamma_in_noise=True)
+    ),
+    "rk4 convergence order (|order - 4|)": (lyapunov, "convergence_order", lambda real: lambda *a: real(*a) - 0.5),
+    "rk4 stationary thermal state": (lyapunov, "rk4_moment_path", _warmer),
+    "fock vs gaussian ergotropy at tau=0": (
+        fock, "fock_gaussian_state", lambda real: lambda nbar_pi, *a, **k: real(nbar_pi + 0.01, *a, **k)
+    ),
+    "fock vs gaussian ergotropy on trajectory": (fock, "_fock_records", _warmer),
+    "fock thermal-state stationarity": (fock, "fock_lindblad_path", _warmer),
+    "fock displaced-state mean decay": (
+        fock, "fock_moments", lambda real: lambda rho: (1.001 * real(rho)[0], *real(rho)[1:])
+    ),
+    "quadrature norm/energy/entropy": (
+        quadrature, "norm_energy_entropy", lambda real: lambda state, omega: real(state, 1.001 * omega)
+    ),
+}
+
+
 class TestVerify:
     FAST = [
         "verify", "--states", "3", "--points", "2", "--cutoff", "40",
@@ -428,6 +465,35 @@ class TestVerify:
         code, out, _ = run(self.FAST, capsys)
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("row", [name for name, _, _ in cli._CHECKS])
+    def test_each_row_catches_a_wrong_oracle(self, capsys, monkeypatch, row):
+        module, name, make_wrong = WRONG_ORACLES[row]
+        monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
+        code, out, _ = run(self.FAST, capsys)
+        assert code == 1
+        [line] = [line for line in out.splitlines() if line.startswith(row)]
+        assert line.endswith("FAIL")
+        assert "verification FAILED" in out
+
+    def test_trajectory_memory_does_not_grow_with_points(self, capsys):
+        # each Fock record is reduced as it arrives, so 50 points peak where 5 do
+        # (1.70 and 1.72 MB traced); a verify that keeps its records peaks 45
+        # cutoff-80 matrices higher (2.2 and 6.9 MB)
+        args = self.FAST[:-2] + ["--states", "1", "--cutoff", "80", "--r", "0.8"]
+        # an untraced run first, so one-time allocations count in neither peak
+        assert cli.main(args) == 0
+        peaks = []
+        for points in ("5", "50"):
+            tracemalloc.start()
+            try:
+                assert cli.main(args + ["--points", points]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        matrix_bytes = 80 * 80 * 16
+        assert peaks[1] <= peaks[0] + 5 * matrix_bytes
 
     @pytest.mark.parametrize("flag", ["--states", "--points"])
     def test_empty_check_is_usage_error(self, capsys, flag):

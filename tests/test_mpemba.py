@@ -74,6 +74,7 @@ class TestClosedForm:
             (400.0, 1.0, 0.2, 0.4),  # cosh 2r overflows
             (200.0, 1.0, 0.2, 0.4),  # the seed's V^2 overflows
             (1.0, 1e200, 0.2, 0.4),  # |mu|^2 overflows
+            (1.0, complex(1.5e308, 1.5e308), 0.2, 0.4),  # |mu| overflows: was an OverflowError
             (1.0, 1.0, 1e300, 0.4),
             (1.0, 1.0, 0.2, 1e300),  # (nbar + 1/2)^2 overflows
         ],

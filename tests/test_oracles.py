@@ -287,6 +287,7 @@ class TestFockOracle:
             ((0.2, 0j, -0.5), "nonnegative"),
             ((0.2, 0j, 0.0, 0.0, 0), "cutoff"),  # was numpy's zero-size message
             ((0.2, 0j, 0.0, 0.0, -3), "cutoff"),
+            ((0.1, complex(1.5e308, 1.5e308), 0.0, 0.0, 10), "exceeds float range"),  # OverflowError
         ],
     )
     def test_invalid_seed_rejected(self, args, message):

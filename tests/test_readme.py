@@ -14,12 +14,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_quick_start_prints_quoted_outputs():
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## Quick start.*?```python\n(.*?)```", text, re.S).group(1)
-    # a print whose trailing comment is numbers quotes what it prints
+    # a print whose trailing comment is numbers, or True or False before a colon,
+    # quotes what it prints
     quoted = []
     for line in block.splitlines():
         code, _, comment = line.partition("#")
-        if code.startswith("print(") and re.fullmatch(r"[-+.eE\d ]+", comment.strip()):
-            quoted.append(comment.strip())
+        comment = comment.partition(":")[0].strip()
+        if code.startswith("print(") and re.fullmatch(r"[-+.eE\d ]+|True|False", comment):
+            quoted.append(comment)
         elif code.startswith("print("):
             quoted.append(None)
     out = io.StringIO()
@@ -28,7 +30,7 @@ def test_quick_start_prints_quoted_outputs():
     printed = out.getvalue().splitlines()
     assert len(printed) == len(quoted)
     checked = [(line, want) for line, want in zip(printed, quoted) if want is not None]
-    assert len(checked) == 2
+    assert len(checked) == 3
     for line, want in checked:
         assert line == want
 

@@ -95,6 +95,8 @@ class TestConstruction:
             (0, 1e300, 0.99e300),  # V^2 - |M|^2 is inf - inf
             (1e200, 0.7, 0),  # |<a>|^2 overflows
             (complex(1e154, 1e154), 0.7, 0),  # only the modulus overflows when squared
+            (complex(1.5e308, 1.5e308), 0.7, 0),  # |<a>| itself overflows: was an OverflowError
+            (0, 1.0, complex(1.5e308, 1.5e308)),  # |M| itself overflows: likewise
         ],
     )
     def test_moments_beyond_float_range(self, alpha, variance, anomalous):
