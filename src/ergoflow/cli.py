@@ -279,14 +279,19 @@ def _moment_deviation(mean, cov, state) -> float:
     return max(float(np.max(np.abs(cov - state.cov))), abs(complex(mean) - state.alpha_mean))
 
 
+# the RK4 batch's randomized omega and gamma ranges: gamma is bounded away from 1
+# so a wrong noise prefactor cannot hide behind gamma = 1
+_BATCH_OMEGA, _BATCH_GAMMA = (0.5, 2.0), (1.25, 2.0)
+# the tau steps of the RK4 convergence-order probe
+_ORDER_DTS = (0.04, 0.02, 0.01)
+
+
 def _rk4_batch(args, spec, seeds):
     from .oracles.lyapunov import rk4_moment_path
     rng = np.random.default_rng(args.seed)
     states = [random_state(rng) for _ in range(args.states)]
-    # the spec is randomized with gamma bounded away from 1 so a wrong noise
-    # prefactor cannot hide behind gamma = 1
     batch_spec = SystemBathSpec(
-        omega=rng.uniform(0.5, 2.0), gamma=rng.uniform(1.25, 2.0), nbar=rng.uniform(0.0, 2.0)
+        omega=rng.uniform(*_BATCH_OMEGA), gamma=rng.uniform(*_BATCH_GAMMA), nbar=rng.uniform(0.0, 2.0)
     )
     times = [float(t) for t in np.linspace(0.5, 5.0, 10) / batch_spec.gamma]
     means, covs = rk4_moment_path(states, batch_spec, args.rk4_dt / batch_spec.gamma, times)
@@ -300,7 +305,7 @@ def _rk4_batch(args, spec, seeds):
 def _rk4_order(args, spec, seeds):
     from .oracles.lyapunov import convergence_order
     probe = squeezed_displaced_thermal(0.2, 0.8, SqueezingParameter(1.0, 0.3))
-    dts = [dt / spec.gamma for dt in (0.04, 0.02, 0.01)]
+    dts = [dt / spec.gamma for dt in _ORDER_DTS]
     return abs(convergence_order(probe, spec, 1.0 / spec.gamma, dts) - 4.0)
 
 
@@ -370,6 +375,35 @@ _CHECKS = (
 )
 
 
+def _check_rk4_steps(args, spec):
+    """Raise CliError, naming the flag, for the first RK4 step verify takes outside RK4's stability region.
+
+    A step of tau length dt is stable when |R(dt rate)| <= 1 for every rate
+    (in tau units) of the ODE it steps, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    (lyapunov._rk4_stable).  The moment ODE's rates are -(1/2 + i omega/gamma),
+    -1 and -(1 +- 2i omega/gamma); the Fock master equation's are
+    -i (omega/gamma) d plus real rates that grow with the cutoff and nbar
+    (fock._rhs_rates).  The largest step of each ODE decides, since the
+    region is star-shaped about 0, and so does the batch's largest omega /
+    gamma, since each vertical section of the region is one interval.
+    """
+    from .oracles.fock import _rhs_rates
+    from .oracles.lyapunov import _moment_rates, _rk4_stable
+
+    moments = _moment_rates(spec)
+    batch = _moment_rates(SystemBathSpec(omega=_BATCH_OMEGA[1], gamma=_BATCH_GAMMA[0]))
+    fock = _rhs_rates(args.cutoff, spec)
+    at = f"at omega / gamma = {spec.omega / spec.gamma:g}"
+    for flag, dt, rates, ode in (
+        ("--omega / --gamma", _ORDER_DTS[0], moments, f"the convergence-order probe's moment ODE {at}"),
+        ("--rk4-dt", args.rk4_dt, moments, f"the moment ODE {at}"),
+        ("--rk4-dt", args.rk4_dt, batch, "the randomized moment batch"),
+        ("--fock-dt", args.fock_dt, fock, f"the cutoff-{args.cutoff} master equation {at}"),
+    ):
+        if not _rk4_stable(dt, rates):
+            raise CliError(f"{flag}: the RK4 tau step {dt:g} on {ode} leaves RK4's stability region")
+
+
 def cmd_verify(args) -> int:
     from .oracles.fock import CutoffError, fock_gaussian_state
 
@@ -397,6 +431,8 @@ def cmd_verify(args) -> int:
         )
     except CutoffError as err:
         raise CliError(str(err), code=1) from err
+    # after the seeds, so a bath too warm for the cutoff is reported as that
+    _check_rk4_steps(args, spec)
     width = max(len(name) for name, _, _ in _CHECKS)
     failed = False
     for name, check, tol in _CHECKS:

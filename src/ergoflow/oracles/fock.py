@@ -133,8 +133,9 @@ def fock_gaussian_state(
 
     Raises ValueError, before anything is built, unless nbar_pi >= 0, |mu|,
     r >= 0 and theta are finite and the cutoff dim is at least 1, and
-    CutoffError when the top TAIL_LEVELS levels carry TAIL_TOL or more
-    population, i.e. when dim is too small for the requested state.
+    CutoffError when the top TAIL_LEVELS levels, together with the thermal
+    seed's population beyond the cutoff, carry TAIL_TOL or more population,
+    i.e. when dim is too small for the requested state.
     """
     if not all(math.isfinite(v) for v in (nbar_pi, _modulus(mu, "mu"), r, theta)):
         raise ValueError("nbar_pi, mu, r and theta must be finite")
@@ -155,11 +156,12 @@ def fock_gaussian_state(
     upper = np.triu_indices(dim, 1)
     rho[upper] = rho.T[upper].conj()
     np.fill_diagonal(rho, rho.diagonal().real)
-    tail = float(np.sum(np.diag(rho)[dim - TAIL_LEVELS :]).real)
+    # the seed's thermal levels beyond the cutoff, ratio^dim of its population, never enter rho
+    tail = float(np.sum(np.diag(rho)[dim - TAIL_LEVELS :]).real) + ratio ** dim
     if tail >= TAIL_TOL:
         raise CutoffError(
-            f"top {TAIL_LEVELS} levels hold population {tail:.3e} >= {TAIL_TOL:.0e}; "
-            f"increase the cutoff beyond {dim}"
+            f"top {TAIL_LEVELS} levels and the levels beyond the cutoff hold population "
+            f"{tail:.3e} >= {TAIL_TOL:.0e}; increase the cutoff beyond {dim}"
         )
     return FockDensityMatrix(rho)
 
@@ -196,6 +198,29 @@ def _rhs_factory(dim: int, rows, cols, spec: SystemBathSpec):
         add(upper, mul(up_w, rho[:size], jump), upper)
 
     return rhs
+
+
+def _rhs_rates(dim: int, spec: SystemBathSpec) -> np.ndarray:
+    """The eigenvalues of _rhs_factory's master equation in tau units (over gamma), band by band.
+
+    Band d evolves alone, as -i (omega / gamma) d plus a real tridiagonal
+    matrix whose jumps up and down between neighbouring entries weigh nbar
+    and 1 + nbar times sqrt((j + 1)(k + 1)).  Each such pair multiplies to a
+    nonnegative number, so the matrix is similar to the symmetric one with
+    the pair's geometric mean off the diagonal, and its eigenvalues are real.
+    """
+    rows, cols = _bands(dim)
+    j, k = rows.astype(float), cols.astype(float)
+    diagonal = -(0.5 + spec.nbar) * (j + k) - spec.nbar
+    # the geometric mean of each pair of jumps, stored at the pair's lower entry
+    coupling = np.sqrt(spec.nbar * (1.0 + spec.nbar) * (j + 1.0) * (k + 1.0))
+    rates, start = [], 0
+    for d in range(dim):
+        stop = start + dim - d
+        band = np.diag(diagonal[start:stop]) + np.diag(coupling[start:stop - 1], 1)
+        rates.append(np.linalg.eigvalsh(band, UPLO="U") - 1j * (spec.omega / spec.gamma) * d)
+        start = stop
+    return np.concatenate(rates)
 
 
 def fock_lindblad_path(

@@ -101,6 +101,45 @@ def _rk4_path(rhs, y0, dt, record_times):
     return records()
 
 
+def _rk4_stable(dt, rates) -> bool:
+    """Whether an RK4 step dt keeps every mode y' = rate y of a linear ODE from growing.
+
+    A step multiplies such a mode by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
+    z = dt rate, so the step is stable when |R(z)| <= 1 at every rate.  That
+    region crosses the real axis near -2.785 and the imaginary axis at
+    +-2 sqrt(2) i; in the left half-plane it is star-shaped about 0, so
+    shorter steps on the same rates stay inside it.  A z that overflows or
+    is not a number counts as unstable.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = dt * np.asarray(rates, dtype=complex)
+        growth = np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
+    return bool(np.all(growth <= 1.0))
+
+
+def _coefficients(spec: SystemBathSpec):
+    """(left, right) of one state's (v, C00, C01, C10, C11): dy/dt = left y + y right + forcing.
+
+    L = diag(l0, l1), so dv/dt = l0 v and (L C + C L+)_jk = l_j C_jk + C_jk conj(l_k).
+    """
+    l0 = -0.5 * (spec.gamma + 2j * spec.omega)
+    l1 = -0.5 * (spec.gamma - 2j * spec.omega)
+    left = np.array([l0, l0, l0, l1, l1])
+    right = np.array([0.0, l0.conjugate(), l1.conjugate(), l0.conjugate(), l1.conjugate()])
+    return left, right
+
+
+def _moment_rates(spec: SystemBathSpec) -> np.ndarray:
+    """The rates of the moment ODE's five entries in tau units (over gamma): each entry evolves alone.
+
+    A rate beyond float range comes out infinite or NaN (C00's is inf - inf
+    where 2 omega overflows), which _rk4_stable counts as unstable.
+    """
+    left, right = _coefficients(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (left + right) / spec.gamma
+
+
 def rk4_moment_path(
     states: Sequence[GaussianState],
     spec: SystemBathSpec,
@@ -127,14 +166,10 @@ def rk4_moment_path(
     # (v, C00, C01, C10, C11) per state, raveled so every operand is 1-D
     y0 = np.array([(s.alpha_mean, *s.cov.ravel()) for s in states], dtype=complex).ravel()
     batch = y0.size // 5
-    # L = diag(l0, l1), so dv/dt = l0 v and (L C + C L+)_jk = l_j C_jk + C_jk conj(l_k)
-    l0 = -0.5 * (spec.gamma + 2j * spec.omega)
-    l1 = -0.5 * (spec.gamma - 2j * spec.omega)
     # the stationary covariance f I forces the noise prefactor gamma
     noise = spec.gamma * spec.f_beta
     # one copy of the five coefficients per state, shaped like y
-    left = np.tile([l0, l0, l0, l1, l1], batch)
-    right = np.tile([0.0, l0.conjugate(), l1.conjugate(), l0.conjugate(), l1.conjugate()], batch)
+    left, right = (np.tile(c, batch) for c in _coefficients(spec))
     forcing = np.tile(np.array([0.0, noise, 0.0, 0.0, noise], dtype=complex), batch)
 
     mul, add = np.multiply, np.add

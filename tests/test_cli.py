@@ -564,6 +564,42 @@ class TestVerify:
         assert code == 1
         assert "increase the cutoff" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--nbar", "1e10", "--r", "0.1"],  # the bath's thermal seed; was exit 2, a trace ValueError
+            ["--nbar-pi", "1e10"],  # the squeezed and displaced seeds
+        ],
+    )
+    def test_thin_thermal_tail_is_an_inadequate_cutoff(self, capsys, extra):
+        # 1e10 quanta spread over far more than 40 levels: the top levels hold
+        # little, but all but 4e-9 of the population lies beyond the cutoff
+        code, out, err = run(self.FAST + extra, capsys)
+        assert code == 1
+        assert "increase the cutoff" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--omega", "1e6"], "--omega"),  # was an ArithmeticError traceback, exit 1
+            (["--gamma", "1e-300"], "--gamma"),  # the same
+            (["--omega", "100"], "--omega"),  # was exit 2 on a non-finite Fock record, after four rows
+            (["--rk4-dt", "2"], "--rk4-dt"),
+            (["--fock-dt", "0.2"], "--fock-dt"),
+        ],
+    )
+    def test_step_outside_rk4_stability_is_usage_error(self, capsys, monkeypatch, extra, flag):
+        def refuse(*args, **kwargs):
+            pytest.fail("verify integrated an unstable step")
+
+        monkeypatch.setattr(lyapunov, "_rk4_path", refuse)
+        monkeypatch.setattr(fock, "_rk4_path", refuse)
+        code, out, err = run(self.FAST + extra, capsys)
+        assert code == 2
+        assert flag in err and "stability region" in err
+        assert out == ""
+
 
 # Makes every scipy import fail in the interpreter that runs it.
 BLOCK_SCIPY = """

@@ -1,6 +1,7 @@
 """Crossing times, equal-charge amplitudes, sweeps, and the discharge demo."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,104 @@ class TestNumericOracle:
         # without a crossing, the scan reaches the end of the window
         assert crossing_time_numeric(1.0, 1.5, 0.2, 0.4) is None
         assert sum(samples) >= window
+
+    def test_scan_sign_matches_the_gap_sign(self):
+        # the scan takes g > 0 as erg_s > erg_d; the two agree on ties, signed
+        # zeros, subnormals, the largest floats and random bit patterns
+        tiny, huge = 5e-324, sys.float_info.max
+        special = [0.0, -0.0, tiny, -tiny, 1e-310, sys.float_info.min, 1.0, math.nextafter(1.0, 2.0)]
+        special += [huge, math.nextafter(huge, 0.0), -huge, math.inf, -math.inf, math.nan]
+        bits = rng_for("gap sign").integers(0, 2**64, 4000, dtype=np.uint64)
+        values = np.concatenate([special, bits.view(float)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            erg_s, erg_d = values[:, None], np.concatenate([values, values[:200] * (1.0 + 2.0**-52)])[None, :]
+            assert np.array_equal(erg_s > erg_d, (erg_s - erg_d) > 0.0)
+
+    @pytest.mark.parametrize("tau_max", [mpemba._TAU_MAX, 7.305])
+    def test_scan_significance_only_at_flips(self, monkeypatch, tau_max):
+        # synthetic charges with a chosen gap at every scan sample (linear between
+        # samples): point i's first moment is i, and its gap is gaps[i] in units of
+        # its charge scales[i]; 1e-14 is noise, 1e-3 is significant, and charges
+        # of 1e-310 lie below the smallest normal float; every gap starts at 1e-3,
+        # clear of the equal-charge rule at tau = 0
+        step, noise, big = mpemba._SCAN_STEP, 1e-14, 1e-3
+        taus = np.arange(math.ceil(tau_max / step) + 1) * step
+        taus = np.append(taus[taus < tau_max], tau_max)
+        decay, n = np.exp(-taus), taus.size
+        chatter = noise * (-1.0) ** (np.arange(n) + 1)  # +noise at odd samples
+
+        def crossing(k):
+            """g > 0 up to sample k and < 0 after it, significant on both sides"""
+            return big * (k + 0.5 - np.arange(n))
+
+        gaps, scales, omegas = [], [], []
+
+        def point(gap, scale=1.0, omega=1.0):
+            gaps.append(gap)
+            scales.append(np.broadcast_to(scale, n))
+            omegas.append(omega)
+
+        edge = mpemba._MIN_CHUNK - 1  # the sample the first two chunks share
+        # noise flips before the first significant flip, in its chunk and in earlier chunks
+        for chatter_end, k in ((19, 40), (199, 500), (999, 2000), (edge, edge + 5)):
+            point(np.where(np.arange(n) <= chatter_end, chatter, crossing(k)))
+        # sign changes at the shared sample: g = 0 there, or a flip on either side of it
+        for values, tail in (([big, 0.0, -big], -big), ([big, big, -big], -big), ([big, -big, -big], -big),
+                             ([noise, -noise, -big], -big), ([big, noise, -noise], big),
+                             ([-noise, noise, -noise], -big)):
+            gap = np.where(np.arange(n) < edge, big, tail)
+            gap[edge - 1:edge + 2] = values
+            point(gap)
+        # noise that chatters until the window ends, and charges that underflow and chatter
+        point(chatter)
+        underflowed = (np.arange(n) >= 100) & (np.arange(n) <= 300)
+        flips = big * (-1.0) ** np.arange(n)  # +big at even samples, from sample 100 on
+        point(np.where(np.arange(n) < 100, big, flips), np.where(np.arange(n) < 100, 1.0, 1e-310))
+        point(np.where(underflowed, flips, crossing(700)), np.where(underflowed, 1e-310, 1.0))
+        # random noise, zero and significant values around the shared sample
+        rng = rng_for("flip significance")
+        for _ in range(12):
+            gap = crossing(900)
+            gap[edge - 4:edge + 5] = rng.choice([big, -big, noise, -noise, 0.0], 9)
+            point(gap)
+        # charges of 1e-300 are resolved at omega = 1 and not at omega = 1e10,
+        # whose charges must reach 1e10 times the smallest normal float
+        point(crossing(edge + 20), 1e-300)
+        point(crossing(edge + 20), 1e-300, 1e10)
+        gaps, scales = np.array(gaps), np.array(scales)
+        gaps[:, 0] = big
+
+        def charges(x, ident, *_):
+            ident = np.asarray(ident).astype(int)
+            # a scan sample is an entry of decay; a bisection midpoint lies between two
+            j = np.searchsorted(-decay, -np.asarray(x))
+            exact = decay[np.minimum(j, n - 1)] == x
+            lo, hi = np.maximum(j - 1, 0), np.minimum(j, n - 1)
+            t = np.where(exact, 1.0, (-np.log(x) - taus[lo]) / (taus[hi] - taus[lo] + exact))
+
+            def between(table):
+                at_lo, at_hi = table[ident, lo], table[ident, hi]
+                return np.where(exact, at_hi, at_lo + t * (at_hi - at_lo))
+
+            scale = between(scales)
+            return scale * (1.0 + between(gaps)), scale
+
+        monkeypatch.setattr(mpemba, "_charges", charges)
+        seeds = [(float(i), 0.0, 0.0, 0.0, omega) for i, omega in enumerate(omegas)]
+        times = mpemba._numeric_crossings(seeds, tau_max, step)
+        assert times == literal_crossing_scan(seeds, tau_max, step)
+        # each first significant flip is where it was placed, between samples k and k + 1;
+        # a lone noise flip is not a crossing, and neither is noise to the window's end
+        placed = [40, 500, 2000, edge + 5, edge - 1, edge, edge - 1, None, edge + 1, edge - 2]
+        placed += [None, None, 700] + [...] * 12 + [edge + 20, None]  # ... for the random points
+        assert len(placed) == len(times)
+        for found, k in zip(times, placed):
+            if k is ...:
+                continue
+            if k is None or k > n - 2:
+                assert found is None
+            else:
+                assert taus[k] < found < taus[k + 1]
 
     def test_scaling_invariance(self):
         # tau_c is a function of tau = gamma t only; omega never enters

@@ -20,7 +20,7 @@ from ergoflow import (
     thermal_state,
     wigner_entropy,
 )
-from ergoflow.oracles import quadrature
+from ergoflow.oracles import fock, lyapunov, quadrature
 from ergoflow.oracles.fock import (
     HERMITICITY_ATOL,
     CutoffError,
@@ -212,6 +212,30 @@ class TestLyapunovRK4:
         with pytest.raises(ArithmeticError):
             rk4_moment_path([state], SPEC, 5.0, [2000.0])
 
+    def test_stability_region_is_where_one_step_does_not_grow(self):
+        # one step of y' = z y from y = 1 gives R(z); the region |R| <= 1 crosses
+        # the imaginary axis at +-2 sqrt(2) i and the real axis near -2.785
+        zs = [x + 1j * y for x in np.linspace(-3.0, 0.0, 31) for y in np.linspace(-3.0, 3.0, 61)]
+        zs = [z for z in zs if z.real < 0.0] + [2.82j, -2.82j, 2.83j, -2.78, -2.79]
+        for z in zs:
+            rate = np.array(z)
+            [y] = _rk4_path(lambda y, out, _: np.multiply(rate, y, out), np.array([1.0 + 0j]), 1.0, [1.0])
+            assert lyapunov._rk4_stable(1.0, [z]) == (abs(y[0]) <= 1.0), z
+        assert lyapunov._rk4_stable(1.0, [2.82j, -2.78, -1.0 - 2.0j, 0.0])
+        assert not lyapunov._rk4_stable(1.0, [-1.0, 2.83j])
+        # overflowing or non-finite steps count as unstable, without a warning
+        for dt, z in ((1e300, 1e300j), (1.0, complex(math.nan, 0.0)), (1.0, complex(-math.inf, 0.0))):
+            assert not lyapunov._rk4_stable(dt, [z])
+
+    def test_moment_rates(self):
+        # the mean decays at gamma/2 + i omega, C00 and C11 at gamma, C01 and C10 at gamma +- 2i omega
+        spec = SystemBathSpec(omega=3.0, gamma=2.0, nbar=0.4)
+        expected = [-0.5 - 1.5j, -1.0, -1.0 - 3.0j, -1.0 + 3.0j, -1.0]
+        assert np.allclose(lyapunov._moment_rates(spec), expected, rtol=1e-15, atol=0.0)
+        # in tau units, so a tiny gamma gives huge rates, not an overflow
+        rates = lyapunov._moment_rates(SystemBathSpec(omega=1.0, gamma=1e-300, nbar=0.4))
+        assert np.allclose(rates, [-0.5 - 1e300j, -1.0, -1.0 - 2e300j, -1.0 + 2e300j, -1.0], rtol=1e-15)
+
 
 class TestFockOracle:
     def test_operator_algebra(self):
@@ -275,6 +299,32 @@ class TestFockOracle:
     def test_cutoff_inadequacy_is_loud(self):
         with pytest.raises(CutoffError):
             fock_gaussian_state(0.2, 0j, 1.0, 0.0, dim=10)
+
+    @pytest.mark.parametrize("args", [(1e10,), (1e10, 0j, 0.1), (1e10, 0.5 + 0j)])
+    def test_thin_thermal_tail_is_a_cutoff_error(self, args):
+        # 1e10 quanta over 40 levels: the top levels hold about 1e-10 each, and all
+        # but 4e-9 of the population lies beyond the cutoff; was a trace ValueError
+        with pytest.raises(CutoffError, match="increase the cutoff"):
+            fock_gaussian_state(*args, dim=40)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.4, 3.0])
+    def test_rhs_rates_are_the_eigenvalues_of_the_stepped_master_equation(self, nbar):
+        dim = 7
+        spec = SystemBathSpec(omega=1.7, gamma=0.6, nbar=nbar)
+        rows, cols = fock._bands(dim)
+        rhs = fock._rhs_factory(dim, rows, cols, spec)
+        # the right-hand side's matrix on the band vector, column by column
+        columns = []
+        for unit in np.eye(rows.size, dtype=complex):
+            out = np.empty_like(unit)
+            rhs(unit, out, np.empty_like(unit))
+            columns.append(out)
+        expected = np.linalg.eigvals(np.array(columns).T) / spec.gamma
+        rates = fock._rhs_rates(dim, spec)
+        assert rates.shape == expected.shape
+        # match each eigenvalue to its nearest rate
+        assert max(np.min(np.abs(rates - z)) for z in expected) <= 1e-9 * np.max(np.abs(expected))
+        assert max(np.min(np.abs(expected - z)) for z in rates) <= 1e-9 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize(
         "args, message",
