@@ -237,6 +237,10 @@ def fock_lindblad_path(
     reached, and revalidated for trace and positivity, so integrator drift
     beyond tolerance raises instead of propagating.  The
     state at one time t is ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
+
+    Raises ValueError for a dt that is not finite and positive, for times
+    that are negative, not finite or decreasing, when the path overflows and
+    when a record breaches a FockDensityMatrix tolerance.
     """
     return list(_fock_records(rho0, spec, times, dt))
 

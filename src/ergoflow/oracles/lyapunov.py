@@ -53,10 +53,13 @@ def _rk4_path(rhs, y0, dt, record_times):
     convert the Python floats to), made once for dt and once per shortened
     step; the module docstring says why.
 
-    Each record time is reached by whole steps of dt while more than dt
-    remains, then one shortened step when the remainder is not negligible.
-    The arguments are checked at once and each record is yielded when it is
-    reached.  The moment and Fock oracles both integrate through this driver.
+    Each record time is reached by whole steps of dt while more than
+    dt (1 + 1e-9) remains, then one shortened step when more than 1e-9 dt
+    remains; both tolerances are in units of dt, so the records do not
+    depend on the time scale.  The arguments are checked at once, each
+    record is yielded when it is reached, and the first record that is not
+    finite raises ValueError.  The moment and Fock oracles both integrate
+    through this driver.
     """
     if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError("dt must be finite and positive")
@@ -89,12 +92,16 @@ def _rk4_path(rhs, y0, dt, record_times):
     def records():
         t_now = 0.0
         for target in record_times:
-            while target - t_now > dt * (1.0 + 1e-9):
-                step(*whole)
-                t_now += dt
-            remainder = target - t_now
-            if remainder > 1e-14 * max(1.0, target):
-                step(*factors(remainder))
+            # not across the yield, where the caller's code runs
+            with np.errstate(over="ignore", invalid="ignore"):
+                while target - t_now > dt * (1.0 + 1e-9):
+                    step(*whole)
+                    t_now += dt
+                remainder = target - t_now
+                if remainder > 1e-9 * dt:
+                    step(*factors(remainder))
+            if not np.all(np.isfinite(y)):
+                raise ValueError(f"RK4 overflowed before t = {target:g}; reduce the step size")
             t_now = target
             yield y.copy()
 
@@ -162,6 +169,10 @@ def rk4_moment_path(
     -------
     (means, covs):
         Complex arrays of shapes (T, B) and (T, B, 2, 2); T may be 0.
+
+    Raises ValueError, before stepping, for a dt that is not finite and
+    positive, for record times that are not as above, and for a dt outside
+    RK4's stability region on spec's rates; and when the moments overflow.
     """
     # (v, C00, C01, C10, C11) per state, raveled so every operand is 1-D
     y0 = np.array([(s.alpha_mean, *s.cov.ravel()) for s in states], dtype=complex).ravel()
@@ -177,13 +188,12 @@ def rk4_moment_path(
     def rhs(y, out, scratch):
         add(add(mul(left, y, out), mul(y, right, scratch), out), forcing, out)
 
-    # divergence is reported via the finiteness check below, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        path = list(_rk4_path(rhs, y0, dt, record_times))
+    steps = _rk4_path(rhs, y0, dt, record_times)  # checks dt before the stability test reads it
+    if not _rk4_stable(dt * spec.gamma, _moment_rates(spec)):
+        raise ValueError(f"the RK4 step {dt:g} leaves RK4's stability region; reduce the step size")
+    path = list(steps)
     shape = (len(path), batch, 5)
     records = np.stack(path).reshape(shape) if path else np.empty(shape, dtype=complex)
-    if not np.all(np.isfinite(records)):
-        raise ArithmeticError("RK4 moments overflowed; reduce the step size")
     return records[:, :, 0], records[:, :, 1:].reshape(*records.shape[:2], 2, 2)
 
 

@@ -104,6 +104,23 @@ def relative_error(value: float, reference: Decimal) -> float:
         return float(abs(Decimal(float(value)) - reference) / abs(reference))
 
 
+def _literal_records(step, state, dt, record_times):
+    """The oracle's record rule: whole steps of dt while more than dt (1 + 1e-9) remains,
+    then one shortened step when more than 1e-9 dt remains; yields the state at each time.
+
+    step(state, h) returns the state one RK4 step h later, as a new object."""
+    t_now = 0.0
+    for target in record_times:
+        while target - t_now > dt * (1.0 + 1e-9):
+            state = step(state, dt)
+            t_now += dt
+        remainder = target - t_now
+        if remainder > 1e-9 * dt:
+            state = step(state, remainder)
+        t_now = target
+        yield state
+
+
 def literal_fock_path(matrix, spec, dt, record_times):
     """The truncated-Fock master equation stepped on the 2-D matrix with shifted 2-D slices,
     with the same step and record rules as the oracle; returns the (T, N, N) records."""
@@ -129,19 +146,7 @@ def literal_fock_path(matrix, spec, dt, record_times):
         k4 = rhs(rho + h * k3)
         return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    rho = np.array(matrix, dtype=complex)
-    records = []
-    t_now = 0.0
-    for target in record_times:
-        while target - t_now > dt * (1.0 + 1e-9):
-            rho = step(rho, dt)
-            t_now += dt
-        remainder = target - t_now
-        if remainder > 1e-14 * max(1.0, target):
-            rho = step(rho, remainder)
-        t_now = target
-        records.append(rho.copy())
-    return np.stack(records)
+    return np.stack(list(_literal_records(step, np.array(matrix, dtype=complex), dt, record_times)))
 
 
 def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=False):
@@ -165,7 +170,8 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
     def rhs(v, c):
         return drift[0, 0] * v, rows * c + c * cols + noise
 
-    def step(v, c, h):
+    def step(state, h):
+        v, c = state
         k1v, k1c = rhs(v, c)
         k2v, k2c = rhs(v + 0.5 * h * k1v, c + 0.5 * h * k1c)
         k3v, k3c = rhs(v + 0.5 * h * k2v, c + 0.5 * h * k2c)
@@ -177,19 +183,8 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
 
     v = np.array([s.alpha_mean for s in states], dtype=complex)
     c = np.stack([s.cov for s in states]).astype(complex)
-    rec_v, rec_c = [], []
-    t_now = 0.0
-    for target in record_times:
-        while target - t_now > dt * (1.0 + 1e-9):
-            v, c = step(v, c, dt)
-            t_now += dt
-        remainder = target - t_now
-        if remainder > 1e-14 * max(1.0, target):
-            v, c = step(v, c, remainder)
-        t_now = target
-        rec_v.append(v.copy())
-        rec_c.append(c.copy())
-    return np.stack(rec_v), np.stack(rec_c)
+    records = list(_literal_records(step, (v, c), dt, record_times))
+    return np.stack([v for v, _ in records]), np.stack([c for _, c in records])
 
 
 def literal_bisect(lo, hi, lo_positive, moments):

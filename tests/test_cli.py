@@ -392,6 +392,27 @@ class TestConfigFile:
         assert code == 0
         assert out == off != on
 
+    @pytest.mark.parametrize("spelling", ["--conf", "--c", "--conf="])
+    def test_abbreviated_config_is_read(self, tmp_path, capsys, spelling):
+        # argparse takes any unambiguous prefix of --config; each one reads the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = squeezed\nr = 1.0\nnbar-pi = 0.2\n")
+        flags = ["--tmax", "0.02", "--dt", "0.01"]
+        _, full, _ = run(["simulate", "--config", str(cfg), *flags], capsys)
+        path = [spelling + str(cfg)] if spelling.endswith("=") else [spelling, str(cfg)]
+        code, out, _ = run(["simulate", *path, *flags], capsys)
+        assert code == 0
+        assert out == full
+
+    def test_ambiguous_config_prefix_is_usage_error(self, tmp_path, capsys):
+        # in verify, --c is a prefix of --config and of --cutoff
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = 2\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--c", str(cfg)])
+        assert excinfo.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family = thermal\nabsolute-time\n")
@@ -475,6 +496,18 @@ class TestVerify:
         [line] = [line for line in out.splitlines() if line.startswith(row)]
         assert line.endswith("FAIL")
         assert "verification FAILED" in out
+
+    def test_oracle_error_inside_a_check_is_a_fail_row(self, capsys):
+        # the Fock step is stable at omega = 35 but too coarse: a trajectory record
+        # loses positivity, which is a breach of that row, not a usage error
+        code, out, err = run(self.FAST + ["--omega", "35"], capsys)
+        assert code == 1
+        rows = {name: line for line in out.splitlines() for name, _, _ in cli._CHECKS if line.startswith(name)}
+        assert len(rows) == len(cli._CHECKS)
+        assert rows["fock vs gaussian ergotropy on trajectory"].endswith("FAIL")
+        assert rows["quadrature norm/energy/entropy"].endswith("PASS")
+        assert "verification FAILED" in out
+        assert "negativity" in err
 
     def test_trajectory_memory_does_not_grow_with_points(self, capsys):
         # each Fock record is reduced as it arrives, so 50 points peak where 5 do

@@ -80,6 +80,35 @@ class TestRK4Driver:
         with pytest.raises(ValueError):
             _rk4_path(lambda y, out, _: np.negative(y, out=out), np.ones(1), 0.1, times)
 
+    @pytest.mark.parametrize("s", [-300, -100, 100, 300])
+    def test_records_are_free_of_the_time_scale(self, s):
+        # y' = rate y + forcing with rate and forcing times 2^s, stepped by dt times
+        # 2^-s to times 2^-s: every product the step forms is scaled by an exact power
+        # of two, so the records are unchanged as long as the record rule reads times
+        # only relative to dt (an absolute floor on the shortened step would drop them at s > 0)
+        rate, forcing = np.array([-0.5 - 1.3j, -2.0 + 0.25j]), np.array([0.2 + 0.1j, -0.7j])
+        times = [0.0, 0.05, 0.25, 0.25, 0.3, 1.0]
+
+        def path(scale):
+            def rhs(y, out, _):
+                np.add(np.multiply(rate * scale, y, out), forcing * scale, out)
+
+            return list(_rk4_path(rhs, np.array([1.0 + 0.5j, -0.25j]), 0.1 / scale, [t / scale for t in times]))
+
+        for scaled, plain in zip(path(2.0 ** s), path(1.0), strict=True):
+            assert np.array_equal(scaled, plain)
+
+    def test_overflow_is_a_value_error_at_the_first_non_finite_record(self):
+        # a step of y' = 700 y multiplies y by about 1e6, so y leaves float range near t = 5
+        records = _rk4_path(lambda y, out, _: np.multiply(700.0, y, out), np.ones(2), 0.1, [0.5, 10.0])
+        first = next(records)
+        assert np.all(np.isfinite(first))
+        # the driver silences numpy only while it steps, not while the caller holds a record
+        with pytest.raises(RuntimeWarning):
+            np.multiply(first, 1e300)
+        with pytest.raises(ValueError, match="RK4 overflowed before t = 10"):
+            next(records)
+
 
 def _final_moments(state, spec, dt, t):
     """Raw mean and 2x2 covariance of one state integrated by RK4 to time t."""
@@ -209,8 +238,14 @@ class TestLyapunovRK4:
 
     def test_unstable_step_overflows_loudly(self):
         state = squeezed_thermal(0.2, 1.0)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ValueError):
             rk4_moment_path([state], SPEC, 5.0, [2000.0])
+
+    def test_step_outside_the_stability_region_is_refused(self):
+        # dt = 2.9 takes the rate -1 mode to z = -2.9, past -2.785: ten steps grow
+        # the covariance to about 4e17 while staying finite
+        with pytest.raises(ValueError, match="stability region"):
+            rk4_moment_path([squeezed_thermal(0.2, 1.0)], SPEC, 2.9, [29.0])
 
     def test_stability_region_is_where_one_step_does_not_grow(self):
         # one step of y' = z y from y = 1 gives R(z); the region |R| <= 1 crosses
@@ -400,6 +435,13 @@ class TestFockOracle:
         rho0 = fock_gaussian_state(0.2, 0.5, dim=30)
         with pytest.raises(ValueError):
             fock_lindblad_path(rho0, SPEC, [0.5], dt=dt)
+
+    def test_overflowing_step_is_a_value_error(self):
+        # dt = 5 lies far outside RK4's stability region at cutoff 60: the path
+        # overflows, which is reported as such and not as a numpy warning
+        rho0 = fock_gaussian_state(0.2, 0j, 1.0, 0.0, 60)
+        with pytest.raises(ValueError, match="RK4 overflowed before t = 200"):
+            fock_lindblad_path(rho0, SPEC, [200.0], 5.0)
 
     @pytest.mark.parametrize(
         "seed",
