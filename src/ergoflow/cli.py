@@ -271,7 +271,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- verify
 # Each check takes (args, spec, seeds), seeds being the squeezed, thermal and
 # displaced Fock seeds, and returns its largest deviation.  It imports its
-# oracle when it runs, so only verify loads the oracles.
+# oracle when it runs, so only verify loads the oracles.  Energies (ergotropy,
+# mean energy) scale with omega, so their deviations are in units of omega:
+# every row then reads the same, to roundoff, for every omega at one omega / gamma.
 
 
 def _moment_deviation(mean, cov, state) -> float:
@@ -318,7 +320,8 @@ def _rk4_thermal(args, spec, seeds):
 
 def _fock_seed(args, spec, seeds):
     from .oracles.fock import fock_ergotropy
-    return abs(fock_ergotropy(seeds[0], spec) - ergotropy(squeezed_thermal(args.nbar_pi, args.r), spec))
+    exact = ergotropy(squeezed_thermal(args.nbar_pi, args.r), spec)
+    return abs(fock_ergotropy(seeds[0], spec) - exact) / spec.omega
 
 
 def _fock_trajectory(args, spec, seeds):
@@ -330,7 +333,7 @@ def _fock_trajectory(args, spec, seeds):
     return max(
         abs(fock_ergotropy(rho, spec) - ergotropy(evolve_analytic(gauss, spec, t), spec))
         for rho, t in zip(records, times)
-    )
+    ) / spec.omega
 
 
 def _fock_thermal(args, spec, seeds):
@@ -358,7 +361,8 @@ def _quadrature(args, spec, seeds):
         squeezed_displaced_thermal(0.1, 0.6j, SqueezingParameter(0.3, 0.5)),
     ):
         norm, energy, entropy = norm_energy_entropy(state, spec.omega)
-        deviations += [abs(norm - 1.0), abs(energy - mean_energy(state, spec)), abs(entropy - wigner_entropy(state))]
+        energy_deviation = abs(energy - mean_energy(state, spec)) / spec.omega
+        deviations += [abs(norm - 1.0), energy_deviation, abs(entropy - wigner_entropy(state))]
     return max(deviations)
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _relax, sample_trajectory
+from .dynamics import Trajectory, sample_trajectory
 from .factory import _cosh_2r, _squeezed_seed, displaced_thermal, squeezed_thermal
-from .states import SystemBathSpec, _check_energy, _modulus, _work
+from .states import SystemBathSpec, _check_energy, _modulus
 
 __all__ = [
     "NOTE_NO_PRECONDITION",
@@ -62,11 +62,14 @@ _SCAN_STEP = 0.01
 _MAX_SCAN_STEPS = 10**6
 _GAP_SIGNIFICANCE = 1e-13
 # The scan's first chunk of samples per point, and the most elements (points
-# times samples) a chunk may hold, which bounds the scan's temporaries; 8192
-# (64 KB per temporary) measured fastest on the sweep benchmark with the
-# sign-only scan, ahead of 4096, 16384 and 32768.
+# times samples) a chunk may hold, which sizes the rows of the scan's
+# workspace.  mpemba_scan on the sweep benchmark's 240-point grids (6 seeds,
+# 300 interleaved calls each, 2-core AVX-512 host), median time relative to
+# the scan that made fresh temporaries per chunk at 8192:
+#   budget   8192   16384   32768
+#   time     0.93   0.83    0.87
 _MIN_CHUNK = 64
-_SCAN_BUDGET = 8192
+_SCAN_BUDGET = 16384
 
 
 @dataclass(frozen=True)
@@ -193,37 +196,71 @@ def _closed_form(r, mu, nbar_pi, nbar) -> float | None:
     return math.log(shifted_gap * charge_gap / (2.0 * f)) - 2.0 * math.log(abs(mu))
 
 
-def _charges(x, lam_s, m_s, v_sq, f, omega):
+def _charges(x, lam_s, m_s, v_sq, f, omega, work=None):
     """Squeezed and displaced ergotropy once the seeds have relaxed to x = exp(-tau).
 
     The squeezed seed has no mean and the displaced one no M, so one core pass over
     (lam_s, |m_s|, |v_d|^2) gives both: its covariance and its displacement share.
+    The body runs the ufuncs of states._work(*dynamics._relax(...)) on the same
+    operands in the same order, so both charges equal that composition bit for
+    bit.  work is (1 - x, then five float arrays of the operands' broadcast
+    shape), and each step writes its result into one of those arrays, which
+    the scan reuses for every chunk; the returned charges are two of them.
+    With work None, 1 - x is formed here and each step makes a fresh result,
+    as the core's expressions do.  The shared core takes no out arrays itself:
+    that would make it branch on its caller, its scalar callers would pay one
+    ufunc call per operator, and sample_trajectory's allocation pattern is
+    sensitive to page faults (ROADMAP's parked trajectory item).
     """
-    _, erg_d, erg_s = _work(*_relax(lam_s, m_s, v_sq, f, x), omega)
+    if work is None:
+        work = (np.subtract(1.0, x), None, None, None, None, None)
+    rest, lam_out, m_out, erg_d_out, f_pi_out, erg_s_out = work
+    mul, add = np.multiply, np.add
+    # _relax: lam = lam_s x + f (1 - x), |M| = m_s x and |<a>|^2 = v_sq x
+    lam = mul(lam_s, x, lam_out)
+    m = mul(f, rest, m_out)
+    lam = add(lam, m, lam_out)
+    m = mul(m_s, x, m_out)
+    erg_d = mul(v_sq, x, erg_d_out)
+    # _work: f_pi = sqrt(lam (lam + 2|M|)), erg_v = omega |<a>|^2 and
+    # erg_theta = omega |M|^2 / ((lam + |M|) + f_pi)
+    f_pi = mul(2.0, m, f_pi_out)
+    f_pi = add(lam, f_pi, f_pi_out)
+    f_pi = mul(lam, f_pi, f_pi_out)
+    f_pi = np.sqrt(f_pi, f_pi_out)
+    erg_d = mul(omega, erg_d, erg_d_out)
+    erg_s = mul(m, m, erg_s_out)
+    m = add(lam, m, m_out)
+    m = add(m, f_pi, m_out)
+    erg_s = np.divide(erg_s, m, erg_s_out)
+    erg_s = mul(omega, erg_s, erg_s_out)
     return erg_s, erg_d
 
 
-def _bisect(lo, hi, lo_positive, moments):
-    """Bisect every bracket [lo, hi] of the gap at once; moments has one column per bracket.
+def _bisect(lo, hi, lo_positive, moments, floor):
+    """Bisect every bracket [lo, hi] of the gap at once; moments and floor have one column per bracket.
 
     g > 0 holds at lo (lo_positive) or at hi, not both.  Each round halves every
     bracket; one whose midpoint equals an endpoint (adjacent floats) or has g
-    exactly 0 collapses to lo = hi = mid, and once all have, mid is returned,
-    within an ulp of where g > 0 flips.
+    exactly 0 with both charges resolved (at least floor) collapses to
+    lo = hi = mid, and once all have, mid is returned, within an ulp of where
+    g > 0 flips, or nan where the charges there are not resolved.  Charges
+    that underflowed to 0 give g = 0 too, but that is no root: such a
+    midpoint counts as g <= 0, as any other.
     """
     while True:
         mid = 0.5 * (lo + hi)
         erg_s, erg_d = _charges(np.exp(-mid), *moments)
-        g_mid = erg_s - erg_d
-        done = (mid == lo) | (mid == hi) | (g_mid == 0.0)
+        # g = 0 exactly when erg_s == erg_d, and g > 0 when erg_s > erg_d (as in the scan)
+        done = (mid == lo) | (mid == hi) | ((erg_s == erg_d) & (erg_s >= floor))
         if done.all():
-            return mid
-        same_side = (g_mid > 0.0) == lo_positive
+            return np.where(np.minimum(erg_s, erg_d) >= floor, mid, math.nan)
+        same_side = (erg_s > erg_d) == lo_positive
         lo = np.where(done | same_side, mid, lo)
         hi = np.where(done | ~same_side, mid, hi)
 
 
-def _first_flips(decay, moments, floor, pending, first, lo_positive):
+def _first_flips(decay, moments, floor, pending, first, lo_positive, workspace):
     """Scan the pending points' gaps together; set first[i] to k and lo_positive[i] to g > 0 at k.
 
     Point i's first significant change of g > 0 lies between samples k and
@@ -233,16 +270,25 @@ def _first_flips(decay, moments, floor, pending, first, lo_positive):
     them); adjacent chunks share their edge sample, and a point leaves at its
     first flip, so only points that never cross scan all of decay.  The sign
     of g is taken on every sample, and the significance rule only on the
-    rows of a chunk where that sign changes.
+    rows of a chunk where that sign changes.  workspace is (1 - decay, five
+    float rows and two bool rows of at most _SCAN_BUDGET entries): each
+    chunk's charges, signs and flips are written into (points, samples)
+    views of those rows, so a chunk allocates no array of its size; the scan
+    reads only the charges that _charges returns.
     """
+    rest, floats, bools = workspace
     start, width = 0, _MIN_CHUNK
     while pending.size and start < decay.size - 1:
         stop = min(decay.size, start + min(width, _SCAN_BUDGET // pending.size))
-        erg_s, erg_d = _charges(decay[start:stop], *moments[:, pending])
+        # the chunk's (points, samples) views of the workspace's rows
+        shape = (pending.size, stop - start)
+        size = shape[0] * shape[1]
+        charges, signs = floats[:, :size].reshape(5, *shape), bools[:, :size].reshape(2, *shape)
+        erg_s, erg_d = _charges(decay[start:stop], *moments[:, pending], (rest[start:stop], *charges))
         # g > 0 exactly when erg_s > erg_d: the exact difference of two doubles is
         # a multiple of 2^-1074, so it rounds to a positive double when it is positive
-        positive = erg_s > erg_d
-        flips = positive[:, :-1] != positive[:, 1:]
+        positive = np.greater(erg_s, erg_d, signs[0])
+        flips = np.not_equal(positive[:, :-1], positive[:, 1:], signs[1, :, :-1])
         if np.count_nonzero(flips):
             rows = np.flatnonzero(flips.any(axis=1))
             erg_s, erg_d = erg_s[rows], erg_d[rows]
@@ -269,18 +315,22 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     of g > 0 (an exact zero counts as non-positive); then all bracketed
     points are bisected together, so no crossing beyond tau_max is reported.
     The points are scanned together in bounded chunks of samples, and each
-    stops at its first sign change (_first_flips), kept in per-point arrays.
-    A point gets 0.0 when its tau = 0 charges coincide and None when g > 0
-    does not change where the charges are resolved.  Raises ValueError
-    unless tau_max and scan_step are finite and positive and the window
-    holds at most _MAX_SCAN_STEPS steps.
+    stops at its first sign change (_first_flips), kept in per-point arrays;
+    every chunk is evaluated in one workspace that this call allocates once.
+    A point gets 0.0 when its tau = 0 charges coincide, and None when g > 0
+    does not change where the charges are resolved or its bracket's root lies
+    where they are not (a scan step coarser than their decay can bracket it).
+    Raises ValueError unless tau_max and scan_step are finite and positive and
+    the window holds at most _MAX_SCAN_STEPS steps.
     """
     if not (0.0 < tau_max < math.inf and 0.0 < scan_step < math.inf):
         raise ValueError("tau_max and scan_step must be finite and positive")
     if tau_max / scan_step > _MAX_SCAN_STEPS:
         raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")
-    # the multiples of scan_step below tau_max, then tau_max itself
-    taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
+    # the multiples of scan_step below tau_max, then tau_max itself; a last
+    # multiple beyond float range is inf, and dropped with the others past tau_max
+    with np.errstate(over="ignore"):
+        taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
     taus = np.append(taus[taus < tau_max], tau_max)
     decay = np.exp(-taus)
     # one (points, 1) column per moment, so that samples broadcast to (points, samples)
@@ -297,11 +347,17 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     # each point's first-flip sample (-1 for none) and whether g > 0 there
     first, lo_positive = np.full(times.size, -1), np.zeros(times.size, dtype=bool)
     pending, block = np.flatnonzero(~equal[:, 0]), _SCAN_BUDGET // _MIN_CHUNK
+    # one scan workspace for every block of points: (1 - decay, charge buffers, sign
+    # buffers), each buffer as large as the largest chunk can be
+    size = min(_SCAN_BUDGET, pending.size * decay.size)
+    workspace = 1.0 - decay, np.empty((5, size)), np.empty((2, size), dtype=bool)
     for i in range(0, pending.size, block):
-        _first_flips(decay, moments, floor, pending[i:i + block], first, lo_positive)
+        _first_flips(decay, moments, floor, pending[i:i + block], first, lo_positive, workspace)
     points = np.flatnonzero(first >= 0)
     k = first[points]
-    times[points] = _bisect(taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0])
+    times[points] = _bisect(
+        taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0], floor[points, 0]
+    )
     return [None if math.isnan(t) else t for t in times.tolist()]
 
 

@@ -187,17 +187,19 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
     return np.stack([v for v, _ in records]), np.stack([c for _, c in records])
 
 
-def literal_bisect(lo, hi, lo_positive, moments):
+def literal_bisect(lo, hi, lo_positive, moments, floor):
     """One bracket of the gap halved until its midpoint equals an endpoint or g is exactly 0
-    there, with the oracle's ufuncs on 1-element arrays; returns that midpoint."""
+    there with both charges at least floor, with the oracle's ufuncs on 1-element arrays;
+    returns that midpoint, or None where the charges there are below floor."""
     lo, hi = np.array([lo]), np.array([hi])
     columns = [np.array([value]) for value in moments]
     while True:
         mid = 0.5 * (lo + hi)
         erg_s, erg_d = mpemba._charges(np.exp(-mid), *columns)
         g_mid = erg_s - erg_d
-        if mid[0] == lo[0] or mid[0] == hi[0] or g_mid[0] == 0.0:
-            return float(mid[0])
+        resolved = min(erg_s[0], erg_d[0]) >= floor
+        if mid[0] == lo[0] or mid[0] == hi[0] or (g_mid[0] == 0.0 and resolved):
+            return float(mid[0]) if resolved else None
         if (g_mid[0] > 0.0) == lo_positive:
             lo = mid
         else:
@@ -208,14 +210,16 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
     """The crossing oracle with each point's gap sampled over the whole window on its own,
     with the same samples, resolution, significance and first-flip rules, and each bracket
     bisected on its own (literal_bisect); returns one crossing time (or None) per seed pair."""
-    taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
+    with np.errstate(over="ignore"):
+        taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
     taus = np.append(taus[taus < tau_max], tau_max)
     decay = np.exp(-taus)
     times = [None] * len(seeds)
     for i, moments in enumerate(seeds):
         erg_s, erg_d = mpemba._charges(decay, *moments)
         gap = erg_s - erg_d
-        resolved = np.minimum(erg_s, erg_d) >= sys.float_info.min * max(1.0, moments[-1])
+        floor = sys.float_info.min * max(1.0, moments[-1])
+        resolved = np.minimum(erg_s, erg_d) >= floor
         if resolved[0] and abs(gap[0]) <= mpemba._EQUAL_CHARGE_RTOL * (erg_s[0] + erg_d[0]):
             times[i] = 0.0
             continue
@@ -225,5 +229,5 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
         flips = flips[significant[flips] | significant[flips + 1]]
         if flips.size:
             k = flips[0]
-            times[i] = literal_bisect(taus[k], taus[k + 1], bool(positive[k]), moments)
+            times[i] = literal_bisect(taus[k], taus[k + 1], bool(positive[k]), moments, floor)
     return times

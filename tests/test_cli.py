@@ -479,6 +479,14 @@ class TestVerify:
         assert out.count("PASS") >= 7
         assert "FAIL" not in out
 
+    def test_energy_rows_are_in_units_of_omega(self, capsys):
+        # omega / gamma = 1 is the default run's dimensionless problem; the Fock energy
+        # rows and the quadrature energy were absolute, and FAILed at 7.2e94, 7.9e94, 1.1e89
+        code, out, _ = run(self.FAST + ["--gamma", "1e100", "--omega", "1e100"], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        assert "verification passed" in out
+
     def test_broken_noise_convention_fails(self, capsys, monkeypatch):
         # verify must catch an RK4 oracle that drops gamma from the noise N = gamma f I
         broken = functools.partial(literal_moment_path, omit_gamma_in_noise=True)

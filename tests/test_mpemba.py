@@ -20,8 +20,10 @@ from ergoflow import (
     squeezed_thermal,
 )
 from ergoflow import mpemba
+from ergoflow.dynamics import _relax
 from ergoflow.factory import _MAX_SQUEEZING
 from ergoflow.mpemba import NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
+from ergoflow.states import _work
 
 from helpers import literal_crossing_scan, reference_squeezed, relative_error, rng_for
 
@@ -291,6 +293,52 @@ class TestNumericOracle:
             else:
                 assert taus[k] < found < taus[k + 1]
 
+    def test_charges_are_the_shared_core_bit_for_bit(self):
+        # _charges runs states._work(*dynamics._relax(...)) in place, with or without a
+        # workspace, on the scan's, the bisection's, the tau = 0 and the helpers' shapes
+        def core(x, lam, m, v_sq, f, omega):
+            _, erg_d, erg_s = _work(*_relax(lam, m, v_sq, f, x), omega)
+            return erg_s, erg_d
+
+        def workspace(x, moments):
+            shape = np.broadcast_shapes(*(np.shape(a) for a in (x, *moments)))
+            if len(shape) == 2:  # the scan's views of longer rows, stale values and all
+                size = math.prod(shape)
+                return (1.0 - x, *np.full((5, 2 * size), np.nan)[:, :size].reshape(5, *shape))
+            return (1.0 - x, *(np.full(shape, np.nan) for _ in range(5)))
+
+        specials = [0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0, 7.5, 1e300]
+        rng = rng_for("charges in place")
+        columns = [rng.choice(specials, 200) for _ in range(4)] + [rng.choice([1.0, 0.7, 1e10], 200)]
+        x = np.concatenate([np.exp(-0.01 * np.arange(300)), [0.5, 1e-300, 5e-324, 0.0]])
+        seed = mpemba._check_crossing_args(1.0, 1.0, 0.2, 0.4, omega=1e10)[1]
+        cases = [
+            (x, [column[:, None] for column in columns]),  # the scan's (P, 1) x (S,)
+            (rng.choice(x, 200), columns),  # the bisection's (P,) x (P,)
+            (1.0, columns),  # the tau = 0 charges
+            (x, seed),  # the helpers' scalar moments
+            (x, (1e-300, 1e300, 5e-324, 0.5, 1e10)),
+        ]
+        with np.errstate(all="ignore"):
+            for x, moments in cases:
+                expected = [np.asarray(a) for a in core(x, *moments)]
+                for work in (None, workspace(x, moments)):
+                    found = mpemba._charges(x, *moments, work)
+                    for a, b in zip(found, expected):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                    if work is not None:
+                        assert all(any(np.shares_memory(a, buffer) for buffer in work[1:]) for a in found)
+        # the scan's workspace belongs to one call: a report's tau = 0 charges, and
+        # two oracle calls in a row, each see only their own points
+        report = crossing_report(1.0, 1.0, 0.2, 0.4, SystemBathSpec(omega=1e10))
+        assert (report.erg0_squeezed, report.erg0_displaced) == tuple(float(a) for a in core(1.0, *seed))
+        points = [(3.0, 1e-6, 0.2, 0.0), (1.0, 1.5, 0.2, 0.4), (1e-7, 1e-8, 0.2, 0.4)]
+        late, missing, weak = [mpemba._check_crossing_args(*p)[1] for p in points]
+        batches, window = [[seed, late, missing], [weak]], (mpemba._TAU_MAX, mpemba._SCAN_STEP)
+        times = [mpemba._numeric_crossings(seeds, *window) for seeds in batches]
+        assert times == [literal_crossing_scan(seeds, *window) for seeds in batches]
+        assert None in times[0] and None not in times[1]
+
     def test_scaling_invariance(self):
         # tau_c is a function of tau = gamma t only; omega never enters
         reference = crossing_time_numeric(1.0, 1.0, 0.2, 0.4)
@@ -424,6 +472,16 @@ class TestCrossingReport:
         assert not report.exists
         assert report.tau_c_numeric is None
         assert report.validity_note == NOTE_NO_CROSSING
+
+    @pytest.mark.parametrize("tau_max, scan_step", [(1e4, 2e3), (1e4, 1e300), (1.7e308, 1e308)])
+    def test_coarse_window_bisects_past_underflowed_charges(self, tau_max, scan_step):
+        # the first bracket's far end, near tau = 1e4 or beyond, has both charges
+        # underflowed to 0, so g = 0 at a midpoint there is no root: the oracle reported
+        # 1000, 5000 and 5e307; and the last multiple of 1e308 scanned, 2e308,
+        # overflowed to inf with a RuntimeWarning
+        report = crossing_report(1.0, 1.0, 0.2, 0.4, tau_max=tau_max, scan_step=scan_step)
+        assert report.exists
+        assert abs(report.tau_c_numeric - TAU_C_FIG2) <= 1e-9
 
     def test_thermal_vs_thermal_absent(self):
         report = crossing_report(0.0, 0.0, 0.2, 0.2)
