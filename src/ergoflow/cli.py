@@ -270,10 +270,11 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- verify
 # Each check takes (args, spec, seeds), seeds being the squeezed, thermal and
-# displaced Fock seeds, and returns its largest deviation.  It imports its
-# oracle when it runs, so only verify loads the oracles.  Energies (ergotropy,
-# mean energy) scale with omega, so their deviations are in units of omega:
-# every row then reads the same, to roundoff, for every omega at one omega / gamma.
+# displaced seeds as (Gaussian state, Fock density matrix) pairs, and returns
+# its largest deviation.  It imports its oracle when it runs, so only verify
+# loads the oracles.  Energies (ergotropy, mean energy) scale with omega, so
+# their deviations are in units of omega: every row then reads the same, to
+# roundoff, for every omega at one omega / gamma.
 
 
 def _moment_deviation(mean, cov, state) -> float:
@@ -320,16 +321,16 @@ def _rk4_thermal(args, spec, seeds):
 
 def _fock_seed(args, spec, seeds):
     from .oracles.fock import fock_ergotropy
-    exact = ergotropy(squeezed_thermal(args.nbar_pi, args.r), spec)
-    return abs(fock_ergotropy(seeds[0], spec) - exact) / spec.omega
+    gauss, rho = seeds[0]
+    return abs(fock_ergotropy(rho, spec) - ergotropy(gauss, spec)) / spec.omega
 
 
 def _fock_trajectory(args, spec, seeds):
     # each record is reduced as it is reached, so one density matrix is held at a time
     from .oracles.fock import _fock_records, fock_ergotropy
-    gauss = squeezed_thermal(args.nbar_pi, args.r)
+    gauss, rho0 = seeds[0]
     times = np.linspace(3.0 / args.points, 3.0, args.points) / spec.gamma
-    records = _fock_records(seeds[0], spec, [float(t) for t in times], args.fock_dt / spec.gamma)
+    records = _fock_records(rho0, spec, [float(t) for t in times], args.fock_dt / spec.gamma)
     return max(
         abs(fock_ergotropy(rho, spec) - ergotropy(evolve_analytic(gauss, spec, t), spec))
         for rho, t in zip(records, times)
@@ -338,14 +339,16 @@ def _fock_trajectory(args, spec, seeds):
 
 def _fock_thermal(args, spec, seeds):
     from .oracles.fock import fock_lindblad_path
-    rho = fock_lindblad_path(seeds[1], spec, [1.0 / spec.gamma], dt=args.fock_dt / spec.gamma)[0]
-    return float(np.max(np.abs(np.diag(rho.matrix).real - np.diag(seeds[1].matrix).real)))
+    _, rho0 = seeds[1]
+    rho = fock_lindblad_path(rho0, spec, [1.0 / spec.gamma], dt=args.fock_dt / spec.gamma)[0]
+    return float(np.max(np.abs(np.diag(rho.matrix).real - np.diag(rho0.matrix).real)))
 
 
 def _fock_displaced(args, spec, seeds):
     from .oracles.fock import fock_lindblad_path, fock_moments
-    rho = fock_lindblad_path(seeds[2], spec, [1.0 / spec.gamma], dt=args.fock_dt / spec.gamma)[0]
-    exact = evolve_analytic(displaced_thermal(args.nbar_pi, args.mu), spec, 1.0 / spec.gamma)
+    gauss, rho0 = seeds[2]
+    rho = fock_lindblad_path(rho0, spec, [1.0 / spec.gamma], dt=args.fock_dt / spec.gamma)[0]
+    exact = evolve_analytic(gauss, spec, 1.0 / spec.gamma)
     return abs(fock_moments(rho)[0] - exact.alpha_mean)
 
 
@@ -426,15 +429,22 @@ def cmd_verify(args) -> int:
         if span / dt > _MAX_GRID:
             raise CliError(f"{flag} takes more than {_MAX_GRID} steps")
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=args.nbar)
+    # the Gaussian seeds first, so a seed beyond float range is a usage error (exit code 2)
+    gaussians = (
+        squeezed_thermal(args.nbar_pi, args.r),
+        thermal_state(spec.nbar),
+        displaced_thermal(args.nbar_pi, args.mu),
+    )
     # Fock-space ground truth; a cutoff too small for a seed is a breach (exit code 1)
     try:
-        seeds = (
+        focks = (
             fock_gaussian_state(args.nbar_pi, 0j, args.r, 0.0, args.cutoff),
             fock_gaussian_state(spec.nbar, dim=args.cutoff),
             fock_gaussian_state(args.nbar_pi, complex(args.mu), 0.0, 0.0, args.cutoff),
         )
     except CutoffError as err:
         raise CliError(str(err), code=1) from err
+    seeds = tuple(zip(gaussians, focks))
     # after the seeds, so a bath too warm for the cutoff is reported as that
     _check_rk4_steps(args, spec)
     width = max(len(name) for name, _, _ in _CHECKS)

@@ -11,6 +11,21 @@ the crossing time over bath/seed temperature axes.
 
 All crossing times are reported in the dimensionless variable tau = gamma t;
 they do not depend on omega or gamma individually.
+
+The gap g = erg_squeezed - erg_displaced changes sign at most once, from +
+to -.  With x = exp(-tau) the seeds relax as lam = lam_s x + f (1 - x),
+|M| = m_s x and |<a>|^2 = v_sq x, and the squeezed seed has no mean and the
+displaced one no M, so erg_displaced = omega v_sq x and
+erg_squeezed = omega m_s^2 x^2 / D(x), with D = lam + m_s x + f_pi and
+f_pi = sqrt(lam (lam + 2 m_s x)).  Hence g / (omega x) = m_s^2 x / D(x) - v_sq,
+whose x-derivative has the sign of D - x D'.  There lam - x lam' = f,
+|M| - x |M|' = 0 and f_pi - x f_pi' = f (2 lam + 2 m_s x) / (2 f_pi) > 0,
+since f_pi^2 is the product of two affine functions of x that each equal f
+at x = 0.  So D - x D' > 0 and g / x falls strictly as tau grows: a point
+with g <= 0 at tau = 0 never crosses, and at equal initial charge the
+displaced battery stays strictly above for tau > 0.  While g < 0 the
+relative gap |g| / (erg_squeezed + erg_displaced) grows, so roundoff cannot
+raise a significant positive sample either.
 """
 
 from __future__ import annotations
@@ -22,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, sample_trajectory
+from .dynamics import Trajectory, _relax, sample_trajectory
 from .factory import _cosh_2r, _squeezed_seed, displaced_thermal, squeezed_thermal
-from .states import SystemBathSpec, _check_energy, _modulus
+from .states import SystemBathSpec, _check_energy, _modulus, _work
 
 __all__ = [
     "NOTE_NO_PRECONDITION",
@@ -62,14 +77,14 @@ _SCAN_STEP = 0.01
 _MAX_SCAN_STEPS = 10**6
 _GAP_SIGNIFICANCE = 1e-13
 # The scan's first chunk of samples per point, and the most elements (points
-# times samples) a chunk may hold, which sizes the rows of the scan's
-# workspace.  mpemba_scan on the sweep benchmark's 240-point grids (6 seeds,
-# 300 interleaved calls each, 2-core AVX-512 host), median time relative to
-# the scan that made fresh temporaries per chunk at 8192:
-#   budget   8192   16384   32768
-#   time     0.93   0.83    0.87
+# times samples) a chunk may hold, which bounds the scan's temporaries.
+# mpemba_scan on the sweep benchmark's 240-point grids (seeds 53-55 and
+# 63-65, 150 interleaved calls each, 2-core x86-64 host), median time
+# relative to 8192:
+#   budget   4096   8192   16384   32768
+#   time     0.97   1.00   1.10    1.21
 _MIN_CHUNK = 64
-_SCAN_BUDGET = 16384
+_SCAN_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -196,44 +211,13 @@ def _closed_form(r, mu, nbar_pi, nbar) -> float | None:
     return math.log(shifted_gap * charge_gap / (2.0 * f)) - 2.0 * math.log(abs(mu))
 
 
-def _charges(x, lam_s, m_s, v_sq, f, omega, work=None):
+def _charges(x, lam_s, m_s, v_sq, f, omega):
     """Squeezed and displaced ergotropy once the seeds have relaxed to x = exp(-tau).
 
     The squeezed seed has no mean and the displaced one no M, so one core pass over
     (lam_s, |m_s|, |v_d|^2) gives both: its covariance and its displacement share.
-    The body runs the ufuncs of states._work(*dynamics._relax(...)) on the same
-    operands in the same order, so both charges equal that composition bit for
-    bit.  work is (1 - x, then five float arrays of the operands' broadcast
-    shape), and each step writes its result into one of those arrays, which
-    the scan reuses for every chunk; the returned charges are two of them.
-    With work None, 1 - x is formed here and each step makes a fresh result,
-    as the core's expressions do.  The shared core takes no out arrays itself:
-    that would make it branch on its caller, its scalar callers would pay one
-    ufunc call per operator, and sample_trajectory's allocation pattern is
-    sensitive to page faults (ROADMAP's parked trajectory item).
     """
-    if work is None:
-        work = (np.subtract(1.0, x), None, None, None, None, None)
-    rest, lam_out, m_out, erg_d_out, f_pi_out, erg_s_out = work
-    mul, add = np.multiply, np.add
-    # _relax: lam = lam_s x + f (1 - x), |M| = m_s x and |<a>|^2 = v_sq x
-    lam = mul(lam_s, x, lam_out)
-    m = mul(f, rest, m_out)
-    lam = add(lam, m, lam_out)
-    m = mul(m_s, x, m_out)
-    erg_d = mul(v_sq, x, erg_d_out)
-    # _work: f_pi = sqrt(lam (lam + 2|M|)), erg_v = omega |<a>|^2 and
-    # erg_theta = omega |M|^2 / ((lam + |M|) + f_pi)
-    f_pi = mul(2.0, m, f_pi_out)
-    f_pi = add(lam, f_pi, f_pi_out)
-    f_pi = mul(lam, f_pi, f_pi_out)
-    f_pi = np.sqrt(f_pi, f_pi_out)
-    erg_d = mul(omega, erg_d, erg_d_out)
-    erg_s = mul(m, m, erg_s_out)
-    m = add(lam, m, m_out)
-    m = add(m, f_pi, m_out)
-    erg_s = np.divide(erg_s, m, erg_s_out)
-    erg_s = mul(omega, erg_s, erg_s_out)
+    _, erg_d, erg_s = _work(*_relax(lam_s, m_s, v_sq, f, x), omega)
     return erg_s, erg_d
 
 
@@ -260,7 +244,7 @@ def _bisect(lo, hi, lo_positive, moments, floor):
         hi = np.where(done | ~same_side, mid, hi)
 
 
-def _first_flips(decay, moments, floor, pending, first, lo_positive, workspace):
+def _first_flips(decay, moments, floor, pending, first, lo_positive):
     """Scan the pending points' gaps together; set first[i] to k and lo_positive[i] to g > 0 at k.
 
     Point i's first significant change of g > 0 lies between samples k and
@@ -268,27 +252,18 @@ def _first_flips(decay, moments, floor, pending, first, lo_positive, workspace):
     start at _MIN_CHUNK samples and grow fourfold, up to _SCAN_BUDGET
     elements over the pending points (at most _SCAN_BUDGET // _MIN_CHUNK of
     them); adjacent chunks share their edge sample, and a point leaves at its
-    first flip, so only points that never cross scan all of decay.  The sign
-    of g is taken on every sample, and the significance rule only on the
-    rows of a chunk where that sign changes.  workspace is (1 - decay, five
-    float rows and two bool rows of at most _SCAN_BUDGET entries): each
-    chunk's charges, signs and flips are written into (points, samples)
-    views of those rows, so a chunk allocates no array of its size; the scan
-    reads only the charges that _charges returns.
+    first flip, so only points whose crossing lies past the window scan all
+    of decay.  The sign of g is taken on every sample, and the significance
+    rule only on the rows of a chunk where that sign changes.
     """
-    rest, floats, bools = workspace
     start, width = 0, _MIN_CHUNK
     while pending.size and start < decay.size - 1:
         stop = min(decay.size, start + min(width, _SCAN_BUDGET // pending.size))
-        # the chunk's (points, samples) views of the workspace's rows
-        shape = (pending.size, stop - start)
-        size = shape[0] * shape[1]
-        charges, signs = floats[:, :size].reshape(5, *shape), bools[:, :size].reshape(2, *shape)
-        erg_s, erg_d = _charges(decay[start:stop], *moments[:, pending], (rest[start:stop], *charges))
+        erg_s, erg_d = _charges(decay[start:stop], *moments[:, pending])
         # g > 0 exactly when erg_s > erg_d: the exact difference of two doubles is
         # a multiple of 2^-1074, so it rounds to a positive double when it is positive
-        positive = np.greater(erg_s, erg_d, signs[0])
-        flips = np.not_equal(positive[:, :-1], positive[:, 1:], signs[1, :, :-1])
+        positive = erg_s > erg_d
+        flips = positive[:, :-1] != positive[:, 1:]
         if np.count_nonzero(flips):
             rows = np.flatnonzero(flips.any(axis=1))
             erg_s, erg_d = erg_s[rows], erg_d[rows]
@@ -315,49 +290,49 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     of g > 0 (an exact zero counts as non-positive); then all bracketed
     points are bisected together, so no crossing beyond tau_max is reported.
     The points are scanned together in bounded chunks of samples, and each
-    stops at its first sign change (_first_flips), kept in per-point arrays;
-    every chunk is evaluated in one workspace that this call allocates once.
+    stops at its first sign change (_first_flips), kept in per-point arrays.
     A point gets 0.0 when its tau = 0 charges coincide, and None when g > 0
     does not change where the charges are resolved or its bracket's root lies
     where they are not (a scan step coarser than their decay can bracket it).
-    Raises ValueError unless tau_max and scan_step are finite and positive and
-    the window holds at most _MAX_SCAN_STEPS steps.
+    Only points with g > 0 at tau = 0 are scanned: g changes sign at most
+    once, from + to - (module docstring), so every other point gets the None
+    that a scan of the whole window gives it.  Raises ValueError unless
+    tau_max and scan_step are finite and positive and the window holds at
+    most _MAX_SCAN_STEPS steps.
     """
     if not (0.0 < tau_max < math.inf and 0.0 < scan_step < math.inf):
         raise ValueError("tau_max and scan_step must be finite and positive")
     if tau_max / scan_step > _MAX_SCAN_STEPS:
         raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")
-    # the multiples of scan_step below tau_max, then tau_max itself; a last
-    # multiple beyond float range is inf, and dropped with the others past tau_max
-    with np.errstate(over="ignore"):
-        taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
-    taus = np.append(taus[taus < tau_max], tau_max)
-    decay = np.exp(-taus)
     # one (points, 1) column per moment, so that samples broadcast to (points, samples)
     moments = np.array(seeds, dtype=float).reshape(-1, 5).T[:, :, None]
     # a charge below the smallest normal float (times omega, so that the
     # moment products behind it are normal too) has lost its relative
     # precision, and so has the gap's sign
     floor = sys.float_info.min * np.maximum(1.0, moments[-1])
-    erg_s, erg_d = _charges(decay[:1], *moments)
+    erg_s, erg_d = _charges(1.0, *moments)
     equal = (np.minimum(erg_s, erg_d) >= floor) & (
         np.abs(erg_s - erg_d) <= _EQUAL_CHARGE_RTOL * (erg_s + erg_d)
     )
     times = np.where(equal[:, 0], 0.0, math.nan)
-    # each point's first-flip sample (-1 for none) and whether g > 0 there
-    first, lo_positive = np.full(times.size, -1), np.zeros(times.size, dtype=bool)
-    pending, block = np.flatnonzero(~equal[:, 0]), _SCAN_BUDGET // _MIN_CHUNK
-    # one scan workspace for every block of points: (1 - decay, charge buffers, sign
-    # buffers), each buffer as large as the largest chunk can be
-    size = min(_SCAN_BUDGET, pending.size * decay.size)
-    workspace = 1.0 - decay, np.empty((5, size)), np.empty((2, size), dtype=bool)
-    for i in range(0, pending.size, block):
-        _first_flips(decay, moments, floor, pending[i:i + block], first, lo_positive, workspace)
-    points = np.flatnonzero(first >= 0)
-    k = first[points]
-    times[points] = _bisect(
-        taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0], floor[points, 0]
-    )
+    pending = np.flatnonzero(~equal[:, 0] & (erg_s[:, 0] > erg_d[:, 0]))
+    if pending.size:
+        # the multiples of scan_step below tau_max, then tau_max itself; a last
+        # multiple beyond float range is inf, and dropped with the others past tau_max
+        with np.errstate(over="ignore"):
+            taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
+        taus = np.append(taus[taus < tau_max], tau_max)
+        decay = np.exp(-taus)
+        # each point's first-flip sample (-1 for none) and whether g > 0 there
+        first, lo_positive = np.full(times.size, -1), np.zeros(times.size, dtype=bool)
+        block = _SCAN_BUDGET // _MIN_CHUNK
+        for i in range(0, pending.size, block):
+            _first_flips(decay, moments, floor, pending[i:i + block], first, lo_positive)
+        points = np.flatnonzero(first >= 0)
+        k = first[points]
+        times[points] = _bisect(
+            taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0], floor[points, 0]
+        )
     return [None if math.isnan(t) else t for t in times.tolist()]
 
 
@@ -492,7 +467,8 @@ def faster_discharge_demo(r, nbar_pi, nbar, tau_grid=None) -> DischargePair:
     """Equal initial charge, unequal discharge: squeezed loses work faster.
 
     Uses the equal-charge amplitude, so the two trajectories start with the
-    same ergotropy and the displaced one stays strictly above for tau > 0.
+    same ergotropy and the displaced one stays strictly above for tau > 0,
+    as the module docstring proves.
     Both relax toward a bath of occupation nbar at omega = 1, sampled on
     tau_grid (0 to 5 in steps of 0.01 when None).
     """

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..factory import _cosh_2r
 from ..states import SystemBathSpec, _modulus
 from .lyapunov import _rk4_path
 
@@ -132,15 +133,22 @@ def fock_gaussian_state(
     """Thermal seed displaced then squeezed, as an explicit density matrix.
 
     Raises ValueError, before anything is built, unless nbar_pi >= 0, |mu|,
-    r >= 0 and theta are finite and the cutoff dim is at least 1, and
-    CutoffError when the top TAIL_LEVELS levels, together with the thermal
-    seed's population beyond the cutoff, carry TAIL_TOL or more population,
-    i.e. when dim is too small for the requested state.
+    r >= 0 and theta are finite, cosh 2r and |mu|^2 are floats (r at most
+    about 355.2, as squeeze requires, and |mu| below about 1.34e154) and the
+    cutoff dim is at least 1, and CutoffError when the top TAIL_LEVELS
+    levels, together with the thermal seed's population beyond the cutoff,
+    carry TAIL_TOL or more population, i.e. when dim is too small for the
+    requested state.
     """
-    if not all(math.isfinite(v) for v in (nbar_pi, _modulus(mu, "mu"), r, theta)):
+    mu_abs = _modulus(mu, "mu")
+    if not all(math.isfinite(v) for v in (nbar_pi, mu_abs, r, theta)):
         raise ValueError("nbar_pi, mu, r and theta must be finite")
     if nbar_pi < 0.0 or r < 0.0:
         raise ValueError("nbar_pi and r must be nonnegative")
+    # the ranges in which the generators r a^2 and mu a+ stay finite
+    _cosh_2r(r)
+    if not math.isfinite(mu_abs * mu_abs):
+        raise ValueError("mu exceeds float range: |mu|^2 overflows")
     if dim < 1:
         raise ValueError(f"the Fock cutoff must be at least 1, got {dim}")
     ratio = nbar_pi / (1.0 + nbar_pi)

@@ -214,6 +214,10 @@ class TestCrossing:
             # |mu| itself overflows: each was an OverflowError traceback and exit 1
             ["crossing", "--mu", "1.5e308+1.5e308j"],
             ["simulate", "--family", "displaced", "--mu", "1.5e308+1.5e308j"],
+            # the squeezed seed is built before its Fock matrix: was a CutoffError and
+            # exit 1, and a RuntimeWarning, then numpy's LinAlgError
+            ["verify", "--r", "400"],
+            ["verify", "--r", "1.7e308", "--cutoff", "3"],
         ],
     )
     def test_parameters_beyond_float_range_exit_2(self, argv):

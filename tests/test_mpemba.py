@@ -191,9 +191,36 @@ class TestNumericOracle:
         # tau_c = 0.79 is sample 79 of 5001; the bisection's samples count too
         assert sum(samples) < window // 10
         samples.clear()
-        # without a crossing, the scan reaches the end of the window
+        # a point that starts ahead and crosses past the window scans the whole window
+        seed = mpemba._check_crossing_args(1.0, 1.0, 0.2, 0.4)[1]
+        assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP) == [None]
+        assert sum(samples) == 1 + round(0.5 / mpemba._SCAN_STEP) + 1
+        samples.clear()
+        # a point that starts below never crosses: only its tau = 0 sample is evaluated
         assert crossing_time_numeric(1.0, 1.5, 0.2, 0.4) is None
-        assert sum(samples) >= window
+        assert samples == [1]
+
+    @pytest.mark.parametrize("window", [(50.0, 0.01), (7.305, 0.01), (1e4, 2e3)])
+    def test_points_that_start_below_never_cross(self, window):
+        # the gap changes sign at most once, from + to - (mpemba's module docstring),
+        # so the oracle does not scan points that start below; the per-point scan of
+        # the whole window confirms that none of them crosses
+        rng = rng_for("points that start below")
+        points, omegas = [], 10.0 ** rng.uniform(-3.0, 3.0, 600)
+        for i in range(omegas.size):
+            nbar_pi, nbar = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+            if i % 3 == 0:  # just above the equal-charge amplitude
+                r, excess = rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-12.0, -3.0)
+            elif i % 3 == 1:  # tiny squeezing and amplitude
+                r, excess = 10.0 ** rng.uniform(-160.0, -100.0), 10.0 ** rng.uniform(-12.0, 0.0)
+            else:
+                r, excess = rng.uniform(0.05, 3.0), rng.uniform(1e-3, 2.0)
+            points.append((r, equal_charge_amplitude(r, nbar_pi) * (1.0 + excess), nbar_pi, nbar))
+        seeds = [mpemba._check_crossing_args(*p, omega=w)[1] for p, w in zip(points, omegas)]
+        erg_s, erg_d = mpemba._charges(1.0, *np.array(seeds).T)
+        assert np.all(erg_s <= erg_d)
+        assert literal_crossing_scan(seeds, *window) == [None] * len(seeds)
+        assert mpemba._numeric_crossings(seeds, *window) == [None] * len(seeds)
 
     def test_scan_sign_matches_the_gap_sign(self):
         # the scan takes g > 0 as erg_s > erg_d; the two agree on ties, signed
@@ -294,18 +321,11 @@ class TestNumericOracle:
                 assert taus[k] < found < taus[k + 1]
 
     def test_charges_are_the_shared_core_bit_for_bit(self):
-        # _charges runs states._work(*dynamics._relax(...)) in place, with or without a
-        # workspace, on the scan's, the bisection's, the tau = 0 and the helpers' shapes
+        # _charges is states._work(*dynamics._relax(...)) on the scan's, the bisection's,
+        # the tau = 0 and the helpers' shapes
         def core(x, lam, m, v_sq, f, omega):
             _, erg_d, erg_s = _work(*_relax(lam, m, v_sq, f, x), omega)
             return erg_s, erg_d
-
-        def workspace(x, moments):
-            shape = np.broadcast_shapes(*(np.shape(a) for a in (x, *moments)))
-            if len(shape) == 2:  # the scan's views of longer rows, stale values and all
-                size = math.prod(shape)
-                return (1.0 - x, *np.full((5, 2 * size), np.nan)[:, :size].reshape(5, *shape))
-            return (1.0 - x, *(np.full(shape, np.nan) for _ in range(5)))
 
         specials = [0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0, 7.5, 1e300]
         rng = rng_for("charges in place")
@@ -322,14 +342,11 @@ class TestNumericOracle:
         with np.errstate(all="ignore"):
             for x, moments in cases:
                 expected = [np.asarray(a) for a in core(x, *moments)]
-                for work in (None, workspace(x, moments)):
-                    found = mpemba._charges(x, *moments, work)
-                    for a, b in zip(found, expected):
-                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-                    if work is not None:
-                        assert all(any(np.shares_memory(a, buffer) for buffer in work[1:]) for a in found)
-        # the scan's workspace belongs to one call: a report's tau = 0 charges, and
-        # two oracle calls in a row, each see only their own points
+                found = mpemba._charges(x, *moments)
+                for a, b in zip(found, expected):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        # a report's tau = 0 charges are the core's, and two oracle calls in a row
+        # each see only their own points
         report = crossing_report(1.0, 1.0, 0.2, 0.4, SystemBathSpec(omega=1e10))
         assert (report.erg0_squeezed, report.erg0_displaced) == tuple(float(a) for a in core(1.0, *seed))
         points = [(3.0, 1e-6, 0.2, 0.0), (1.0, 1.5, 0.2, 0.4), (1e-7, 1e-8, 0.2, 0.4)]

@@ -20,6 +20,7 @@ from ergoflow import (
     thermal_state,
     wigner_entropy,
 )
+from ergoflow.factory import _MAX_SQUEEZING
 from ergoflow.oracles import fock, lyapunov, quadrature
 from ergoflow.oracles.fock import (
     HERMITICITY_ATOL,
@@ -373,10 +374,29 @@ class TestFockOracle:
             ((0.2, 0j, 0.0, 0.0, 0), "cutoff"),  # was numpy's zero-size message
             ((0.2, 0j, 0.0, 0.0, -3), "cutoff"),
             ((0.1, complex(1.5e308, 1.5e308), 0.0, 0.0, 10), "exceeds float range"),  # OverflowError
+            # generators beyond float range: each was a RuntimeWarning, then a LinAlgError
+            ((0.2, 0j, 1.7e308, 0.0, 3), "exceeds float range"),
+            ((0.1, 1.5e308, 0.0, 0.0, 3), "exceeds float range"),
+            # cosh 2r or |mu|^2 overflows: each was a CutoffError
+            ((0.2, 0j, 400.0, 0.0, 3), "exceeds float range"),
+            ((0.2, 0j, 1e300, 0.0, 3), "exceeds float range"),
+            ((0.2, 1e200, 0.0, 0.0, 3), "exceeds float range"),
+            ((0.2, complex(1e154, 1e154), 0.0, 0.0, 3), "exceeds float range"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_seed_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
+            fock_gaussian_state(*args)
+
+    @pytest.mark.parametrize(
+        "args", [(0.2, 0j, _MAX_SQUEEZING, 1.0, 3), (0.2, complex(9e153, 9e153), 0.3, 0.0, 3)]
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_generators_reach_the_cutoff_check(self, args):
+        # the largest r and |mu| that the range check admits build their operators
+        # without a warning, and too small a cutoff is then reported as such
+        with pytest.raises(CutoffError, match="increase the cutoff"):
             fock_gaussian_state(*args)
 
     def test_thermal_state_is_stationary(self):
