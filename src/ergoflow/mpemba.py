@@ -191,8 +191,18 @@ def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
 
 def _closed_form(r, mu, nbar_pi, nbar) -> float | None:
     """crossing_time_closed_form of a point that _check_crossing_args has accepted."""
-    f_pi, f = nbar_pi + 0.5, nbar + 0.5
-    mu_sq = abs(mu) ** 2
+    mu_abs = abs(mu)
+    mu_sq = mu_abs ** 2
+    p = _closed_form_gap(r, mu_sq, nbar_pi + 0.5)
+    return p if not p else _closed_form_time(p, mu_abs, mu_sq, nbar + 0.5)
+
+
+def _closed_form_gap(r, mu_sq, f_pi) -> float | None:
+    """The (r, nbar_pi) part of the closed form: None, 0.0, or P > 0, for a seed already checked.
+
+    None where the precondition fails, 0.0 on the degenerate equal-charge
+    boundary, and otherwise P = shifted_gap * charge_gap, which is positive.
+    """
     # charge_gap = (displaced - squeezed) initial ergotropy over omega
     charge_gap = mu_sq - 2.0 * math.sinh(r) ** 2 * f_pi
     if abs(charge_gap) <= _EQUAL_CHARGE_RTOL * (mu_sq + 2.0 * math.sinh(r) ** 2 * f_pi):
@@ -202,13 +212,18 @@ def _closed_form(r, mu, nbar_pi, nbar) -> float | None:
     # Second factor is charge_gap shifted down by 2 f_pi, so the product is
     # positive whenever the precondition holds and the log argument exceeds 1.
     shifted_gap = mu_sq - 2.0 * math.cosh(r) ** 2 * f_pi
+    return shifted_gap * charge_gap
+
+
+def _closed_form_time(p, mu_abs, mu_sq, f) -> float:
+    """The nbar part of the closed form: tau_c = log1p(P / (2 |mu|^2 f)) for a P > 0 of _closed_form_gap."""
     if mu_sq >= sys.float_info.min:
-        ratio = shifted_gap * charge_gap / (2.0 * mu_sq * f)
+        ratio = p / (2.0 * mu_sq * f)
         if math.isfinite(ratio):
             return math.log1p(ratio)
     # |mu|^2 underflowed or the ratio overflowed: the 1 in log(1 + ratio) is
     # negligible, and the log of the ratio is taken in log space
-    return math.log(shifted_gap * charge_gap / (2.0 * f)) - 2.0 * math.log(abs(mu))
+    return math.log(p / (2.0 * f)) - 2.0 * math.log(mu_abs)
 
 
 def _charges(x, lam_s, m_s, v_sq, f, omega):
@@ -329,10 +344,11 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
         for i in range(0, pending.size, block):
             _first_flips(decay, moments, floor, pending[i:i + block], first, lo_positive)
         points = np.flatnonzero(first >= 0)
-        k = first[points]
-        times[points] = _bisect(
-            taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0], floor[points, 0]
-        )
+        if points.size:
+            k = first[points]
+            times[points] = _bisect(
+                taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0], floor[points, 0]
+            )
     return [None if math.isnan(t) else t for t in times.tolist()]
 
 
@@ -351,23 +367,19 @@ def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = No
     return _numeric_crossings([seed], _TAU_MAX, _SCAN_STEP)[0]
 
 
-def _crossing_reports(points, spec: SystemBathSpec | None, tau_max: float, scan_step: float) -> list:
-    """Crossing reports for (r, mu, nbar_pi, nbar) points, with one oracle call for all.
+def _reports(seeds, tested, closed, tau_max: float, scan_step: float) -> list:
+    """Crossing reports for checked points, with one oracle call for all.
 
-    Every point is validated once, before the oracle runs; omega comes from
-    spec (1 when None) and the bath scale from each point's nbar.  The
-    reported tau = 0 charges are the oracle's own charges at x = 1, for all
-    points at once.
+    seeds is an (N, 5) array of seed pairs (lam_s, |m_s|, |mu|^2, f, omega),
+    tested marks the points with r > 0 and mu != 0, which the oracle scans
+    (the others are reported as a missing precondition), and closed holds the
+    points' closed-form times.  The reported tau = 0 charges are the oracle's
+    own charges at x = 1, for all points at once.
     """
-    omega = 1.0 if spec is None else spec.omega
-    # r <= 0 or mu = 0 is reported as a missing precondition, without the oracle
-    tested, seeds = zip(*[_check_crossing_args(*p, boundary_ok=True, omega=omega) for p in points])
-    closed = [_closed_form(*p) if is_tested else None for p, is_tested in zip(points, tested)]
-    erg0_s, erg0_d = _charges(1.0, *np.array(seeds).T)
-    active = [seed for seed, is_tested in zip(seeds, tested) if is_tested]
-    numerics = iter(_numeric_crossings(active, tau_max, scan_step))
+    erg0_s, erg0_d = _charges(1.0, *seeds.T)
+    numerics = iter(_numeric_crossings(seeds[tested], tau_max, scan_step))
     reports = []
-    for is_tested, tau_c, erg_s, erg_d in zip(tested, closed, erg0_s.tolist(), erg0_d.tolist()):
+    for is_tested, tau_c, erg_s, erg_d in zip(tested.tolist(), closed, erg0_s.tolist(), erg0_d.tolist()):
         numeric = next(numerics) if is_tested else None
         if tau_c is None:
             note = NOTE_NO_PRECONDITION
@@ -395,9 +407,13 @@ def crossing_report(
     Tolerates r <= 0 and mu = 0 (where the point-evaluation functions refuse
     to run) by reporting the reason instead of a crossing; other invalid
     parameters raise ValueError.  The erg0 charges come from the moment core,
-    so weak charges keep their relative precision.
+    so weak charges keep their relative precision.  omega comes from spec (1
+    when None) and the bath scale from nbar.
     """
-    return _crossing_reports([(r, mu, nbar_pi, nbar)], spec, tau_max, scan_step)[0]
+    omega = 1.0 if spec is None else spec.omega
+    tested, seed = _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=True, omega=omega)
+    closed = _closed_form(r, mu, nbar_pi, nbar) if tested else None
+    return _reports(np.array([seed]), np.array([tested]), [closed], tau_max, scan_step)[0]
 
 
 def equal_charge_amplitude(r, nbar_pi) -> float:
@@ -432,25 +448,44 @@ def _ordered_pairs(series, in_order) -> tuple:
 def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResult:
     """Crossing report for every (r, nbar_pi, nbar) grid point.
 
-    One batched oracle call serves the whole grid: all points' gaps are
-    scanned together in bounded chunks, each point stopping at its first
-    sign change, then all bracketed points are bisected together as arrays;
+    The grid is validated and seeded once per axis, not once per point:
+    |mu|^2 once, (nbar + 1/2)^2 once per nbar, and the squeezed seed and its
+    energy range once per (r, nbar_pi) pair, at the largest nbar; a grid
+    that holds a point crossing_report refuses raises ValueError.  The
+    closed form's (r, nbar_pi) part is likewise taken once per pair.  One
+    batched oracle call serves the whole grid: all points' gaps are scanned
+    together in bounded chunks, each point stopping at its first sign
+    change, then all bracketed points are bisected together as arrays;
     every report is what the point gets alone.  Rows follow the axis order
     r (outer), nbar_pi, nbar (inner).
     """
-    points = [
-        (r, nbar_pi, nbar)
-        for r in grid.r_values
-        for nbar_pi in grid.nbar_pi_values
-        for nbar in grid.nbar_values
+    omega = 1.0 if spec is None else spec.omega
+    mu_abs = abs(grid.mu)
+    fs = [nbar + 0.5 for nbar in grid.nbar_values]
+    if not (math.isfinite(mu_abs * mu_abs) and all(math.isfinite(f * f) for f in fs)):
+        raise ValueError("crossing point exceeds float range: |mu|^2 or (nbar + 1/2)^2 overflows")
+    mu_sq = mu_abs ** 2
+    pairs = [(r, nbar_pi) for r in grid.r_values for nbar_pi in grid.nbar_pi_values]
+    # every seed is checked before the closed form takes sinh r and cosh r
+    moduli, f_max = [], max(fs)
+    for r, nbar_pi in pairs:
+        v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))
+        _check_energy(v_s, mu_sq, omega, f_max)  # it grows with f, so f_max covers the pair
+        moduli.append((lam_s, m_s))
+    # r <= 0 or mu = 0 is reported as a missing precondition, without the oracle
+    tested = [r > 0.0 and grid.mu != 0.0 for r, _ in pairs]
+    gaps = [
+        _closed_form_gap(r, mu_sq, nbar_pi + 0.5) if is_tested else None
+        for (r, nbar_pi), is_tested in zip(pairs, tested)
     ]
-    reports = _crossing_reports(
-        [(r, grid.mu, nbar_pi, nbar) for r, nbar_pi, nbar in points], spec, _TAU_MAX, _SCAN_STEP
-    )
-    rows = tuple(
-        ScanRow(r, nbar_pi, nbar, grid.mu, rep)
-        for (r, nbar_pi, nbar), rep in zip(points, reports)
-    )
+    closed = [p if not p else _closed_form_time(p, mu_abs, mu_sq, f) for p in gaps for f in fs]
+    # one seed row (lam_s, |m_s|, |mu|^2, f, omega) per point, in row order
+    seeds = np.empty((len(pairs), len(fs), 5))
+    seeds[:, :, :2] = np.array(moduli)[:, None, :]
+    seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_sq, fs, omega
+    reports = _reports(seeds.reshape(-1, 5), np.repeat(tested, len(fs)), closed, _TAU_MAX, _SCAN_STEP)
+    points = [(r, nbar_pi, nbar) for r, nbar_pi in pairs for nbar in grid.nbar_values]
+    rows = tuple(ScanRow(*point, grid.mu, rep) for point, rep in zip(points, reports))
 
     # tau_c must fall along nbar and rise along nbar_pi
     n_nbar, block = len(grid.nbar_values), len(grid.nbar_pi_values) * len(grid.nbar_values)

@@ -36,6 +36,9 @@ SQUEEZING = [176.5, 177.0, 177.3, 355.0, 355.2, 355.3, 356.0]
 WINDOWS = [0.001, 0.026, 0.3, 7.305, 50.0, 1e4, 1.7e308]
 STEPS = [0.01, 0.3, 1e300, 1e308]
 CASES = 150
+# the sweep fuzzer's squeezing, weighted toward values that the states admit
+SWEEP_SQUEEZING = [0.0, 1e-150, 0.3, 170.0, 177.3, 355.3, 356.0]
+SWEEP_WEIGHTS = [2, 2, 3, 2, 1, 1, 1]
 
 
 class Draw:
@@ -113,6 +116,32 @@ def test_sweep_keeps_its_contract():
             assert_report(row.report)
         assert 0 <= result.nbar_decreasing_violations <= result.nbar_comparisons
         assert 0 <= result.nbar_pi_increasing_violations <= result.nbar_pi_comparisons
+
+
+def test_sweep_refuses_and_reports_as_its_points_do():
+    # the sweep validates per axis and crossing_report per point: they must refuse
+    # the same grids and, otherwise, report every point alike
+    rng = random.Random(24)
+
+    def occupation():
+        return rng.choice([0.0, rng.choice(ORDINARY), rng.choice(ORDINARY), 10.0 ** rng.uniform(-3.0, 200.0)])
+
+    def axis(draw):
+        return tuple(draw() for _ in range(rng.randint(1, 3)))
+
+    for _ in range(2 * CASES):
+        r_values = axis(lambda: rng.choices(SWEEP_SQUEEZING, SWEEP_WEIGHTS)[0])
+        mu = rng.choice([0.0, 1e-160, 1.4e154, rng.choice(ORDINARY), 10.0 ** rng.uniform(-170.0, 154.0)])
+        grid = SweepGrid(r_values, axis(occupation), axis(occupation), mu)
+        spec = SystemBathSpec(omega=10.0 ** rng.uniform(-300.0, 300.0))
+        points = [(r, grid.mu, nbar_pi, nbar) for r in grid.r_values
+                  for nbar_pi in grid.nbar_pi_values for nbar in grid.nbar_values]  # fmt: skip
+        alone = [outcome(lambda: crossing_report(*point, spec)) for point in points]
+        result = outcome(lambda: mpemba_scan(grid, spec))
+        refused = any(isinstance(report, ValueError) for report in alone)
+        assert isinstance(result, ValueError) == refused, (grid, spec, result)
+        if not refused:
+            assert [repr(row.report) for row in result.rows] == [repr(report) for report in alone], grid
 
 
 @pytest.mark.parametrize("command, seed", [("crossing", 22), ("sweep", 23)])

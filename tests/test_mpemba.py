@@ -608,18 +608,22 @@ class TestScan:
             alone = crossing_report(row.r, grid.mu, row.nbar_pi, row.nbar, spec)
             assert repr(row.report) == repr(alone)
 
-    def test_each_point_is_validated_once(self, monkeypatch):
-        calls = []
+    def test_each_seed_is_validated_once(self, monkeypatch):
+        # the grid is checked per axis: one squeezed seed per (r, nbar_pi) pair,
+        # and no per-point check at all
+        seeds, points = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return check(*args, **kwargs)
+        def counting_seed(*args):
+            seeds.append(args)
+            return squeezed_seed(*args)
 
-        check = mpemba._check_crossing_args
-        monkeypatch.setattr(mpemba, "_check_crossing_args", counting)
-        result = mpemba_scan(SweepGrid((0.0, 1.0), (0.2, 0.5), (0.4, 0.9), mu=1.0))
-        assert len(calls) == len(result.rows) == 8
-        assert sum(row.report.exists for row in result.rows) == 4
+        squeezed_seed = mpemba._squeezed_seed
+        monkeypatch.setattr(mpemba, "_squeezed_seed", counting_seed)
+        monkeypatch.setattr(mpemba, "_check_crossing_args", lambda *a, **k: points.append(a))
+        result = mpemba_scan(SweepGrid((0.0, 1.0), (0.2, 0.5), (0.4, 0.9, 2.0), mu=1.0))
+        assert len(result.rows) == 12 and sum(row.report.exists for row in result.rows) == 6
+        assert seeds == [(0.7, 0.0), (1.0, 0.0), (0.7, 1.0), (1.0, 1.0)]
+        assert points == []
 
     def test_row_ordering(self):
         grid = SweepGrid((0.8, 1.0), (0.3, 0.6), (0.1, 0.9), mu=1.0)
