@@ -221,9 +221,15 @@ def _closed_form_time(p, mu_abs, mu_sq, f) -> float:
         ratio = p / (2.0 * mu_sq * f)
         if math.isfinite(ratio):
             return math.log1p(ratio)
-    # |mu|^2 underflowed or the ratio overflowed: the 1 in log(1 + ratio) is
-    # negligible, and the log of the ratio is taken in log space
-    return math.log(p / (2.0 * f)) - 2.0 * math.log(mu_abs)
+        # the ratio overflowed: the 1 in log(1 + ratio) is negligible, and the
+        # log of the ratio is taken in log space
+        return math.log(p / (2.0 * f)) - 2.0 * math.log(mu_abs)
+    # |mu|^2 is below the normal range, and so may be P / (2 f): the ratio is
+    # c 2^n, from the factors' mantissas (c lies in (1/4, 4)) and exponents
+    (p_m, p_e), (mu_m, mu_e), (f_m, f_e) = math.frexp(p), math.frexp(mu_abs), math.frexp(f)
+    c, n = p_m / (2.0 * (mu_m * mu_m) * f_m), p_e - 2 * mu_e - f_e
+    # past 2^1000 the 1 in log(1 + ratio) is negligible
+    return math.log1p(math.ldexp(c, n)) if n < 1000 else math.log(c) + n * math.log(2.0)
 
 
 def _charges(x, lam_s, m_s, v_sq, f, omega):

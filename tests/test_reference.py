@@ -11,6 +11,7 @@ import pytest
 from ergoflow import (
     SystemBathSpec,
     crossing_report,
+    crossing_time_closed_form,
     effective_parameters,
     equal_charge_amplitude,
     ergotropy,
@@ -91,3 +92,26 @@ def test_crossings_near_equal_charge_match_reference(eps):
     assert report.exists
     assert relative_error(report.tau_c_numeric, tau_c) <= 4.0 * EPSILON / eps
     assert relative_error(report.tau_c_closed, tau_c) <= 4.0 * EPSILON / eps
+
+
+# |mu|^2 below the smallest normal float: the ratio P / (2 |mu|^2 f) may be
+# large, moderate or tiny, so the 1 in log(1 + ratio) may or may not matter
+SUBNORMAL_MU_POINTS = [
+    (1e-150, 1e-160, 0.0, 5e20),  # ratio about 0.1
+    (1e-150, 1e-160, 0.0, 5e19),  # about 1
+    (1e-150, 1e-160, 0.0, 5e18),  # about 10
+    (1e-150, 1e-160, 0.0, 1e100),  # about 5e-81, where P / (2 f) underflows
+    (1e-150, 1e-155, 0.2, 0.4),  # about 2e9
+    (1.0, 1e-160, 0.2, 0.4),  # about 3e320, beyond float range
+    (1.0, 5e-324, 0.2, 0.4),  # |mu|^2 underflows to 0
+]
+
+
+@pytest.mark.parametrize("point", SUBNORMAL_MU_POINTS)
+def test_closed_form_with_subnormal_mu_squared_matches_reference(point):
+    tau_c = reference_crossing(*point)
+    value = crossing_time_closed_form(*point)
+    assert value > 0.0
+    assert relative_error(value, tau_c) <= 1e-12
+    assert crossing_report(*point).tau_c_closed == value
+
