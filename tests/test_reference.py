@@ -115,3 +115,12 @@ def test_closed_form_with_subnormal_mu_squared_matches_reference(point):
     assert relative_error(value, tau_c) <= 1e-12
     assert crossing_report(*point).tau_c_closed == value
 
+
+# |mu|^2 and f near the top of float range, where 2 |mu|^2 f overflows while
+# the ratio is below 1; the squeezed seed starts 24 % and 1.6 % ahead
+@pytest.mark.parametrize("point", [(178.1, 1e77, 0.0, 1e154), (178.0, 1e77, 0.0, 1e154)])
+def test_closed_form_past_an_overflowing_denominator_matches_reference(point):
+    tau_c = reference_crossing(*point)
+    report = crossing_report(*point)
+    assert report.exists, report
+    assert relative_error(report.tau_c_closed, tau_c) <= 1e-12
