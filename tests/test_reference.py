@@ -94,9 +94,13 @@ def test_crossings_near_equal_charge_match_reference(eps):
     assert relative_error(report.tau_c_closed, tau_c) <= 4.0 * EPSILON / eps
 
 
-# |mu|^2 below the smallest normal float: the ratio P / (2 |mu|^2 f) may be
-# large, moderate or tiny, so the 1 in log(1 + ratio) may or may not matter
-SUBNORMAL_MU_POINTS = [
+
+# Points off the closed form's plain ratio path.  Where |mu|^2 is below the
+# smallest normal float, the ratio P / (2 |mu|^2 f) may be large, moderate or
+# tiny, so the 1 in log(1 + ratio) may or may not matter; where |mu|^2 and f
+# are near the top of float range, 2 |mu|^2 f overflows while the ratio is
+# below 1.
+EDGE_RATIO_POINTS = [
     (1e-150, 1e-160, 0.0, 5e20),  # ratio about 0.1
     (1e-150, 1e-160, 0.0, 5e19),  # about 1
     (1e-150, 1e-160, 0.0, 5e18),  # about 10
@@ -104,23 +108,15 @@ SUBNORMAL_MU_POINTS = [
     (1e-150, 1e-155, 0.2, 0.4),  # about 2e9
     (1.0, 1e-160, 0.2, 0.4),  # about 3e320, beyond float range
     (1.0, 5e-324, 0.2, 0.4),  # |mu|^2 underflows to 0
+    (178.1, 1e77, 0.0, 1e154),  # squeezed seed 24 % ahead
+    (178.0, 1e77, 0.0, 1e154),  # 1.6 % ahead
 ]
 
 
-@pytest.mark.parametrize("point", SUBNORMAL_MU_POINTS)
-def test_closed_form_with_subnormal_mu_squared_matches_reference(point):
+@pytest.mark.parametrize("point", EDGE_RATIO_POINTS)
+def test_closed_form_off_the_plain_ratio_matches_reference(point):
     tau_c = reference_crossing(*point)
     value = crossing_time_closed_form(*point)
     assert value > 0.0
     assert relative_error(value, tau_c) <= 1e-12
     assert crossing_report(*point).tau_c_closed == value
-
-
-# |mu|^2 and f near the top of float range, where 2 |mu|^2 f overflows while
-# the ratio is below 1; the squeezed seed starts 24 % and 1.6 % ahead
-@pytest.mark.parametrize("point", [(178.1, 1e77, 0.0, 1e154), (178.0, 1e77, 0.0, 1e154)])
-def test_closed_form_past_an_overflowing_denominator_matches_reference(point):
-    tau_c = reference_crossing(*point)
-    report = crossing_report(*point)
-    assert report.exists, report
-    assert relative_error(report.tau_c_closed, tau_c) <= 1e-12
