@@ -32,7 +32,8 @@ from .factory import (
     squeezed_thermal,
     thermal_state,
 )
-from .mpemba import _MAX_SCAN_STEPS, ScanRow, SweepGrid, crossing_report, mpemba_scan
+from .mpemba import _MAX_SCAN_STEPS, NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
+from .mpemba import ScanRow, SweepGrid, crossing_report, mpemba_scan
 from .states import InvalidStateError, SystemBathSpec, ergotropy, mean_energy, wigner_entropy
 
 __all__ = ["main", "build_parser", "parse_config_text"]
@@ -255,16 +256,17 @@ def cmd_sweep(args) -> int:
         nbar_values=_axis(args.nbar_axis, args.nbar, counts[1]),
         mu=args.mu,
     )
-    result = mpemba_scan(grid, spec)
-    _write_text(args.output, _sweep_csv(result.rows))
-    print(
-        f"monotonicity: tau_c decreasing along nbar in "
-        f"{result.nbar_comparisons - result.nbar_decreasing_violations}/{result.nbar_comparisons} "
-        f"adjacent pairs; increasing along nbar_pi in "
-        f"{result.nbar_pi_comparisons - result.nbar_pi_increasing_violations}/"
-        f"{result.nbar_pi_comparisons}",
-        file=sys.stderr,
+    rows = mpemba_scan(grid, spec).rows
+    _write_text(args.output, _sweep_csv(rows))
+    reports = [row.report for row in rows]
+    notes = [rep.validity_note for rep in reports]
+    tally = ", ".join(
+        f"{note or 'crossing'} {notes.count(note)}"
+        for note in ("", NOTE_NO_PRECONDITION, NOTE_DEGENERATE, NOTE_NO_CROSSING)
     )
+    gaps = [abs(rep.tau_c_closed - rep.tau_c_numeric) for rep in reports if rep.exists]
+    largest = _fmt(max(gaps)) if gaps else "none"
+    print(f"sweep rows: {tally}; largest |tau_c_closed - tau_c_numeric|: {largest}", file=sys.stderr)
     return 0
 
 

@@ -31,7 +31,6 @@ raise a significant positive sample either.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -113,9 +112,9 @@ class SweepGrid:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ValueError(f"{name} must be nonempty")
-            if any(not math.isfinite(v) or v < 0.0 for v in values):
+            if not _finite(*values) or any(v < 0.0 for v in values):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if not math.isfinite(self.mu) or self.mu < 0.0:
+        if not _finite(self.mu) or self.mu < 0.0:
             raise ValueError("mu must be finite and nonnegative")
 
 
@@ -130,18 +129,9 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Sweep table plus adjacent-pair monotonicity statistics.
-
-    Violations count adjacent grid points (with existing crossings) where
-    tau_c fails to decrease along the nbar axis or fails to increase along
-    the nbar_pi axis.
-    """
+    """Sweep table: one ScanRow per grid point, in mpemba_scan's row order."""
 
     rows: tuple
-    nbar_comparisons: int
-    nbar_decreasing_violations: int
-    nbar_pi_comparisons: int
-    nbar_pi_increasing_violations: int
 
 
 @dataclass(frozen=True)
@@ -153,29 +143,62 @@ class DischargePair:
     displaced: Trajectory
 
 
-def _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=False, omega=1.0) -> tuple:
-    """(tested, seed pair (lam_s, |m_s|, |mu|^2, f, omega)) of a point; tested is r > 0 and mu != 0.
+def _finite(*values) -> bool:
+    """True when every value is finite; an int beyond float range is not (isfinite raises OverflowError)."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
 
-    Otherwise the point is an error unless boundary_ok; r <= 0 seeds no
-    squeezing.  Raises ValueError for non-finite values, negative
-    occupations, and seeds beyond float range (their V^2, |mu|, |mu|^2,
-    (nbar + 1/2)^2 or omega times an energy), as the states would.
+
+def _check_point(r, mu, nbar_pi, nbar, boundary_ok=False) -> float:
+    """|mu| of a crossing point whose values are finite and occupations nonnegative, as SweepGrid's are.
+
+    Raises ValueError otherwise, and, unless boundary_ok, for r <= 0 (no
+    squeezing) or mu = 0; _seed_axes then checks the float range.
     """
-    mu_abs, f = _modulus(mu, "mu"), nbar + 0.5
-    if any(not math.isfinite(v) for v in (r, mu_abs, nbar_pi, nbar)):
+    mu_abs = _modulus(mu, "mu")
+    if not _finite(r, mu_abs, nbar_pi, nbar):
         raise ValueError("crossing parameters must be finite")
     if nbar_pi < 0.0 or nbar < 0.0:
         raise ValueError("occupations must be nonnegative")
-    if not (math.isfinite(mu_abs * mu_abs) and math.isfinite(f * f)):
-        raise ValueError("crossing point exceeds float range: |mu|^2 or (nbar + 1/2)^2 overflows")
-    v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))
-    v_sq = mu_abs ** 2
-    _check_energy(v_s, v_sq, omega, f)
     if r <= 0.0 and not boundary_ok:
         raise ValueError("squeezing magnitude r must be positive")
-    if mu == 0.0 and not boundary_ok:
+    if mu_abs == 0.0 and not boundary_ok:
         raise ValueError("displacement amplitude mu must be nonzero")
-    return r > 0.0 and mu != 0.0, (lam_s, m_s, v_sq, f, omega)
+    return mu_abs
+
+
+def _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega=1.0) -> tuple:
+    """(moduli, tested, closed) of finite axes, with nonnegative occupations, at |mu| = mu_abs.
+
+    moduli holds each (r, nbar_pi) pair's squeezed seed (lam_s, |m_s|) and
+    tested whether the pair has r > 0 and mu != 0, in row order (r outer);
+    closed holds each point's closed-form tau_c, None where the pair is not
+    tested.  The axes are checked once each, not once per point: |mu|^2
+    once, (nbar + 1/2)^2 once per nbar, and the seed and its energy range
+    once per pair, at the largest nbar.  Raises ValueError for a seed beyond
+    float range (its V^2, |mu|^2, (nbar + 1/2)^2 or omega times an energy),
+    as the states would.
+    """
+    fs = [nbar + 0.5 for nbar in nbar_values]
+    if not _finite(mu_abs * mu_abs, *(f * f for f in fs)):
+        raise ValueError("crossing point exceeds float range: |mu|^2 or (nbar + 1/2)^2 overflows")
+    mu_sq = mu_abs ** 2
+    pairs = [(r, nbar_pi) for r in r_values for nbar_pi in nbar_pi_values]
+    # every seed is checked before the closed form takes sinh r and cosh r
+    moduli, f_max = [], max(fs)
+    for r, nbar_pi in pairs:
+        v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))
+        _check_energy(v_s, mu_sq, omega, f_max)  # it grows with f, so f_max covers the pair
+        moduli.append((lam_s, m_s))
+    tested = [r > 0.0 and mu_abs != 0.0 for r, _ in pairs]
+    gaps = [
+        _closed_form_gap(r, mu_sq, nbar_pi + 0.5) if is_tested else None
+        for (r, nbar_pi), is_tested in zip(pairs, tested)
+    ]
+    closed = [p if not p else _closed_form_time(p, mu_abs, mu_sq, f) for p in gaps for f in fs]
+    return moduli, tested, closed
 
 
 def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
@@ -185,16 +208,7 @@ def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
     strictly more charged at tau = 0); returns None when the ordering fails
     and 0.0 on the degenerate equal-charge boundary.
     """
-    _check_crossing_args(r, mu, nbar_pi, nbar)
-    return _closed_form(r, mu, nbar_pi, nbar)
-
-
-def _closed_form(r, mu, nbar_pi, nbar) -> float | None:
-    """crossing_time_closed_form of a point that _check_crossing_args has accepted."""
-    mu_abs = abs(mu)
-    mu_sq = mu_abs ** 2
-    p = _closed_form_gap(r, mu_sq, nbar_pi + 0.5)
-    return p if not p else _closed_form_time(p, mu_abs, mu_sq, nbar + 0.5)
+    return _seed_axes((r,), (nbar_pi,), (nbar,), _check_point(r, mu, nbar_pi, nbar))[2][0]
 
 
 def _closed_form_gap(r, mu_sq, f_pi) -> float | None:
@@ -371,19 +385,24 @@ def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = No
     underflow before they cross give None).  crossing_report takes another
     scan window.
     """
-    seed = _check_crossing_args(r, mu, nbar_pi, nbar, omega=1.0 if spec is None else spec.omega)[1]
-    return _numeric_crossings([seed], _TAU_MAX, _SCAN_STEP)[0]
+    _check_point(r, mu, nbar_pi, nbar)
+    return crossing_report(r, mu, nbar_pi, nbar, spec).tau_c_numeric
 
 
-def _reports(seeds, tested, closed, tau_max: float, scan_step: float) -> list:
-    """Crossing reports for checked points, with one oracle call for all.
+def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, omega, tau_max, scan_step) -> list:
+    """Crossing reports for every point of axes as _seed_axes takes them, with one oracle call for all.
 
-    seeds is an (N, 5) array of seed pairs (lam_s, |m_s|, |mu|^2, f, omega),
-    tested marks the points with r > 0 and mu != 0, which the oracle scans
-    (the others are reported as a missing precondition), and closed holds the
-    points' closed-form times.  The reported tau = 0 charges are the oracle's
-    own charges at x = 1, for all points at once.
+    Each point's seed pair (lam_s, |m_s|, |mu|^2, f, omega) is one row of an
+    (N, 5) array, in row order.  The oracle scans the tested points; the
+    others are reported as a missing precondition.  The reported tau = 0
+    charges are the oracle's own charges at x = 1, for all points at once.
     """
+    moduli, tested, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
+    n_nbar = len(nbar_values)
+    seeds = np.empty((len(moduli), n_nbar, 5))
+    seeds[:, :, :2] = np.array(moduli)[:, None, :]
+    seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_abs ** 2, [nbar + 0.5 for nbar in nbar_values], omega
+    seeds, tested = seeds.reshape(-1, 5), np.repeat(tested, n_nbar)
     erg0_s, erg0_d = _charges(1.0, *seeds.T)
     numerics = iter(_numeric_crossings(seeds[tested], tau_max, scan_step))
     reports = []
@@ -418,10 +437,9 @@ def crossing_report(
     so weak charges keep their relative precision.  omega comes from spec (1
     when None) and the bath scale from nbar.
     """
+    mu_abs = _check_point(r, mu, nbar_pi, nbar, boundary_ok=True)
     omega = 1.0 if spec is None else spec.omega
-    tested, seed = _check_crossing_args(r, mu, nbar_pi, nbar, boundary_ok=True, omega=omega)
-    closed = _closed_form(r, mu, nbar_pi, nbar) if tested else None
-    return _reports(np.array([seed]), np.array([tested]), [closed], tau_max, scan_step)[0]
+    return _reports((r,), (nbar_pi,), (nbar,), mu_abs, omega, tau_max, scan_step)[0]
 
 
 def equal_charge_amplitude(r, nbar_pi) -> float:
@@ -432,7 +450,7 @@ def equal_charge_amplitude(r, nbar_pi) -> float:
     cancels.  Raises ValueError, as factory.squeeze does, when cosh 2r
     overflows (r above about 355.2), and when mu^2 is not a float.
     """
-    if not (math.isfinite(r) and math.isfinite(nbar_pi)) or r < 0.0 or nbar_pi < 0.0:
+    if not _finite(r, nbar_pi) or r < 0.0 or nbar_pi < 0.0:
         raise ValueError("r and nbar_pi must be finite and nonnegative")
     _cosh_2r(r)  # squeeze's range rule
     # sqrt(f_pi / 2) (2 sinh r) is sqrt(2 f_pi) sinh r bit for bit, and 2 f_pi cannot overflow
@@ -442,23 +460,11 @@ def equal_charge_amplitude(r, nbar_pi) -> float:
     return mu
 
 
-def _ordered_pairs(series, in_order) -> tuple:
-    """(comparisons, violations): adjacent crossings (prev, cur) of each series not in_order."""
-    comparisons = violations = 0
-    for reports in series:
-        taus = [rep.tau_c_closed for rep in reports if rep.exists]
-        for prev, cur in zip(taus, taus[1:]):
-            comparisons += 1
-            violations += int(not in_order(prev, cur))
-    return comparisons, violations
-
-
 def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResult:
     """Crossing report for every (r, nbar_pi, nbar) grid point.
 
-    The grid is validated and seeded once per axis, not once per point:
-    |mu|^2 once, (nbar + 1/2)^2 once per nbar, and the squeezed seed and its
-    energy range once per (r, nbar_pi) pair, at the largest nbar; a grid
+    The grid is validated and seeded once per axis, not once per point, by
+    the same _seed_axes that serves crossing_report's one-point axes, so a grid
     that holds a point crossing_report refuses raises ValueError.  The
     closed form's (r, nbar_pi) part is likewise taken once per pair.  One
     batched oracle call serves the whole grid: all points' gaps are scanned
@@ -468,42 +474,10 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResu
     r (outer), nbar_pi, nbar (inner).
     """
     omega = 1.0 if spec is None else spec.omega
-    mu_abs = abs(grid.mu)
-    fs = [nbar + 0.5 for nbar in grid.nbar_values]
-    if not (math.isfinite(mu_abs * mu_abs) and all(math.isfinite(f * f) for f in fs)):
-        raise ValueError("crossing point exceeds float range: |mu|^2 or (nbar + 1/2)^2 overflows")
-    mu_sq = mu_abs ** 2
-    pairs = [(r, nbar_pi) for r in grid.r_values for nbar_pi in grid.nbar_pi_values]
-    # every seed is checked before the closed form takes sinh r and cosh r
-    moduli, f_max = [], max(fs)
-    for r, nbar_pi in pairs:
-        v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))
-        _check_energy(v_s, mu_sq, omega, f_max)  # it grows with f, so f_max covers the pair
-        moduli.append((lam_s, m_s))
-    # r <= 0 or mu = 0 is reported as a missing precondition, without the oracle
-    tested = [r > 0.0 and grid.mu != 0.0 for r, _ in pairs]
-    gaps = [
-        _closed_form_gap(r, mu_sq, nbar_pi + 0.5) if is_tested else None
-        for (r, nbar_pi), is_tested in zip(pairs, tested)
-    ]
-    closed = [p if not p else _closed_form_time(p, mu_abs, mu_sq, f) for p in gaps for f in fs]
-    # one seed row (lam_s, |m_s|, |mu|^2, f, omega) per point, in row order
-    seeds = np.empty((len(pairs), len(fs), 5))
-    seeds[:, :, :2] = np.array(moduli)[:, None, :]
-    seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_sq, fs, omega
-    reports = _reports(seeds.reshape(-1, 5), np.repeat(tested, len(fs)), closed, _TAU_MAX, _SCAN_STEP)
-    points = [(r, nbar_pi, nbar) for r, nbar_pi in pairs for nbar in grid.nbar_values]
-    rows = tuple(ScanRow(*point, grid.mu, rep) for point, rep in zip(points, reports))
-
-    # tau_c must fall along nbar and rise along nbar_pi
-    n_nbar, block = len(grid.nbar_values), len(grid.nbar_pi_values) * len(grid.nbar_values)
-    along_nbar = [reports[i:i + n_nbar] for i in range(0, len(rows), n_nbar)]
-    along_nbar_pi = [
-        reports[b + j:b + block:n_nbar] for b in range(0, len(rows), block) for j in range(n_nbar)
-    ]
-    return ScanResult(
-        rows, *_ordered_pairs(along_nbar, operator.gt), *_ordered_pairs(along_nbar_pi, operator.lt)
-    )
+    axes = grid.r_values, grid.nbar_pi_values, grid.nbar_values
+    reports = _reports(*axes, abs(grid.mu), omega, _TAU_MAX, _SCAN_STEP)
+    points = [(r, nbar_pi, nbar) for r in axes[0] for nbar_pi in axes[1] for nbar in axes[2]]
+    return ScanResult(tuple(ScanRow(*point, grid.mu, rep) for point, rep in zip(points, reports)))
 
 
 def faster_discharge_demo(r, nbar_pi, nbar, tau_grid=None) -> DischargePair:

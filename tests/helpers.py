@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: seeded random states and specs, moment comparison,
-decimal references, the moment ODE and Fock master equation stepped as written, and the
-crossing scan one point at a time."""
+decimal references, the moment ODE and Fock master equation stepped as written, the
+crossing scan one point at a time, its seed rows, and the order of a sweep's crossing times."""
 
 import decimal
 import functools
@@ -24,6 +24,8 @@ __all__ = [
     "literal_moment_path",
     "literal_fock_path",
     "literal_crossing_scan",
+    "seed_row",
+    "strictly_monotone",
 ]
 
 # V - |M| of a squeezed seed at r = 177 is about 1e-307 V, so the reference
@@ -231,3 +233,21 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
             k = flips[0]
             times[i] = literal_bisect(taus[k], taus[k + 1], bool(positive[k]), moments, floor)
     return times
+
+
+def seed_row(r, mu, nbar_pi, nbar, omega=1.0) -> tuple:
+    """The crossing oracle's seed row (lam_s, |m_s|, |mu|^2, f, omega) of a valid point, seeded
+    and range-checked as crossing_report seeds it."""
+    (moduli,), _, _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu), omega)
+    return (*moduli, abs(mu) ** 2, nbar + 0.5, omega)
+
+
+def strictly_monotone(rows, sign) -> bool:
+    """True when tau_c_closed and tau_c_numeric both strictly rise (sign 1) or fall (sign -1)
+    from each sweep row to the next with the same r, as along a grid's one swept occupation."""
+    return all(
+        sign * (getattr(cur.report, name) - getattr(prev.report, name)) > 0.0
+        for name in ("tau_c_closed", "tau_c_numeric")
+        for prev, cur in zip(rows, rows[1:])
+        if prev.r == cur.r
+    )

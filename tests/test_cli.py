@@ -297,7 +297,36 @@ class TestSweep:
         for r_value in ("0.8", "1"):
             taus = [float(row[5]) for row in rows if row[0] == r_value and row[4] == "true"]
             assert taus == sorted(taus, reverse=True)
-        assert "monotonicity" in err
+        # stderr sums the rows up by validity note, with the largest closed-form/oracle gap
+        summary, largest = err.rstrip("\n").split("; largest |tau_c_closed - tau_c_numeric|: ")
+        assert summary == (
+            "sweep rows: crossing 36, no Mpemba precondition 0, degenerate equal initial charge 0, "
+            "no crossing on scan window 0"
+        )
+        assert 0.0 <= float(largest) <= 1e-9
+
+    def test_tied_axes_report_every_crossing(self, tmp_path, capsys):
+        # both occupation axes hold one value several times: the monotonicity line
+        # this summary replaced read "decreasing along nbar in 0/4" here
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(
+            ["sweep", "--r", "1.2", "--nbar-axis", "0.5", "0.5", "3", "--nbar-pi-axis", "0.3", "0.3", "2",
+             "-o", str(out)],
+            capsys,
+        )  # fmt: skip
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 6 and len({",".join(row) for row in rows}) == 1 and rows[0][4] == "true"
+        assert err.startswith("sweep rows: crossing 6, no Mpemba precondition 0,")
+        assert float(err.split(": ")[-1]) == abs(float(rows[0][5]) - float(rows[0][6]))
+
+    def test_summary_without_crossings(self, capsys):
+        code, _, err = run(["sweep", "--r", "0", "0.2", "--mu", "1.0", "-o", os.devnull], capsys)
+        assert code == 0
+        assert err == (
+            "sweep rows: crossing 0, no Mpemba precondition 2, degenerate equal initial charge 0, "
+            "no crossing on scan window 0; largest |tau_c_closed - tau_c_numeric|: none\n"
+        )
 
     def test_empty_axis_is_usage_error(self, capsys):
         code, _, err = run(

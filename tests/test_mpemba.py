@@ -25,7 +25,14 @@ from ergoflow.factory import _MAX_SQUEEZING
 from ergoflow.mpemba import NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
 from ergoflow.states import _work
 
-from helpers import literal_crossing_scan, reference_squeezed, relative_error, rng_for
+from helpers import (
+    literal_crossing_scan,
+    reference_squeezed,
+    relative_error,
+    rng_for,
+    seed_row,
+    strictly_monotone,
+)
 
 # bisection-validated closed form value for r=1, mu=1, nbar_pi=0.2, nbar=0.4
 TAU_C_FIG2 = 0.7931038912544939
@@ -165,7 +172,7 @@ class TestNumericOracle:
             mu = rng.uniform(0.0, 1.3) * equal_charge_amplitude(r, nbar_pi)
             points.append((r, mu, nbar_pi, nbar))
         omegas = rng.uniform(0.5, 2.0, len(points))
-        seeds = [mpemba._check_crossing_args(*p, omega=w)[1] for p, w in zip(points, omegas)]
+        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
         times = mpemba._numeric_crossings(seeds, tau_max, step)
         assert times == literal_crossing_scan(seeds, tau_max, step)
         # the edge cases are where they were placed
@@ -192,13 +199,18 @@ class TestNumericOracle:
         assert sum(samples) < window // 10
         samples.clear()
         # a point that starts ahead and crosses past the window scans the whole window
-        seed = mpemba._check_crossing_args(1.0, 1.0, 0.2, 0.4)[1]
+        seed = seed_row(1.0, 1.0, 0.2, 0.4)
         assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP) == [None]
         assert sum(samples) == 1 + round(0.5 / mpemba._SCAN_STEP) + 1
         samples.clear()
-        # a point that starts below never crosses: only its tau = 0 sample is evaluated
-        assert crossing_time_numeric(1.0, 1.5, 0.2, 0.4) is None
+        # a point that starts below never crosses: the oracle evaluates only its tau = 0 sample
+        below = seed_row(1.0, 1.5, 0.2, 0.4)
+        assert mpemba._numeric_crossings([below], mpemba._TAU_MAX, mpemba._SCAN_STEP) == [None]
         assert samples == [1]
+        samples.clear()
+        # and so does the point function, once more for its report's starting charges
+        assert crossing_time_numeric(1.0, 1.5, 0.2, 0.4) is None
+        assert samples == [1, 1]
 
     @pytest.mark.parametrize("window", [(50.0, 0.01), (7.305, 0.01), (1e4, 2e3)])
     def test_points_that_start_below_never_cross(self, window):
@@ -216,7 +228,7 @@ class TestNumericOracle:
             else:
                 r, excess = rng.uniform(0.05, 3.0), rng.uniform(1e-3, 2.0)
             points.append((r, equal_charge_amplitude(r, nbar_pi) * (1.0 + excess), nbar_pi, nbar))
-        seeds = [mpemba._check_crossing_args(*p, omega=w)[1] for p, w in zip(points, omegas)]
+        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
         erg_s, erg_d = mpemba._charges(1.0, *np.array(seeds).T)
         assert np.all(erg_s <= erg_d)
         assert literal_crossing_scan(seeds, *window) == [None] * len(seeds)
@@ -331,7 +343,7 @@ class TestNumericOracle:
         rng = rng_for("charges in place")
         columns = [rng.choice(specials, 200) for _ in range(4)] + [rng.choice([1.0, 0.7, 1e10], 200)]
         x = np.concatenate([np.exp(-0.01 * np.arange(300)), [0.5, 1e-300, 5e-324, 0.0]])
-        seed = mpemba._check_crossing_args(1.0, 1.0, 0.2, 0.4, omega=1e10)[1]
+        seed = seed_row(1.0, 1.0, 0.2, 0.4, omega=1e10)
         cases = [
             (x, [column[:, None] for column in columns]),  # the scan's (P, 1) x (S,)
             (rng.choice(x, 200), columns),  # the bisection's (P,) x (P,)
@@ -350,7 +362,7 @@ class TestNumericOracle:
         report = crossing_report(1.0, 1.0, 0.2, 0.4, SystemBathSpec(omega=1e10))
         assert (report.erg0_squeezed, report.erg0_displaced) == tuple(float(a) for a in core(1.0, *seed))
         points = [(3.0, 1e-6, 0.2, 0.0), (1.0, 1.5, 0.2, 0.4), (1e-7, 1e-8, 0.2, 0.4)]
-        late, missing, weak = [mpemba._check_crossing_args(*p)[1] for p in points]
+        late, missing, weak = [seed_row(*p) for p in points]
         batches, window = [[seed, late, missing], [weak]], (mpemba._TAU_MAX, mpemba._SCAN_STEP)
         times = [mpemba._numeric_crossings(seeds, *window) for seeds in batches]
         assert times == [literal_crossing_scan(seeds, *window) for seeds in batches]
@@ -585,16 +597,16 @@ class TestScan:
     def test_fixed_seed_occupation_sweep(self):
         # higher bath temperature brings the crossing earlier
         grid = SweepGrid((0.8, 1.2), (0.5,), tuple(np.linspace(0.0, 2.0, 9)), mu=1.0)
-        result = mpemba_scan(grid)
-        assert result.nbar_decreasing_violations == 0
-        assert result.nbar_comparisons == 2 * 8
+        rows = mpemba_scan(grid).rows
+        assert len(rows) == 2 * 9 and all(row.report.exists for row in rows)
+        assert strictly_monotone(rows, -1)
 
     def test_fixed_bath_occupation_sweep(self):
         # hotter seeds push the crossing later
         grid = SweepGrid((0.8, 1.2), tuple(np.linspace(0.2, 2.0, 9)), (0.5,), mu=1.0)
-        result = mpemba_scan(grid)
-        assert result.nbar_pi_increasing_violations == 0
-        assert result.nbar_pi_comparisons == 2 * 8
+        rows = mpemba_scan(grid).rows
+        assert len(rows) == 2 * 9 and all(row.report.exists for row in rows)
+        assert strictly_monotone(rows, 1)
 
     def test_rows_match_single_point_reports(self):
         # one batched oracle call for the grid gives, bit for bit, what each
@@ -610,20 +622,28 @@ class TestScan:
 
     def test_each_seed_is_validated_once(self, monkeypatch):
         # the grid is checked per axis: one squeezed seed per (r, nbar_pi) pair,
-        # and no per-point check at all
+        # and no per-point check at all; a single point is a grid of one
         seeds, points = [], []
 
         def counting_seed(*args):
             seeds.append(args)
             return squeezed_seed(*args)
 
-        squeezed_seed = mpemba._squeezed_seed
+        def counting_point(*args, **kwargs):
+            points.append(args)
+            return check_point(*args, **kwargs)
+
+        squeezed_seed, check_point = mpemba._squeezed_seed, mpemba._check_point
         monkeypatch.setattr(mpemba, "_squeezed_seed", counting_seed)
-        monkeypatch.setattr(mpemba, "_check_crossing_args", lambda *a, **k: points.append(a))
+        monkeypatch.setattr(mpemba, "_check_point", counting_point)
         result = mpemba_scan(SweepGrid((0.0, 1.0), (0.2, 0.5), (0.4, 0.9, 2.0), mu=1.0))
         assert len(result.rows) == 12 and sum(row.report.exists for row in result.rows) == 6
         assert seeds == [(0.7, 0.0), (1.0, 0.0), (0.7, 1.0), (1.0, 1.0)]
         assert points == []
+        seeds.clear()
+        assert crossing_report(1.0, 1.0, 0.2, 0.4).exists
+        assert seeds == [(0.7, 1.0)]
+        assert points == [(1.0, 1.0, 0.2, 0.4)]
 
     def test_row_ordering(self):
         grid = SweepGrid((0.8, 1.0), (0.3, 0.6), (0.1, 0.9), mu=1.0)
@@ -672,3 +692,29 @@ class TestFasterDischarge:
                 assert math.isfinite(pair.mu)
                 for traj in (pair.squeezed, pair.displaced):
                     assert all(np.all(np.isfinite(column)) for column in vars(traj).values())
+
+
+BIG = 10**400  # an int that no float holds
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (crossing_report, (1.0, BIG, 0.2, 0.4)),
+        (crossing_report, (BIG, 1.0, 0.2, 0.4)),
+        (crossing_report, (1.0, 10**200, 0.2, 0.4)),  # a float, but its square is not
+        (crossing_time_closed_form, (1.0, 1.0, BIG, 0.4)),
+        (crossing_time_numeric, (1.0, 1.0, 0.2, BIG)),
+        (equal_charge_amplitude, (BIG, 0.2)),
+        (equal_charge_amplitude, (1.0, BIG)),
+        (SweepGrid, ((BIG,), (0.2,), (0.4,), 1.0)),
+        (SweepGrid, ((1.0,), (0.2,), (0.4,), BIG)),
+        (mpemba_scan, (SweepGrid((1.0,), (0.2,), (0.4,), 10**200),)),
+    ],
+    ids=["report-mu", "report-r", "report-mu-squared", "closed-nbar_pi", "numeric-nbar", "amplitude-r",
+         "amplitude-nbar_pi", "grid-axis", "grid-mu", "scan-mu-squared"],  # fmt: skip
+)
+def test_ints_beyond_float_range_are_value_errors(fn, args):
+    # math.isfinite raised OverflowError: int too large to convert to float
+    with pytest.raises(ValueError, match="finite|float range"):
+        fn(*args)
