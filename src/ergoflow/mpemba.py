@@ -41,9 +41,6 @@ from .factory import _cosh_2r, _squeezed_seed, displaced_thermal, squeezed_therm
 from .states import SystemBathSpec, _check_energy, _modulus, _work
 
 __all__ = [
-    "NOTE_NO_PRECONDITION",
-    "NOTE_DEGENERATE",
-    "NOTE_NO_CROSSING",
     "CrossingReport",
     "SweepGrid",
     "ScanRow",
