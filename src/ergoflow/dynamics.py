@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .factory import _seed_scale, _squeezed_seed, _squeezing
-from .states import GaussianState, SystemBathSpec, _moduli, _state, _work
+from .states import GaussianState, SystemBathSpec, _finite, _moduli, _state, _work
 
 __all__ = [
     "EffectiveParameters",
@@ -83,7 +83,7 @@ class ErgotropyRate(NamedTuple):
 
 def _decay(spec: SystemBathSpec, t: float) -> float:
     """exp(-gamma t) for an evolution time t, which must be finite and nonnegative."""
-    if not math.isfinite(t) or t < 0.0:
+    if not _finite(t) or t < 0.0:
         raise ValueError("evolution time must be finite and nonnegative")
     return math.exp(-spec.gamma * t)
 
@@ -141,7 +141,10 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
     e_state - e_passive = ergotropy and erg_v + erg_theta = ergotropy up to roundoff.
     Raises ValueError, as mean_energy does, where an energy exceeds float range.
     """
-    tau = np.asarray(tau_grid, dtype=float)
+    try:
+        tau = np.asarray(tau_grid, dtype=float)
+    except OverflowError:  # an int beyond float range
+        raise ValueError("tau grid must be finite") from None
     if tau.ndim != 1 or tau.size == 0:
         raise ValueError("tau grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(tau)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, _state
+from .states import GaussianState, _finite, _state
 
 __all__ = [
     "SqueezingParameter",
@@ -40,22 +40,21 @@ class SqueezingParameter:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+        if not _finite(self.r, self.theta):
             raise ValueError("squeezing parameters must be finite")
         if self.r < 0.0:
             raise ValueError("squeezing magnitude r must be nonnegative")
 
 
 def _squeezing(z) -> SqueezingParameter:
-    return z if isinstance(z, SqueezingParameter) else SqueezingParameter(float(z))
+    return z if isinstance(z, SqueezingParameter) else SqueezingParameter(z)
 
 
 def _seed_scale(nbar_pi) -> float:
     """Covariance scale nbar_pi + 1/2 of a thermal seed; ValueError unless nbar_pi is finite and >= 0."""
-    nbar_pi = float(nbar_pi)
-    if not math.isfinite(nbar_pi) or nbar_pi < 0.0:
+    if not _finite(nbar_pi) or nbar_pi < 0.0:
         raise ValueError("nbar_pi must be finite and nonnegative")
-    return nbar_pi + 0.5
+    return float(nbar_pi) + 0.5
 
 
 def _cosh_2r(r: float) -> float:
@@ -85,10 +84,9 @@ def thermal_state(occ) -> GaussianState:
 
 def displace(state: GaussianState, amp) -> GaussianState:
     """Shift the mean by a finite amplitude amp = mu; the covariance is untouched."""
-    mu = complex(amp)
-    if not cmath.isfinite(mu):
+    if not _finite(amp):
         raise ValueError("mu must be finite")
-    return _state(state._alpha + mu, state._variance, state._anomalous, state._lam)
+    return _state(state._alpha + complex(amp), state._variance, state._anomalous, state._lam)
 
 
 def squeeze(state: GaussianState, z) -> GaussianState:

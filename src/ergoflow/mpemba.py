@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _relax, sample_trajectory
 from .factory import _cosh_2r, _squeezed_seed, displaced_thermal, squeezed_thermal
-from .states import SystemBathSpec, _check_energy, _modulus, _work
+from .states import SystemBathSpec, _check_energy, _finite, _modulus, _work
 
 __all__ = [
     "CrossingReport",
@@ -138,14 +138,6 @@ class DischargePair:
     mu: float
     squeezed: Trajectory
     displaced: Trajectory
-
-
-def _finite(*values) -> bool:
-    """True when every value is finite; an int beyond float range is not (isfinite raises OverflowError)."""
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:
-        return False
 
 
 def _check_point(r, mu, nbar_pi, nbar, boundary_ok=False) -> float:
@@ -334,7 +326,7 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     tau_max and scan_step are finite and positive and the window holds at
     most _MAX_SCAN_STEPS steps.
     """
-    if not (0.0 < tau_max < math.inf and 0.0 < scan_step < math.inf):
+    if not (_finite(tau_max, scan_step) and tau_max > 0.0 and scan_step > 0.0):
         raise ValueError("tau_max and scan_step must be finite and positive")
     if tau_max / scan_step > _MAX_SCAN_STEPS:
         raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")

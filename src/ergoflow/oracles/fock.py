@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..factory import _cosh_2r
-from ..states import SystemBathSpec, _modulus
+from ..states import SystemBathSpec, _finite, _modulus
 from .lyapunov import _rk4_path
 
 __all__ = [
@@ -72,7 +72,10 @@ class FockDensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
+        try:
+            matrix = np.array(self.matrix, dtype=complex)
+        except OverflowError:  # an int beyond float range
+            raise ValueError("density matrix has non-finite entries") from None
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
         # NaN fails every comparison below, and eigvalsh reads one triangle only
@@ -95,7 +98,29 @@ class FockDensityMatrix:
         return int(self.matrix.shape[0])
 
 
+def _check_cutoff(dim) -> None:
+    """ValueError unless the Fock cutoff dim is an integer of at least 1."""
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"the Fock cutoff must be an integer of at least 1, got {dim!r}")
+
+
+def _check_generators(mu, r, theta) -> None:
+    """ValueError unless |mu|, r and theta are finite, cosh 2r and |mu|^2 floats.
+
+    Those are the ranges in which the generators r a^2 and mu a+ stay finite:
+    r at most about 355.2, as squeeze requires, and |mu| below about 1.34e154.
+    """
+    mu_abs = _modulus(mu, "mu")
+    if not _finite(mu_abs, r, theta):
+        raise ValueError("mu, r and theta must be finite")
+    _cosh_2r(abs(r))
+    if not math.isfinite(mu_abs * mu_abs):
+        raise ValueError("mu exceeds float range: |mu|^2 overflows")
+
+
 def annihilation(dim: int) -> np.ndarray:
+    """The lowering operator on dim levels; ValueError unless dim is an integer of at least 1."""
+    _check_cutoff(dim)
     a = np.zeros((dim, dim), dtype=complex)
     a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
     return a
@@ -111,13 +136,18 @@ def _unitary_exp(generator: np.ndarray) -> np.ndarray:
 
 
 def displacement_operator(mu: complex, dim: int) -> np.ndarray:
-    """exp(mu a+ - mu* a) on the truncated ladder."""
+    """exp(mu a+ - mu* a) on the truncated ladder; ValueError where the generator is not finite."""
+    _check_generators(mu, 0.0, 0.0)
     a = annihilation(dim)
     return _unitary_exp(mu * a.conj().T - np.conj(mu) * a)
 
 
 def squeezing_operator(r: float, theta: float, dim: int) -> np.ndarray:
-    """exp((z* a^2 - z a+^2)/2) with z = r e^{i theta} on the truncated ladder."""
+    """exp((z* a^2 - z a+^2)/2) with z = r e^{i theta} on the truncated ladder.
+
+    Raises ValueError where the generator is not finite.
+    """
+    _check_generators(0.0, r, theta)
     z = r * np.exp(1j * theta)
     a_sq = annihilation(dim) @ annihilation(dim)
     return _unitary_exp(0.5 * (np.conj(z) * a_sq - z * a_sq.conj().T))
@@ -135,22 +165,17 @@ def fock_gaussian_state(
     Raises ValueError, before anything is built, unless nbar_pi >= 0, |mu|,
     r >= 0 and theta are finite, cosh 2r and |mu|^2 are floats (r at most
     about 355.2, as squeeze requires, and |mu| below about 1.34e154) and the
-    cutoff dim is at least 1, and CutoffError when the top TAIL_LEVELS
-    levels, together with the thermal seed's population beyond the cutoff,
-    carry TAIL_TOL or more population, i.e. when dim is too small for the
-    requested state.
+    cutoff dim is an integer of at least 1, and CutoffError when the top
+    TAIL_LEVELS levels, together with the thermal seed's population beyond
+    the cutoff, carry TAIL_TOL or more population, i.e. when dim is too
+    small for the requested state.
     """
-    mu_abs = _modulus(mu, "mu")
-    if not all(math.isfinite(v) for v in (nbar_pi, mu_abs, r, theta)):
-        raise ValueError("nbar_pi, mu, r and theta must be finite")
+    if not _finite(nbar_pi):
+        raise ValueError("nbar_pi must be finite")
+    _check_generators(mu, r, theta)
     if nbar_pi < 0.0 or r < 0.0:
         raise ValueError("nbar_pi and r must be nonnegative")
-    # the ranges in which the generators r a^2 and mu a+ stay finite
-    _cosh_2r(r)
-    if not math.isfinite(mu_abs * mu_abs):
-        raise ValueError("mu exceeds float range: |mu|^2 overflows")
-    if dim < 1:
-        raise ValueError(f"the Fock cutoff must be at least 1, got {dim}")
+    _check_cutoff(dim)
     ratio = nbar_pi / (1.0 + nbar_pi)
     populations = ratio ** np.arange(dim) / (1.0 + nbar_pi)
     rho = np.diag(populations).astype(complex)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..states import GaussianState, SystemBathSpec
+from ..states import GaussianState, SystemBathSpec, _finite
 
 __all__ = ["rk4_moment_path", "convergence_order"]
 
@@ -61,11 +61,11 @@ def _rk4_path(rhs, y0, dt, record_times):
     finite raises ValueError.  The moment and Fock oracles both integrate
     through this driver.
     """
-    if dt <= 0.0 or not math.isfinite(dt):
+    if not _finite(dt) or dt <= 0.0:
         raise ValueError("dt must be finite and positive")
-    record_times = [float(t) for t in record_times]
-    if any(t < 0.0 or not math.isfinite(t) for t in record_times):
+    if not _finite(*record_times) or any(t < 0.0 for t in record_times):
         raise ValueError("record times must be finite and nonnegative")
+    record_times = [float(t) for t in record_times]
     if any(b < a for a, b in zip(record_times, record_times[1:])):
         raise ValueError("record times must be nondecreasing")
 
@@ -216,7 +216,8 @@ def convergence_order(
     """
     from ..dynamics import evolve_analytic
 
-    dts = [float(dt) for dt in dts]
+    # an int beyond float range is not finite (_finite), and leaves no step sizes
+    dts = [float(dt) for dt in dts] if _finite(*dts) else []
     if len(dts) < 2 or len(set(dts)) < len(dts) or not all(0.0 < dt < math.inf for dt in dts):
         raise ValueError("convergence_order needs at least two distinct finite positive step sizes")
     exact = evolve_analytic(state0, spec, t_final).cov

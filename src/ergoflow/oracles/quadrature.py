@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..states import GaussianState
+from ..states import GaussianState, _finite
 
 __all__ = [
     "norm_energy_entropy",
@@ -49,7 +49,7 @@ def _grid_integrals(integrands, extent: float, n: int) -> list[float]:
     which broadcast to the block.  Raises ValueError unless extent is finite
     and positive and n is an integer of at least 2.
     """
-    if not (0.0 < extent < math.inf and isinstance(n, (int, np.integer)) and n >= 2):
+    if not (_finite(extent) and extent > 0.0 and isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(
             f"the quadrature grid needs a finite, positive extent and an integer n >= 2, got {extent!r} and {n!r}"
         )
@@ -72,8 +72,11 @@ def norm_energy_entropy(
 
     For states whose density is supported well inside the grid these
     reproduce 1, the mean energy and the Wigner entropy.  Raises ValueError
-    unless extent is finite and positive and n is an integer of at least 2.
+    unless omega and extent are finite and positive and n is an integer of
+    at least 2.
     """
+    if not _finite(omega) or omega <= 0.0:
+        raise ValueError("omega must be finite and positive")
 
     def integrands(re, im):
         log_w = _log_density(state, re, im)

@@ -122,11 +122,16 @@ def _state(alpha, variance, anomalous, lam=None) -> GaussianState:
     lam = V - |M| when None.  The moments must be finite, V real to
     VALIDATION_ATOL, at or above the vacuum floor, and det cov = lam (lam +
     2|M|) positive and at least 1/4 (to VALIDATION_ATOL); a failure raises
-    InvalidStateError.  Moments whose V^2, |<a>|^2 or |M| is not a finite
-    float exceed float range and raise ValueError.
+    InvalidStateError (also for an int beyond float range).  Moments whose
+    V^2, |<a>|^2 or |M| is not a finite float exceed float range and raise
+    ValueError.
     """
-    alpha, variance, anomalous = complex(alpha), complex(variance), complex(anomalous)
-    if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
+    try:
+        alpha, variance, anomalous = complex(alpha), complex(variance), complex(anomalous)
+        finite = cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)
+    except OverflowError:  # an int beyond float range; _finite inline, since every state made passes here
+        finite = False
+    if not finite:
         raise InvalidStateError("mean/cov contain non-finite entries")
     if abs(variance.imag) > VALIDATION_ATOL:
         raise InvalidStateError("diagonal covariance entries must be real")
@@ -162,7 +167,11 @@ class SystemBathSpec:
 
     def __post_init__(self):
         for name in ("omega", "gamma", "nbar"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an int beyond float range; _finite inline, since every spec passes here
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
@@ -187,6 +196,17 @@ def _check_energy(v, v_sq, omega: float, f: float) -> None:
     """
     if not math.isfinite(omega * max(v + v_sq, f)):
         raise ValueError("energy exceeds float range: omega (V + |<a>|^2) or omega f overflows")
+
+
+def _finite(*values) -> bool:
+    """True when every value, real or complex, is finite; an int beyond float range is not (OverflowError)."""
+    try:
+        for value in values:
+            if not cmath.isfinite(value):
+                return False
+    except OverflowError:
+        return False
+    return True
 
 
 def _modulus(z: complex, name: str) -> float:
@@ -330,9 +350,9 @@ def evaluate_wigner(state: GaussianState, point) -> float:
     integrates to one over the plane (checked by quadrature in the test
     suite).  A point that is not finite raises ValueError.
     """
-    alpha = complex(point)
-    if not cmath.isfinite(alpha):
+    if not _finite(point):
         raise ValueError("phase-space point alpha must be finite")
+    alpha = complex(point)
     # the form is >= 0; a negative value is roundoff, which must not blow the exponent up
     quad = max(_quadratic_form(state, alpha - state.alpha_mean), 0.0)
     return math.exp(-quad) / (math.pi * math.sqrt(state.cov_det))

@@ -1,12 +1,15 @@
-"""Seeded contract fuzzer for the crossing oracle's public surface.
+"""Seeded contract tests of the public surface.
 
 Every input either gets a finite answer (or None where the function documents
 one) or raises the documented ValueError (InvalidStateError is one), and the
-CLI maps the error to exit code 2.  Inputs are drawn with random.Random(seed)
-from edge values: signed zeros, subnormals, 1e+-300, 1.7e308, infinities, nan,
-negatives and squeezing near the float-range limits r = 177 (V^2) and 356
-(cosh 2r), mixed with ordinary values so that valid calls run too.  numpy's
-RuntimeWarnings are errors.
+CLI maps the error to exit code 2.  The crossing functions are fuzzed with
+inputs drawn with random.Random(seed) from edge values: signed zeros,
+subnormals, 1e+-300, 1.7e308, infinities, nan, negatives and squeezing near
+the float-range limits r = 177 (V^2) and 356 (cosh 2r), mixed with ordinary
+values so that valid calls run too.  Every public function of states,
+factory, dynamics, mpemba and the oracles refuses a number out of float
+range (an int that no float holds, inf or nan) in any of its numeric
+arguments.  numpy's RuntimeWarnings are errors.
 """
 
 import math
@@ -15,7 +18,10 @@ import warnings
 
 import pytest
 
+import ergoflow
 from ergoflow import (
+    GaussianState,
+    SqueezingParameter,
     SweepGrid,
     SystemBathSpec,
     cli,
@@ -24,7 +30,10 @@ from ergoflow import (
     crossing_time_numeric,
     equal_charge_amplitude,
     mpemba_scan,
+    squeezed_displaced_thermal,
 )
+from ergoflow import dynamics, factory, mpemba, states
+from ergoflow.oracles import fock, lyapunov, quadrature
 
 EDGES = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -1e-300,
@@ -165,3 +174,92 @@ def test_cli_exits_0_or_2(command, seed, capsys):
         err = capsys.readouterr().err
         assert code in (0, 2), (argv, code, err)
         assert (code == 2) == ("error: " in err), (argv, err)
+
+
+# a Python int that no float holds, and the two non-finite floats
+OUT_OF_RANGE = [10**400, math.inf, math.nan]
+SURFACE = (states, factory, dynamics, mpemba, fock, lyapunov, quadrature)
+# the public names that take no number: functions of states alone, result records and errors
+NUMBERLESS = {
+    "InvalidStateError", "wigner_entropy", "relative_wigner_entropy", "mean_energy", "passive_occupation",
+    "passive_state", "ergotropy", "ergotropy_split", "random_state", "EffectiveParameters", "Trajectory",
+    "ErgotropyRate", "CrossingReport", "ScanRow", "ScanResult", "DischargePair", "mpemba_scan",
+    "CutoffError", "fock_ergotropy", "fock_moments",
+}  # fmt: skip
+
+
+def valid_calls(seed):
+    """(function, args) of one valid call of each public function that takes numbers, args drawn from seed."""
+    rng = random.Random(seed)
+
+    def u(lo, hi):
+        return rng.uniform(lo, hi)
+
+    occ, amp, r, theta = u(0.0, 0.3), complex(u(0.1, 0.5), u(-0.5, 0.5)), u(0.1, 0.4), u(0.0, 3.0)
+    nbar_pi, nbar, t = u(0.0, 1.0), u(0.0, 1.0), u(0.01, 0.03)
+    spec = SystemBathSpec(u(0.5, 2.0), u(0.5, 2.0), nbar)
+    state = squeezed_displaced_thermal(occ, amp, SqueezingParameter(r, theta))
+    variance = u(0.6, 1.0)
+    p, dim, n = u(0.2, 0.8), 30, 20
+    rho = fock.fock_gaussian_state(occ, amp, r, theta, dim)
+    return [
+        (SystemBathSpec, (spec.omega, spec.gamma, nbar)),
+        (SqueezingParameter, (r, theta)),
+        (GaussianState.from_moments, (amp, variance, 0.1 * variance)),
+        (ergoflow.thermal_state, (occ,)),
+        (ergoflow.displace, (state, amp)),
+        (ergoflow.squeeze, (state, r)),
+        (ergoflow.displaced_thermal, (occ, amp)),
+        (ergoflow.squeezed_thermal, (occ, r)),
+        (ergoflow.squeezed_displaced_thermal, (occ, amp, r)),
+        (ergoflow.evaluate_wigner, (state, amp)),
+        (ergoflow.evolve_analytic, (state, spec, t)),
+        (ergoflow.effective_parameters, (occ, r, spec, t)),
+        (ergoflow.sample_trajectory, (state, spec, [0.0, t])),
+        (ergoflow.ergotropy_rate, (state, spec, t)),
+        (crossing_time_closed_form, (1.0 + r, amp, nbar_pi, nbar)),
+        (crossing_time_numeric, (1.0 + r, amp, nbar_pi, nbar, spec)),
+        (crossing_report, (1.0 + r, amp, nbar_pi, nbar, spec, 5.0, 0.1)),
+        (equal_charge_amplitude, (r, nbar_pi)),
+        (SweepGrid, ((r, 1.0 + r), (nbar_pi,), (nbar, 2.0 * nbar), abs(amp))),
+        (ergoflow.faster_discharge_demo, (1.0 + r, nbar_pi, nbar, [0.0, t])),
+        (fock.annihilation, (dim,)),
+        (fock.displacement_operator, (amp, dim)),
+        (fock.squeezing_operator, (r, theta, dim)),
+        (fock.fock_gaussian_state, (occ, amp, r, theta, dim)),
+        (fock.FockDensityMatrix, ([[p, 0.0], [0.0, 1.0 - p]],)),
+        (fock.fock_lindblad_path, (rho, spec, [t], t / 2.0)),
+        (lyapunov.rk4_moment_path, ([state], spec, t / 2.0, [t])),
+        (lyapunov.convergence_order, (state, spec, t, [t / 2.0, t / 4.0])),
+        (quadrature.norm_energy_entropy, (state, spec.omega, 6.0, n)),
+        (quadrature.relative_entropy_quadrature, (state, ergoflow.passive_state(state), 6.0, n)),
+    ]
+
+
+def replaced(value):
+    """Copies of value with one of its numbers, in lists and tuples too, replaced by each OUT_OF_RANGE value."""
+    if isinstance(value, (int, float, complex)):
+        yield from OUT_OF_RANGE
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            for new in replaced(item):
+                yield value[:i] + type(value)([new]) + value[i + 1 :]
+
+
+def test_public_surface_refuses_numbers_out_of_float_range():
+    calls = valid_calls(25)
+    # every public name that takes a number has a call here (GaussianState's is from_moments)
+    covered = {fn.__qualname__.split(".")[0] for fn, _ in calls}
+    assert covered | NUMBERLESS == {name for module in SURFACE for name in module.__all__}
+    wrong = []
+    for fn, args in calls:
+        assert not isinstance(outcome(lambda: fn(*args)), ValueError), (fn.__qualname__, args)
+        for k, bad_args in enumerate(replaced(args)):
+            try:
+                result = outcome(lambda: fn(*bad_args))
+            except Exception as err:  # an OverflowError, a RuntimeWarning, ...: listed below
+                result = err
+            if not isinstance(result, ValueError):
+                # the k-th replacement: OUT_OF_RANGE[k % 3] in the (k // 3)-th number of args
+                wrong.append((fn.__qualname__, k, type(result).__name__))
+    assert wrong == []

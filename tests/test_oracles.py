@@ -638,3 +638,9 @@ class TestQuadrature:
             quadrature.norm_energy_entropy(state, 1.0, extent, n)
         with pytest.raises(ValueError, match="quadrature grid"):
             quadrature.relative_entropy_quadrature(state, state, extent, n)
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, -1.0, 0.0, 10**400])
+    def test_invalid_omega_rejected(self, omega):
+        # inf, nan and -1.0 gave an inf, nan or negative energy; 10**400 an OverflowError
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            quadrature.norm_energy_entropy(thermal_state(0.3), omega, 6.0, 8)
