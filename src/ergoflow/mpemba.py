@@ -222,15 +222,11 @@ def _closed_form_time(p, mu_abs, mu_sq, f) -> float:
     """The nbar part of the closed form: tau_c = log1p(P / (2 |mu|^2 f)) for a P > 0 of _closed_form_gap."""
     if mu_sq >= sys.float_info.min:
         ratio = p / (2.0 * mu_sq * f)
-        if ratio == math.inf:
-            # the 1 in log(1 + ratio) is negligible, and the log of the ratio
-            # is taken in log space
-            return math.log(p / (2.0 * f)) - 2.0 * math.log(mu_abs)
-        if ratio > 0.0:
+        if 0.0 < ratio < math.inf:
             return math.log1p(ratio)
-    # |mu|^2 is below the normal range, and so may be P / (2 f), or 2 |mu|^2 f
-    # overflowed (ratio 0): the ratio is c 2^n, from the factors' mantissas
-    # (c lies in (1/4, 4)) and exponents
+    # |mu|^2 is below the normal range, and so may be P / (2 f), or the ratio
+    # overflowed, or 2 |mu|^2 f did (ratio 0): the ratio is c 2^n, from the
+    # factors' mantissas (c lies in (1/4, 4)) and exponents
     (p_m, p_e), (mu_m, mu_e), (f_m, f_e) = math.frexp(p), math.frexp(mu_abs), math.frexp(f)
     c, n = p_m / (2.0 * (mu_m * mu_m) * f_m), p_e - 2 * mu_e - f_e
     # past 2^1000 the 1 in log(1 + ratio) is negligible

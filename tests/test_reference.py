@@ -99,7 +99,7 @@ def test_crossings_near_equal_charge_match_reference(eps):
 # smallest normal float, the ratio P / (2 |mu|^2 f) may be large, moderate or
 # tiny, so the 1 in log(1 + ratio) may or may not matter; where |mu|^2 and f
 # are near the top of float range, 2 |mu|^2 f overflows while the ratio is
-# below 1.
+# below 1; and where |mu|^2 is normal but P huge, the ratio itself overflows.
 EDGE_RATIO_POINTS = [
     (1e-150, 1e-160, 0.0, 5e20),  # ratio about 0.1
     (1e-150, 1e-160, 0.0, 5e19),  # about 1
@@ -110,6 +110,7 @@ EDGE_RATIO_POINTS = [
     (1.0, 5e-324, 0.2, 0.4),  # |mu|^2 underflows to 0
     (178.1, 1e77, 0.0, 1e154),  # squeezed seed 24 % ahead
     (178.0, 1e77, 0.0, 1e154),  # 1.6 % ahead
+    (170, 1e-150, 0.2, 0.4),  # about 1e594, with |mu|^2 = 1e-300 normal
 ]
 
 
