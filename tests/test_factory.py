@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ergoflow import (
     squeezed_thermal,
     thermal_state,
 )
+from ergoflow.factory import _MAX_SQUEEZING, _squeezed_seed
 
 from helpers import moments_close, rng_for
 
@@ -108,6 +111,34 @@ class TestSqueeze:
     def test_squeezing_beyond_float_range(self, nbar_pi, r):
         with pytest.raises(ValueError, match="float range"):
             squeezed_thermal(nbar_pi, r)
+
+    def test_squeezed_seed_is_squeezed_thermal_bit_for_bit(self):
+        # mpemba and effective_parameters read a squeezed thermal seed's
+        # (V, |M|, lam) from _squeezed_seed: it must be squeezed_thermal's, bit
+        # for bit, and refuse the same seeds, near r = 355.2, where cosh 2r
+        # overflows, and near the r where V^2 does
+        rng = random.Random(27)
+        refused = 0
+        for _ in range(3000):
+            nbar_pi = rng.choice([0.0, rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(-300.0, 300.0)])
+            f_pi = nbar_pi + 0.5
+            v_edge = 0.5 * math.acosh(max(1.0, math.sqrt(sys.float_info.max) / f_pi))
+            r = rng.choice([
+                rng.uniform(0.0, 360.0),
+                10.0 ** rng.uniform(-10.0, 2.0),
+                _MAX_SQUEEZING * (1.0 + rng.uniform(-1e-14, 1e-14)),
+                v_edge * (1.0 + rng.uniform(-1e-14, 1e-14)),
+            ])  # fmt: skip
+            try:
+                state = squeezed_thermal(nbar_pi, r)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _squeezed_seed(f_pi, r)
+                refused += 1
+                continue
+            expected = (state.symmetric_variance, abs(state.anomalous_variance), state._lam)
+            assert _squeezed_seed(f_pi, r) == expected, (nbar_pi, r)
+        assert 300 < refused < 2700
 
     def test_determinant_preserved(self):
         rng = rng_for("sqdet")
