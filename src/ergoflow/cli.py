@@ -32,7 +32,7 @@ from .factory import (
     squeezed_thermal,
     thermal_state,
 )
-from .mpemba import _MAX_SCAN_STEPS, NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
+from .mpemba import _MAX_SCAN_STEPS, _SCAN_STEP, _TAU_MAX, NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
 from .mpemba import ScanRow, SweepGrid, crossing_report, mpemba_scan
 from .states import InvalidStateError, SystemBathSpec, ergotropy, mean_energy, wigner_entropy
 
@@ -512,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--nbar-pi", type=float, default=0.2, help="seed thermal occupation")
     cross.add_argument("--r", type=float, default=1.0, help="squeezing magnitude")
     cross.add_argument("--mu", type=complex, default=1 + 0j, help="displacement amplitude")
-    cross.add_argument("--tau-max", type=float, default=50.0, help="end of the bracketing scan")
-    cross.add_argument("--scan-step", type=float, default=0.01, help="bracketing scan step")
+    cross.add_argument("--tau-max", type=float, default=_TAU_MAX, help="end of the bracketing scan")
+    cross.add_argument("--scan-step", type=float, default=_SCAN_STEP, help="bracketing scan step")
     cross.add_argument("--csv", metavar="PATH", help="also write the report as a one-row CSV")
     cross.set_defaults(handler=cmd_crossing)
 
