@@ -128,10 +128,9 @@ def _state(alpha, variance, anomalous, lam=None) -> GaussianState:
     """
     try:
         alpha, variance, anomalous = complex(alpha), complex(variance), complex(anomalous)
-        finite = cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)
     except OverflowError:  # an int beyond float range; _finite inline, since every state made passes here
-        finite = False
-    if not finite:
+        raise InvalidStateError("mean/cov contain non-finite entries") from None
+    if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
         raise InvalidStateError("mean/cov contain non-finite entries")
     if abs(variance.imag) > VALIDATION_ATOL:
         raise InvalidStateError("diagonal covariance entries must be real")
