@@ -20,8 +20,6 @@ import pytest
 
 import ergoflow
 from ergoflow import (
-    GaussianState,
-    SqueezingParameter,
     SweepGrid,
     SystemBathSpec,
     cli,
@@ -30,7 +28,6 @@ from ergoflow import (
     crossing_time_numeric,
     equal_charge_amplitude,
     mpemba_scan,
-    squeezed_displaced_thermal,
 )
 from ergoflow import dynamics, factory, mpemba, states
 from ergoflow.oracles import fock, lyapunov, quadrature
@@ -198,14 +195,14 @@ def valid_calls(seed):
     occ, amp, r, theta = u(0.0, 0.3), complex(u(0.1, 0.5), u(-0.5, 0.5)), u(0.1, 0.4), u(0.0, 3.0)
     nbar_pi, nbar, t = u(0.0, 1.0), u(0.0, 1.0), u(0.01, 0.03)
     spec = SystemBathSpec(u(0.5, 2.0), u(0.5, 2.0), nbar)
-    state = squeezed_displaced_thermal(occ, amp, SqueezingParameter(r, theta))
+    state = ergoflow.squeezed_displaced_thermal(occ, amp, ergoflow.SqueezingParameter(r, theta))
     variance = u(0.6, 1.0)
     p, dim, n = u(0.2, 0.8), 30, 20
     rho = fock.fock_gaussian_state(occ, amp, r, theta, dim)
     return [
         (SystemBathSpec, (spec.omega, spec.gamma, nbar)),
-        (SqueezingParameter, (r, theta)),
-        (GaussianState.from_moments, (amp, variance, 0.1 * variance)),
+        (ergoflow.SqueezingParameter, (r, theta)),
+        (ergoflow.GaussianState.from_moments, (amp, variance, 0.1 * variance)),
         (ergoflow.thermal_state, (occ,)),
         (ergoflow.displace, (state, amp)),
         (ergoflow.squeeze, (state, r)),
