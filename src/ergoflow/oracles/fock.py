@@ -272,8 +272,9 @@ def fock_lindblad_path(
     state at one time t is ``fock_lindblad_path(rho0, spec, [t], dt)[0]``.
 
     Raises ValueError for a dt that is not finite and positive, for times
-    that are negative, not finite or decreasing, when the path overflows and
-    when a record breaches a FockDensityMatrix tolerance.
+    that are negative, not finite or decreasing or that take more than 10^7
+    steps of dt (all before stepping), when the path overflows and when a
+    record breaches a FockDensityMatrix tolerance.
     """
     return list(_fock_records(rho0, spec, times, dt))
 

@@ -38,6 +38,11 @@ from ..states import GaussianState, SystemBathSpec, _finite
 
 __all__ = ["rk4_moment_path", "convergence_order"]
 
+# The most whole steps of dt a record time may need: ten times the longest
+# run verify admits (10^6 steps), far below the 2^53 steps past which
+# t_now += dt no longer advances and a run could never end
+_MAX_STEPS = 10**7
+
 
 def _rk4_path(rhs, y0, dt, record_times):
     """Classical RK4 from y0 at t = 0; yields a copy of y at each record time.
@@ -56,9 +61,10 @@ def _rk4_path(rhs, y0, dt, record_times):
     Each record time is reached by whole steps of dt while more than
     dt (1 + 1e-9) remains, then one shortened step when more than 1e-9 dt
     remains; both tolerances are in units of dt, so the records do not
-    depend on the time scale.  The arguments are checked at once, each
-    record is yielded when it is reached, and the first record that is not
-    finite raises ValueError.  The moment and Fock oracles both integrate
+    depend on the time scale.  The arguments are checked at once, and a
+    record time that takes more than _MAX_STEPS whole steps raises
+    ValueError there; each record is yielded when it is reached, and the
+    first record that is not finite raises ValueError.  The moment and Fock oracles both integrate
     through this driver.
     """
     if not _finite(dt) or dt <= 0.0:
@@ -68,6 +74,8 @@ def _rk4_path(rhs, y0, dt, record_times):
     record_times = [float(t) for t in record_times]
     if any(b < a for a, b in zip(record_times, record_times[1:])):
         raise ValueError("record times must be nondecreasing")
+    if record_times and record_times[-1] / dt > _MAX_STEPS:
+        raise ValueError(f"the last record time takes more than {_MAX_STEPS} steps of dt")
 
     y = np.array(y0, dtype=np.result_type(y0, 0.5))
     k1, k2, k3, k4, stage, scratch = (np.empty_like(y) for _ in range(6))
@@ -171,8 +179,9 @@ def rk4_moment_path(
         Complex arrays of shapes (T, B) and (T, B, 2, 2); T may be 0.
 
     Raises ValueError, before stepping, for a dt that is not finite and
-    positive, for record times that are not as above, and for a dt outside
-    RK4's stability region on spec's rates; and when the moments overflow.
+    positive, for record times that are not as above or that take more than
+    10^7 steps of dt, and for a dt outside RK4's stability region on spec's
+    rates; and when the moments overflow.
     """
     # (v, C00, C01, C10, C11) per state, raveled so every operand is 1-D
     y0 = np.array([(s.alpha_mean, *s.cov.ravel()) for s in states], dtype=complex).ravel()

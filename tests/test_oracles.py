@@ -110,6 +110,41 @@ class TestRK4Driver:
         with pytest.raises(ValueError, match="RK4 overflowed before t = 10"):
             next(records)
 
+    @pytest.mark.parametrize("oracle", ["moments", "fock"])
+    def test_refuses_record_times_beyond_its_step_cap_before_stepping(self, monkeypatch, oracle):
+        # past 2^53 steps of dt, t_now += dt no longer advances, so the run to t = 1e17
+        # would never end; the driver must refuse it when called, before its first step.
+        # Its records are never taken here, so the test ends at once either way
+        real = lyapunov._rk4_path
+
+        def unstepped(*args):
+            real(*args)
+            return iter(())
+
+        monkeypatch.setattr(lyapunov, "_rk4_path", unstepped)
+        monkeypatch.setattr(fock, "_rk4_path", unstepped)
+        with pytest.raises(ValueError, match="more than 10000000 steps"):
+            if oracle == "moments":
+                rk4_moment_path([thermal_state(0.2)], SystemBathSpec(), 1.0, [1e17])
+            else:
+                fock_lindblad_path(fock_gaussian_state(0.2, dim=30), SPEC, [0.5, 1e17], 1.0)
+
+    @pytest.mark.parametrize("dt, times", [(1.0, [1e7 * (1.0 + 2.0**-52)]), (5e-324, [1e300]), (0.1, [0.0, 1e300])])
+    def test_step_cap_refuses_at_once(self, dt, times):
+        with pytest.raises(ValueError, match="more than 10000000 steps"):
+            _rk4_path(lambda y, out, _: np.negative(y, out=out), np.ones(1), dt, times)
+
+    @pytest.mark.parametrize("gamma", [1e-300, 1.25, 1e100])
+    def test_step_cap_admits_verifys_longest_runs(self, gamma):
+        # verify admits up to 10^6 tau steps of --rk4-dt and --fock-dt, and runs them in raw
+        # time, dt / gamma to tau / gamma; a record time of exactly 10^7 steps is also admitted
+        def rhs(y, out, _):
+            np.negative(y, out=out)
+
+        _rk4_path(rhs, np.ones(1), 5e-6 / gamma, [0.5 / gamma, 5.0 / gamma])
+        _rk4_path(rhs, np.ones(1), 3e-6 / gamma, [3.0 / gamma])
+        _rk4_path(rhs, np.ones(1), 1.0, [1e7])
+
 
 def _final_moments(state, spec, dt, t):
     """Raw mean and 2x2 covariance of one state integrated by RK4 to time t."""
