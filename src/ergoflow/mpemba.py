@@ -26,6 +26,19 @@ with g <= 0 at tau = 0 never crosses, and at equal initial charge the
 displaced battery stays strictly above for tau > 0.  While g < 0 the
 relative gap |g| / (erg_squeezed + erg_displaced) grows, so roundoff cannot
 raise a significant positive sample either.
+
+Lemma: the relative gap falls strictly as tau grows, and so do both charges.
+With A(x) = m_s^2 x / D(x), which rises with x as A - v_sq does,
+erg_squeezed = omega x A and erg_displaced = omega x v_sq, so the relative
+gap (erg_squeezed - erg_displaced) / (erg_squeezed + erg_displaced) is
+(A - v_sq) / (A + v_sq), which rises with A.  So the samples of a scan
+window that are sure, with both charges resolved and
+erg_squeezed > erg_displaced by more than _GAP_SIGNIFICANCE of their sum,
+form a prefix of it.  Each charge is computed to a few ulps, far below
+_GAP_SIGNIFICANCE, so a sample before a sure one, whose exact relative gap
+is larger still, reads erg_squeezed > erg_displaced too: no sign change of
+the gap precedes a sure sample.  The oracle therefore bisects for each
+point's last sure sample and runs its first-flip rule from there.
 """
 
 from __future__ import annotations
@@ -72,14 +85,18 @@ _TAU_MAX = 50.0
 _SCAN_STEP = 0.01
 _MAX_SCAN_STEPS = 10**6
 _GAP_SIGNIFICANCE = 1e-13
-# The scan's first chunk of samples per point, and the most elements (points
-# times samples) a chunk may hold, which bounds the scan's temporaries.
-# mpemba_scan on the sweep benchmark's 240-point grids (seeds 53-55 and
-# 63-65, 150 interleaved calls each, 2-core x86-64 host), median time
-# relative to 8192:
-#   budget   4096   8192   16384   32768
-#   time     0.97   1.00   1.10    1.21
-_MIN_CHUNK = 64
+# The scan's first chunk of samples per point, from its last sure sample
+# (_last_sure), and the most elements (points times samples) a chunk may
+# hold, which bounds the scan's temporaries.  Median time relative to
+# (16, 4096), 40 interleaved rounds on a 2-core x86-64 host, of mpemba_scan
+# on the sweep benchmark's 240-point grids (seeds 53-55 and 63-65) and of a
+# 400-point batch whose charges underflow before they cross, so that each
+# point scans on to the window's end:
+#   first chunk      2     4     8    16    32    64    16     16
+#   budget        4096  4096  4096  4096  4096  4096  1024  16384
+#   sweep         0.99  1.04  1.05  1.00  1.06  1.16  1.05   1.06
+#   underflowing  1.24  1.23  1.22  1.00  0.93  0.95  1.49   1.17
+_MIN_CHUNK = 16
 _SCAN_BUDGET = 4096
 
 
@@ -247,45 +264,70 @@ def _bisect(lo, hi, lo_positive, moments, floor):
     """Bisect every bracket [lo, hi] of the gap at once; moments and floor have one column per bracket.
 
     g > 0 holds at lo (lo_positive) or at hi, not both.  Each round halves every
-    bracket; one whose midpoint equals an endpoint (adjacent floats) or has g
-    exactly 0 with both charges resolved (at least floor) collapses to
-    lo = hi = mid, and once all have, mid is returned, within an ulp of where
-    g > 0 flips, or nan where the charges there are not resolved.  Charges
-    that underflowed to 0 give g = 0 too, but that is no root: such a
+    bracket, and one whose midpoint has g exactly 0 with both charges resolved
+    (at least floor) collapses to lo = hi = mid.  A bracket down to adjacent
+    floats, or collapsed, returns the same midpoint in every later round, and
+    once every midpoint equals an endpoint, mid is returned, within an ulp of
+    where g > 0 flips, or nan where the charges there are not resolved.
+    Charges that underflowed to 0 give g = 0 too, but that is no root: such a
     midpoint counts as g <= 0, as any other.
     """
     while True:
         mid = 0.5 * (lo + hi)
         erg_s, erg_d = _charges(np.exp(-mid), *moments)
-        # g = 0 exactly when erg_s == erg_d, and g > 0 when erg_s > erg_d (as in the scan)
-        done = (mid == lo) | (mid == hi) | ((erg_s == erg_d) & (erg_s >= floor))
-        if done.all():
+        if ((mid == lo) | (mid == hi)).all():
             return np.where(np.minimum(erg_s, erg_d) >= floor, mid, math.nan)
+        # g > 0 exactly when erg_s > erg_d, and g = 0 exactly when erg_s == erg_d (as in the scan)
         same_side = (erg_s > erg_d) == lo_positive
-        lo = np.where(done | same_side, mid, lo)
-        hi = np.where(done | ~same_side, mid, hi)
+        lo, hi = np.where(same_side, mid, lo), np.where(same_side, hi, mid)
+        if (erg_s == erg_d).any():
+            root = (erg_s == erg_d) & (erg_s >= floor)
+            lo, hi = np.where(root, mid, lo), np.where(root, mid, hi)
 
 
-def _first_flips(decay, moments, floor, pending, first, lo_positive):
+def _last_sure(decay, moments, floor):
+    """Each point's last sure sample of decay, found by bisecting over the sample indices of all points at once.
+
+    moments and floor have one column per point.  A sample is sure when both
+    charges are resolved (at least floor) and erg_s > erg_d by more than
+    _GAP_SIGNIFICANCE of their sum.  The sure samples form a prefix of decay,
+    and every sample before a sure one has g > 0 (module docstring), so the
+    first-flip rule may start at the sample returned.  Each round keeps lo
+    sure (or 0) and hi not sure (or decay.size); about log2(decay.size)
+    rounds leave hi = lo + 1 (or lo = hi = 0), and lo is returned.
+    """
+    lo, hi = np.zeros(floor.size, dtype=int), np.full(floor.size, decay.size)
+    for _ in range((decay.size - 1).bit_length()):
+        mid = (lo + hi) // 2
+        erg_s, erg_d = _charges(decay[mid], *moments)
+        sure = (np.minimum(erg_s, erg_d) >= floor) & (erg_s - erg_d > _GAP_SIGNIFICANCE * (erg_s + erg_d))
+        lo, hi = np.where(sure, mid, lo), np.where(sure, hi, mid)
+    return lo
+
+
+def _first_flips(decay, moments, floor, pending, start, first, lo_positive):
     """Scan the pending points' gaps together; set first[i] to k and lo_positive[i] to g > 0 at k.
 
-    Point i's first significant change of g > 0 lies between samples k and
-    k + 1 of decay; first stays as it is for a point without one.  The chunks
-    start at _MIN_CHUNK samples and grow fourfold, up to _SCAN_BUDGET
+    Point pending[j] is scanned from sample start[j] of decay, and its first
+    significant change of g > 0 from there on lies between samples k and
+    k + 1; first stays as it is for a point without one.  The chunks start
+    at _MIN_CHUNK samples per point and grow fourfold, up to _SCAN_BUDGET
     elements over the pending points (at most _SCAN_BUDGET // _MIN_CHUNK of
     them); adjacent chunks share their edge sample, and a point leaves at its
-    first flip, so only points whose crossing lies past the window scan all
-    of decay.  The sign of g is taken on every sample, and the significance
-    rule only on the rows of a chunk where that sign changes.
+    first flip or at the window's end.  The sign of g is taken on every
+    sample, and the significance rule only on the rows of a chunk where that
+    sign changes.
     """
-    start, width = 0, _MIN_CHUNK
-    while pending.size and start < decay.size - 1:
-        stop = min(decay.size, start + min(width, _SCAN_BUDGET // pending.size))
-        erg_s, erg_d = _charges(decay[start:stop], *moments[:, pending])
+    last, width = decay.size - 1, _MIN_CHUNK
+    while pending.size:
+        # each point's next samples; past the window's end the last one repeats, which flips nothing
+        k = np.minimum(start[:, None] + np.arange(min(width, _SCAN_BUDGET // pending.size)), last)
+        erg_s, erg_d = _charges(decay[k], *moments[:, pending])
         # g > 0 exactly when erg_s > erg_d: the exact difference of two doubles is
         # a multiple of 2^-1074, so it rounds to a positive double when it is positive
         positive = erg_s > erg_d
         flips = positive[:, :-1] != positive[:, 1:]
+        keep = k[:, -1] < last
         if np.count_nonzero(flips):
             rows = np.flatnonzero(flips.any(axis=1))
             erg_s, erg_d = erg_s[rows], erg_d[rows]
@@ -296,11 +338,11 @@ def _first_flips(decay, moments, floor, pending, first, lo_positive):
             )
             flips = flips[rows] & (significant[:, :-1] | significant[:, 1:])
             hit = flips.any(axis=1)
-            k, found = flips[hit].argmax(axis=1), rows[hit]
-            first[pending[found]] = start + k
-            lo_positive[pending[found]] = positive[found, k]
-            pending = np.delete(pending, found)
-        start, width = stop - 1, 4 * width
+            j, found = flips[hit].argmax(axis=1), rows[hit]
+            first[pending[found]] = k[found, j]
+            lo_positive[pending[found]] = positive[found, j]
+            keep[found] = False
+        pending, start, width = pending[keep], k[keep, -1], 4 * width
 
 
 def _numeric_crossings(seeds, tau_max, scan_step) -> list:
@@ -311,14 +353,18 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     multiples of scan_step below tau_max and at tau_max, for its first change
     of g > 0 (an exact zero counts as non-positive); then all bracketed
     points are bisected together, so no crossing beyond tau_max is reported.
-    The points are scanned together in bounded chunks of samples, and each
-    stops at its first sign change (_first_flips), kept in per-point arrays.
     A point gets 0.0 when its tau = 0 charges coincide, and None when g > 0
     does not change where the charges are resolved or its bracket's root lies
     where they are not (a scan step coarser than their decay can bracket it).
-    Only points with g > 0 at tau = 0 are scanned: g changes sign at most
+    Only points with g > 0 at tau = 0 are searched: g changes sign at most
     once, from + to - (module docstring), so every other point gets the None
-    that a scan of the whole window gives it.  Raises ValueError unless
+    that a scan of the whole window gives it.  No sign change precedes a
+    sure sample (the module docstring's lemma), so the first-flip rule starts
+    at each point's last sure sample, found by bisecting over the sample
+    indices (_last_sure), and runs on from there, all points together in
+    bounded chunks (_first_flips), each stopping at its first flip; the
+    reports are those of a scan of every sample from tau = 0, kept in
+    per-point arrays.  Raises ValueError unless
     tau_max and scan_step are finite and positive and the window holds at
     most _MAX_SCAN_STEPS steps.
     """
@@ -347,9 +393,13 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
         decay = np.exp(-taus)
         # each point's first-flip sample (-1 for none) and whether g > 0 there
         first, lo_positive = np.full(times.size, -1), np.zeros(times.size, dtype=bool)
+        start = _last_sure(decay, moments[:, pending, 0], floor[pending, 0])
+        # a point whose last sample is sure has no flip on the window
+        scanned = start < decay.size - 1
+        pending, start = pending[scanned], start[scanned]
         block = _SCAN_BUDGET // _MIN_CHUNK
         for i in range(0, pending.size, block):
-            _first_flips(decay, moments, floor, pending[i:i + block], first, lo_positive)
+            _first_flips(decay, moments, floor, pending[i:i + block], start[i:i + block], first, lo_positive)
         points = np.flatnonzero(first >= 0)
         if points.size:
             k = first[points]
@@ -452,10 +502,10 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResu
     the same _seed_axes that serves crossing_report's one-point axes, so a grid
     that holds a point crossing_report refuses raises ValueError.  The
     closed form's (r, nbar_pi) part is likewise taken once per pair.  One
-    batched oracle call serves the whole grid: all points' gaps are scanned
-    together in bounded chunks, each point stopping at its first sign
-    change, then all bracketed points are bisected together as arrays;
-    every report is what the point gets alone.  Rows follow the axis order
+    batched oracle call serves the whole grid: each point's first sign
+    change is searched for from its last sure sample, all points together,
+    then all bracketed points are bisected together as arrays; every report
+    is what the point gets alone.  Rows follow the axis order
     r (outer), nbar_pi, nbar (inner).
     """
     omega = 1.0 if spec is None else spec.omega

@@ -198,10 +198,12 @@ class TestNumericOracle:
         # tau_c = 0.79 is sample 79 of 5001; the bisection's samples count too
         assert sum(samples) < window // 10
         samples.clear()
-        # a point that starts ahead and crosses past the window scans the whole window
+        # a point that starts ahead and crosses past the window costs its tau = 0 sample
+        # and one sample in each of the 6 rounds that search the window's 51 samples for
+        # its last sure one; that is its last sample, so no scan follows
         seed = seed_row(1.0, 1.0, 0.2, 0.4)
         assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP) == [None]
-        assert sum(samples) == 1 + round(0.5 / mpemba._SCAN_STEP) + 1
+        assert samples == [1] * (1 + 6)
         samples.clear()
         # a point that starts below never crosses: the oracle evaluates only its tau = 0 sample
         below = seed_row(1.0, 1.5, 0.2, 0.4)
@@ -233,6 +235,31 @@ class TestNumericOracle:
         assert np.all(erg_s <= erg_d)
         assert literal_crossing_scan(seeds, *window) == [None] * len(seeds)
         assert mpemba._numeric_crossings(seeds, *window) == [None] * len(seeds)
+
+    @pytest.mark.parametrize("window", [(50.0, 0.01), (7.305, 0.01), (1e4, 2e3), (3.0, 0.37)])
+    def test_search_for_the_last_sure_sample_is_the_scan_from_tau_0(self, window):
+        # the oracle starts its first-flip rule at each point's last sure sample, found by
+        # bisecting over the samples (mpemba's module docstring); on physical draws that
+        # is the per-point scan of every sample from tau = 0: initial charges within
+        # 1e-15 to 1e-1 of each other on either side, tiny amplitudes, weak and huge
+        # squeezing, and omega from 1e-3 to 1e10
+        rng = rng_for(f"last sure sample {window}")
+        points, omegas = [], 10.0 ** rng.uniform(-3.0, 10.0, 400)
+        for i in range(omegas.size):
+            nbar_pi, nbar = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+            r = (rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-160.0, 0.0), rng.uniform(3.0, 170.0))[i % 3]
+            if i % 2:
+                sign = rng.choice([-1.0, 1.0])
+                mu = equal_charge_amplitude(r, nbar_pi) * (1.0 + sign * 10.0 ** rng.uniform(-15.0, -1.0))
+            else:
+                mu = 10.0 ** rng.uniform(-160.0, 0.0)
+            points.append((r, mu, nbar_pi, nbar))
+        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
+        times = mpemba._numeric_crossings(seeds, *window)
+        assert times == literal_crossing_scan(seeds, *window)
+        # the draws both cross and miss
+        assert sum(t is None for t in times) > 10
+        assert sum(t is not None and t > 0.0 for t in times) > 10
 
     def test_scan_sign_matches_the_gap_sign(self):
         # the scan takes g > 0 as erg_s > erg_d; the two agree on ties, signed
@@ -316,6 +343,9 @@ class TestNumericOracle:
             return scale * (1.0 + between(gaps)), scale
 
         monkeypatch.setattr(mpemba, "_charges", charges)
+        # these gaps break the module docstring's theorem on purpose, so the search for
+        # each point's last sure sample does not apply: the first-flip rule runs from sample 0
+        monkeypatch.setattr(mpemba, "_last_sure", lambda decay, moments, floor: np.zeros(floor.size, dtype=int))
         seeds = [(float(i), 0.0, 0.0, 0.0, omega) for i, omega in enumerate(omegas)]
         times = mpemba._numeric_crossings(seeds, tau_max, step)
         assert times == literal_crossing_scan(seeds, tau_max, step)
