@@ -290,9 +290,10 @@ def _last_sure(decay, moments, floor):
 
     moments and floor have one column per point.  A sample is sure when both
     charges are resolved (at least floor) and erg_s > erg_d by more than
-    _GAP_SIGNIFICANCE of their sum.  The sure samples form a prefix of decay,
-    and every sample before a sure one has g > 0 (module docstring), so the
-    first-flip rule may start at the sample returned.  Each round keeps lo
+    _GAP_SIGNIFICANCE of their sum.  In exact arithmetic the sure samples
+    form a prefix of decay, and in floating point every sample before a sure
+    one still reads g > 0 (module docstring), so the first-flip rule may
+    start at the sample returned.  Each round keeps lo
     sure (or 0) and hi not sure (or decay.size); about log2(decay.size)
     rounds leave hi = lo + 1 (or lo = hi = 0), and lo is returned.
     """

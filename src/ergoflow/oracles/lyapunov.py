@@ -64,8 +64,8 @@ def _rk4_path(rhs, y0, dt, record_times):
     depend on the time scale.  The arguments are checked at once, and a
     record time that takes more than _MAX_STEPS whole steps raises
     ValueError there; each record is yielded when it is reached, and the
-    first record that is not finite raises ValueError.  The moment and Fock oracles both integrate
-    through this driver.
+    first record that is not finite raises ValueError.  The moment and Fock
+    oracles both integrate through this driver.
     """
     if not _finite(dt) or dt <= 0.0:
         raise ValueError("dt must be finite and positive")
