@@ -69,6 +69,11 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# a CSV row in one %-format, "%.17g" being _fmt's text for every float
+_TRAJECTORY_ROW = ",".join(["%.17g"] * 9)
+_SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%.17g,%.17g,%s"
+
+
 def parse_config_text(text: str) -> dict:
     """Parse flat 'key = value' lines; '#' starts a comment line."""
     values = {}
@@ -154,10 +159,8 @@ def _trajectory_csv(time_values, traj) -> str:
         traj.f_beta_t,
         traj.r_t,
     )
-    lines = [TRAJECTORY_HEADER]
-    for i in range(len(time_values)):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
-    return "\n".join(lines) + "\n"
+    rows = zip(*(column.tolist() for column in columns))
+    return "\n".join([TRAJECTORY_HEADER, *(_TRAJECTORY_ROW % row for row in rows)]) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -183,21 +186,11 @@ def cmd_simulate(args) -> int:
 
 def _sweep_csv(rows) -> str:
     lines = [SWEEP_HEADER]
-    for row in rows:
-        rep = row.report
-        cells = [
-            _fmt(row.r),
-            _fmt(row.nbar_pi),
-            _fmt(row.nbar),
-            _fmt(row.mu),
-            "true" if rep.exists else "false",
-            _fmt(rep.tau_c_closed) if rep.tau_c_closed is not None else "",
-            _fmt(rep.tau_c_numeric) if rep.tau_c_numeric is not None else "",
-            _fmt(rep.erg0_squeezed),
-            _fmt(rep.erg0_displaced),
-            rep.validity_note,
-        ]
-        lines.append(",".join(cells))
+    for r, nbar_pi, nbar, mu, (exists, closed, numeric, erg_s, erg_d, note) in rows:
+        closed = "" if closed is None else _fmt(closed)
+        numeric = "" if numeric is None else _fmt(numeric)
+        exists = "true" if exists else "false"
+        lines.append(_SWEEP_ROW % (r, nbar_pi, nbar, mu, exists, closed, numeric, erg_s, erg_d, note))
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,8 @@ family's passive energy relaxes monotonically.  This module locates that
 crossing in closed form, cross-validates it with a bisection oracle that
 scans and bisects a whole batch of parameter points at once, one array
 entry per point, finds equal-charge displacement amplitudes, and sweeps
-the crossing time over bath/seed temperature axes.
+the crossing time over bath/seed temperature axes.  Its reports and sweep
+rows (CrossingReport, ScanRow) are NamedTuples: copy one with _replace.
 
 All crossing times are reported in the dimensionless variable tau = gamma t;
 they do not depend on omega or gamma individually.
@@ -38,7 +39,11 @@ form a prefix of it.  Each charge is computed to a few ulps, far below
 _GAP_SIGNIFICANCE, so a sample before a sure one, whose exact relative gap
 is larger still, reads erg_squeezed > erg_displaced too: no sign change of
 the gap precedes a sure sample.  The oracle therefore bisects for each
-point's last sure sample and runs its first-flip rule from there.
+point's last sure sample and runs its first-flip rule from there.  Likewise
+the samples that are unresolved or sure negative, erg_displaced ahead by more
+than _GAP_SIGNIFICANCE of the sum, form a suffix: where the first-flip rule
+counts no flip, the oracle bisects for the first of them, and a sure negative
+one brackets the sign change with the last sure sample.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +107,7 @@ _MIN_CHUNK = 16
 _SCAN_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """Crossing existence, both time estimates, and the starting charges."""
 
     exists: bool
@@ -132,8 +138,7 @@ class SweepGrid:
             raise ValueError("mu must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     r: float
     nbar_pi: float
     nbar: float
@@ -306,6 +311,28 @@ def _last_sure(decay, moments, floor):
     return lo
 
 
+def _first_sure_negative(decay, moments, floor, start):
+    """Each point's first sure negative sample after sample start of decay, or decay.size for none.
+
+    moments and floor have one column, and start one entry, per point.  A
+    sample is sure negative when both charges are resolved (at least floor)
+    and erg_d > erg_s by more than _GAP_SIGNIFICANCE of their sum.  Both
+    charges and the relative gap fall (module docstring), so the samples
+    that are unresolved or sure negative form a suffix of the window; its
+    first sample is found by bisecting over the sample indices, as
+    _last_sure finds its sample, and returned where it is sure negative.
+    """
+    lo, hi = start, np.full(start.size, decay.size)
+    for _ in range((decay.size - 1).bit_length()):
+        mid = (lo + hi) // 2
+        erg_s, erg_d = _charges(decay[mid], *moments)
+        done = (np.minimum(erg_s, erg_d) < floor) | (erg_d - erg_s > _GAP_SIGNIFICANCE * (erg_s + erg_d))
+        lo, hi = np.where(done, lo, mid), np.where(done, mid, hi)
+    erg_s, erg_d = _charges(decay[np.minimum(hi, decay.size - 1)], *moments)
+    sure = (np.minimum(erg_s, erg_d) >= floor) & (erg_d - erg_s > _GAP_SIGNIFICANCE * (erg_s + erg_d))
+    return np.where(sure & (hi < decay.size), hi, decay.size)
+
+
 def _first_flips(decay, moments, floor, pending, start, first, lo_positive):
     """Scan the pending points' gaps together; set first[i] to k and lo_positive[i] to g > 0 at k.
 
@@ -365,7 +392,10 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     indices (_last_sure), and runs on from there, all points together in
     bounded chunks (_first_flips), each stopping at its first flip; the
     reports are those of a scan of every sample from tau = 0, kept in
-    per-point arrays.  Raises ValueError unless
+    per-point arrays.  A point that reaches the window's end with no counted
+    flip, its sign change lying between two insignificant samples, is
+    bracketed by its last sure sample and its first sure negative one
+    (_first_sure_negative), if it has one.  Raises ValueError unless
     tau_max and scan_step are finite and positive and the window holds at
     most _MAX_SCAN_STEPS steps.
     """
@@ -401,11 +431,21 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
         block = _SCAN_BUDGET // _MIN_CHUNK
         for i in range(0, pending.size, block):
             _first_flips(decay, moments, floor, pending[i:i + block], start[i:i + block], first, lo_positive)
+        # each bracket's far sample: the one after the first flip, or a rescued point's
+        ends = first + 1
+        unflipped = first[pending] < 0
+        if unflipped.any():
+            # no counted flip: a sign change between two insignificant samples
+            # lies between the last sure sample and the first sure negative one
+            missed, start = pending[unflipped], start[unflipped]
+            q = _first_sure_negative(decay, moments[:, missed, 0], floor[missed, 0], start)
+            rescued = q < decay.size
+            missed = missed[rescued]
+            first[missed], ends[missed], lo_positive[missed] = start[rescued], q[rescued], True
         points = np.flatnonzero(first >= 0)
         if points.size:
-            k = first[points]
             times[points] = _bisect(
-                taus[k], taus[k + 1], lo_positive[points], moments[:, points, 0], floor[points, 0]
+                taus[first[points]], taus[ends[points]], lo_positive[points], moments[:, points, 0], floor[points, 0]
             )
     return [None if math.isnan(t) else t for t in times.tolist()]
 
@@ -441,19 +481,16 @@ def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, omega, tau_max, scan
     seeds, tested = seeds.reshape(-1, 5), np.repeat(tested, n_nbar)
     erg0_s, erg0_d = _charges(1.0, *seeds.T)
     numerics = iter(_numeric_crossings(seeds[tested], tau_max, scan_step))
-    reports = []
-    for is_tested, tau_c, erg_s, erg_d in zip(tested.tolist(), closed, erg0_s.tolist(), erg0_d.tolist()):
-        numeric = next(numerics) if is_tested else None
-        if tau_c is None:
-            note = NOTE_NO_PRECONDITION
-        elif tau_c == 0.0:
-            note = NOTE_DEGENERATE
-        elif numeric is None:
-            note = NOTE_NO_CROSSING
-        else:
-            note = ""
-        reports.append(CrossingReport(note == "", tau_c, numeric, erg_s, erg_d, note))
-    return reports
+    numeric = [next(numerics) if is_tested else None for is_tested in tested.tolist()]
+    notes = [
+        NOTE_NO_PRECONDITION if tau_c is None
+        else NOTE_DEGENERATE if tau_c == 0.0
+        else NOTE_NO_CROSSING if tau_n is None
+        else ""
+        for tau_c, tau_n in zip(closed, numeric)
+    ]
+    exists = [note == "" for note in notes]
+    return list(map(CrossingReport, exists, closed, numeric, erg0_s.tolist(), erg0_d.tolist(), notes))
 
 
 def crossing_report(
@@ -512,8 +549,8 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResu
     omega = 1.0 if spec is None else spec.omega
     axes = grid.r_values, grid.nbar_pi_values, grid.nbar_values
     reports = _reports(*axes, abs(grid.mu), omega, _TAU_MAX, _SCAN_STEP)
-    points = [(r, nbar_pi, nbar) for r in axes[0] for nbar_pi in axes[1] for nbar in axes[2]]
-    return ScanResult(tuple(ScanRow(*point, grid.mu, rep) for point, rep in zip(points, reports)))
+    rs, pis, nbars = zip(*product(*axes))
+    return ScanResult(tuple(map(ScanRow, rs, pis, nbars, repeat(grid.mu), reports)))
 
 
 def faster_discharge_demo(r, nbar_pi, nbar, tau_grid=None) -> DischargePair:

@@ -211,7 +211,9 @@ def literal_bisect(lo, hi, lo_positive, moments, floor):
 def literal_crossing_scan(seeds, tau_max, scan_step):
     """The crossing oracle with each point's gap sampled over the whole window on its own,
     with the same samples, resolution, significance and first-flip rules, and each bracket
-    bisected on its own (literal_bisect); returns one crossing time (or None) per seed pair."""
+    bisected on its own (literal_bisect); returns one crossing time (or None) per seed pair.
+    A point that starts ahead with no counted flip is bracketed by its last sure sample (or
+    sample 0) and the first significantly negative resolved sample after it, if any."""
     with np.errstate(over="ignore"):
         taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
     taus = np.append(taus[taus < tau_max], tau_max)
@@ -232,6 +234,12 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
         if flips.size:
             k = flips[0]
             times[i] = literal_bisect(taus[k], taus[k + 1], bool(positive[k]), moments, floor)
+        elif positive[0]:
+            sure = np.flatnonzero(significant & positive)
+            p = sure[-1] if sure.size else 0
+            negative = np.flatnonzero(significant[p:] & (gap[p:] < 0.0))
+            if negative.size:
+                times[i] = literal_bisect(taus[p], taus[p + negative[0]], True, moments, floor)
     return times
 
 

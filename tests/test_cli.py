@@ -14,6 +14,8 @@ import pytest
 
 import ergoflow
 from ergoflow import (
+    CrossingReport,
+    ScanRow,
     SystemBathSpec,
     cli,
     crossing_time_closed_form,
@@ -266,6 +268,19 @@ class TestCrossing:
         assert closed == pytest.approx(57.3126, abs=1e-4)
         assert abs(numeric - closed) <= 2e-14
 
+    def test_crossing_between_insignificant_samples_is_found(self, capsys):
+        # the hot seed's relative gap moves by about 1e-13 per scan step near
+        # tau_c = 3.7136, so no sample next to the sign change is significant
+        code, out, _ = run(
+            ["crossing", "--r", "1", "--mu", "1661985.4665519095", "--nbar-pi", "1e12", "--nbar", "0"],
+            capsys,
+        )
+        assert code == 0
+        closed = float(out.split("tau_c closed form = ")[1].split()[0])
+        numeric = float(out.split("tau_c numeric     = ")[1].split()[0])
+        assert closed == pytest.approx(3.7136, abs=1e-4)
+        assert numeric == pytest.approx(closed, rel=1e-4)
+
     def test_csv_side_output(self, tmp_path, capsys):
         out = tmp_path / "crossing.csv"
         code, _, _ = run(
@@ -378,6 +393,30 @@ class TestSweep:
             assert row[5] == ("" if closed is None else format(closed, ".17g"))
             assert row[7] == format(ergotropy(squeezed_thermal(nbar_pi, r), spec), ".17g")
             assert row[8] == format(ergotropy(displaced_thermal(nbar_pi, mu), spec), ".17g")
+
+
+class TestCsvText:
+    # each float cell is format(x, ".17g"): signed zeros, the smallest subnormal,
+    # a tiny normal, the largest float and a value with all 17 digits
+    VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -1 / 3]
+
+    def test_trajectory_rows(self):
+        columns = [np.roll(self.VALUES, k) for k in range(9)]
+        traj = ergoflow.Trajectory(*columns)
+        rows = [",".join(format(float(column[i]), ".17g") for column in columns) for i in range(len(self.VALUES))]
+        assert cli._trajectory_csv(columns[0], traj) == "\n".join([TRAJECTORY_HEADER, *rows]) + "\n"
+
+    def test_sweep_rows(self):
+        values, rows, expected = self.VALUES, [], [SWEEP_HEADER]
+        for k in range(len(values)):
+            x = values[k:] + values[:k]
+            closed, numeric = (x[4], x[5]) if k % 3 else (None, None if k % 2 else x[5])
+            note = "" if k % 3 else "no crossing on scan window"
+            rows.append(ScanRow(*x[:4], CrossingReport(note == "", closed, numeric, x[6], x[7], note)))
+            cells = [format(v, ".17g") for v in x[:4]] + ["true" if note == "" else "false"]
+            cells += ["" if v is None else format(v, ".17g") for v in (closed, numeric)]
+            expected.append(",".join(cells + [format(x[6], ".17g"), format(x[7], ".17g"), note]))
+        assert cli._sweep_csv(rows) == "\n".join(expected) + "\n"
 
 
 class TestConfigFile:

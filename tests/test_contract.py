@@ -109,6 +109,28 @@ def test_crossing_functions_keep_their_contract():
         assert isinstance(amplitude, ValueError) or (math.isfinite(amplitude) and amplitude >= 0.0)
 
 
+def test_oracle_finds_the_crossings_of_the_closed_form_near_equal_charge():
+    # seeds up to nbar_pi = 1e14 and squeezing up to r = 30, with mu off the equal-charge
+    # amplitude by a relative 3e-12 to 1e-6 on either side: for hot seeds the relative gap
+    # moves by about _GAP_SIGNIFICANCE per scan step near the crossing, so that often no
+    # sample next to it is significant; the oracle must still find every crossing that the
+    # closed form puts inside its window, and no other
+    rng = random.Random(25)
+    crossings = 0
+    for _ in range(300):
+        r = 10.0 ** rng.uniform(-3.0, math.log10(30.0))
+        nbar_pi, nbar = 10.0 ** rng.uniform(-3.0, 14.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        shortfall = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.5, -6.0)
+        mu = equal_charge_amplitude(r, nbar_pi) * (1.0 - shortfall)
+        report = outcome(lambda: crossing_report(r, mu, nbar_pi, nbar))
+        assert not isinstance(report, ValueError), (r, mu, nbar_pi, nbar)
+        inside = report.tau_c_closed is not None and 0.0 < report.tau_c_closed < mpemba._TAU_MAX
+        assert (report.tau_c_numeric is not None) == inside, (r, mu, nbar_pi, nbar, report)
+        assert report.exists == inside
+        crossings += inside
+    assert 100 < crossings < 200
+
+
 def test_sweep_keeps_its_contract():
     draw = Draw(21, 0.05)
     for _ in range(CASES // 3):

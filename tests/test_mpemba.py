@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ergoflow import (
+    CrossingReport,
+    ScanRow,
     SweepGrid,
     SystemBathSpec,
     crossing_report,
@@ -350,8 +352,10 @@ class TestNumericOracle:
         times = mpemba._numeric_crossings(seeds, tau_max, step)
         assert times == literal_crossing_scan(seeds, tau_max, step)
         # each first significant flip is where it was placed, between samples k and k + 1;
-        # a lone noise flip is not a crossing, and neither is noise to the window's end
-        placed = [40, 500, 2000, edge + 5, edge - 1, edge, edge - 1, None, edge + 1, edge - 2]
+        # noise to the window's end is not a crossing, and a lone noise flip that no
+        # counted flip follows is found between the last sure sample and the first
+        # significantly negative one
+        placed = [40, 500, 2000, edge + 5, edge - 1, edge, edge - 1, edge - 1, edge + 1, edge - 2]
         placed += [None, None, 700] + [...] * 12 + [edge + 20, None]  # ... for the random points
         assert len(placed) == len(times)
         for found, k in zip(times, placed):
@@ -675,6 +679,19 @@ class TestScan:
         assert seeds == [(0.7, 1.0)]
         assert points == [(1.0, 1.0, 0.2, 0.4)]
 
+    def test_rows_are_the_point_reports(self):
+        # the rows, built by column, equal ScanRow(r, nbar_pi, nbar, mu, crossing_report(...))
+        # at every point of a grid that holds all four validity notes
+        grid = SweepGrid((0.3, 1.0, 15.0), (0.2, 0.5), (0.4, 1.0), mu=equal_charge_amplitude(1.0, 0.2))
+        spec = SystemBathSpec(omega=1.3, gamma=0.7)
+        rows = mpemba_scan(grid, spec).rows
+        notes = {row.report.validity_note for row in rows}
+        assert notes == {"", NOTE_NO_PRECONDITION, NOTE_DEGENERATE, NOTE_NO_CROSSING}
+        assert rows == tuple(
+            ScanRow(r, nbar_pi, nbar, grid.mu, crossing_report(r, grid.mu, nbar_pi, nbar, spec))
+            for r in grid.r_values for nbar_pi in grid.nbar_pi_values for nbar in grid.nbar_values
+        )  # fmt: skip
+
     def test_row_ordering(self):
         grid = SweepGrid((0.8, 1.0), (0.3, 0.6), (0.1, 0.9), mu=1.0)
         rows = mpemba_scan(grid).rows
@@ -682,6 +699,28 @@ class TestScan:
         assert keys == [
             (r, npi, nb) for r in (0.8, 1.0) for npi in (0.3, 0.6) for nb in (0.1, 0.9)
         ]
+
+
+class TestRecords:
+    def test_fields_order_and_default(self):
+        assert CrossingReport._fields == (
+            "exists", "tau_c_closed", "tau_c_numeric", "erg0_squeezed", "erg0_displaced", "validity_note",
+        )  # fmt: skip
+        assert CrossingReport._field_defaults == {"validity_note": ""}
+        assert ScanRow._fields == ("r", "nbar_pi", "nbar", "mu", "report")
+        assert ScanRow._field_defaults == {}
+        assert CrossingReport(True, 0.5, 0.5, 2.0, 1.0) == (True, 0.5, 0.5, 2.0, 1.0, "")
+
+    def test_fields_are_read_only_and_replace_copies(self):
+        report = crossing_report(1.0, 1.0, 0.2, 0.4)
+        row = ScanRow(1.0, 0.2, 0.4, 1.0, report)
+        for record, name in ((report, "tau_c_numeric"), (report, "validity_note"), (row, "mu"), (row, "report")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        missing = report._replace(exists=False, tau_c_numeric=None, validity_note=NOTE_NO_CROSSING)
+        assert missing == (False, report.tau_c_closed, None, *report[3:5], NOTE_NO_CROSSING)
+        assert report.exists and report.validity_note == ""
+        assert row._replace(mu=2.0) == (1.0, 0.2, 0.4, 2.0, report) and row.mu == 1.0
 
 
 class TestFasterDischarge:

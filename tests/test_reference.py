@@ -94,6 +94,24 @@ def test_crossings_near_equal_charge_match_reference(eps):
     assert relative_error(report.tau_c_closed, tau_c) <= 4.0 * EPSILON / eps
 
 
+# Crossings whose sign change falls between two insignificant samples: near
+# each one the relative gap moves by about _GAP_SIGNIFICANCE or less per scan
+# step, so the first-flip rule counts no flip and the oracle bisects from the
+# last sure sample to the first significantly negative one.  A hot seed on the
+# default window (1.0e-13 per 0.01 step) and an ordinary seed on a fine window.
+@pytest.mark.parametrize(
+    "nbar_pi, nbar, eps, window",
+    [(1e12, 0.0, 1e-11, ()), (0.2, 0.4, 1e-8, (1.56e-7, 1.56e-13))],
+)
+def test_crossings_between_insignificant_samples_match_reference(nbar_pi, nbar, eps, window):
+    mu = equal_charge_amplitude(1.0, nbar_pi) * (1.0 - eps)
+    tau_c = reference_crossing(1.0, mu, nbar_pi, nbar)
+    report = crossing_report(1.0, mu, nbar_pi, nbar, None, *window)
+    assert report.exists, report
+    assert relative_error(report.tau_c_numeric, tau_c) <= 4.0 * EPSILON / eps
+    assert relative_error(report.tau_c_closed, tau_c) <= 4.0 * EPSILON / eps
+
+
 
 # Points off the closed form's plain ratio path.  Where |mu|^2 is below the
 # smallest normal float, the ratio P / (2 |mu|^2 f) may be large, moderate or
