@@ -5,7 +5,7 @@ displaced thermal one can nevertheless fall below it in finite time, because
 its passive-state energy is pumped up transiently while the displaced
 family's passive energy relaxes monotonically.  This module locates that
 crossing in closed form, cross-validates it with a bisection oracle that
-scans and bisects a whole batch of parameter points at once, one array
+searches and bisects a whole batch of parameter points at once, one array
 entry per point, finds equal-charge displacement amplitudes, and sweeps
 the crossing time over bath/seed temperature axes.  Its reports and sweep
 rows (CrossingReport, ScanRow) are NamedTuples: copy one with _replace.
@@ -38,12 +38,22 @@ erg_squeezed > erg_displaced by more than _GAP_SIGNIFICANCE of their sum,
 form a prefix of it.  Each charge is computed to a few ulps, far below
 _GAP_SIGNIFICANCE, so a sample before a sure one, whose exact relative gap
 is larger still, reads erg_squeezed > erg_displaced too: no sign change of
-the gap precedes a sure sample.  The oracle therefore bisects for each
-point's last sure sample and runs its first-flip rule from there.  Likewise
-the samples that are unresolved or sure negative, erg_displaced ahead by more
-than _GAP_SIGNIFICANCE of the sum, form a suffix: where the first-flip rule
-counts no flip, the oracle bisects for the first of them, and a sure negative
-one brackets the sign change with the last sure sample.
+the gap precedes a sure sample.  Likewise the resolved samples that are
+sure negative, erg_displaced ahead by more than _GAP_SIGNIFICANCE of the
+sum, follow every other resolved one, and the unresolved samples come last.
+So a window's samples run: sure, insignificant (resolved, of either sign),
+sure negative, unresolved.  The gap's sign can be trusted on significant
+samples (sure or sure negative) only, so the oracle's bracket of the sign
+change, two samples with g > 0 at the first and not at the second, lies at
+one of three places.  With L the last sure sample, it is L, L + 1 where
+sample L + 1 reads g <= 0.  Otherwise let Q be the first sample after L
+that is unresolved or sure negative.  Where Q is sure negative, the bracket
+is Q - 1, Q where sample Q - 1 reads g > 0, and L, Q where it does not: the
+sign change then lies between two insignificant samples.  Where Q is
+unresolved, no significant sample follows L, and the point has no crossing
+on the window.  L and Q are found by bisecting over the sample indices:
+the samples that are not sure form a suffix of the window, and so do those
+that are unresolved or sure negative.
 """
 
 from __future__ import annotations
@@ -92,19 +102,6 @@ _TAU_MAX = 50.0
 _SCAN_STEP = 0.01
 _MAX_SCAN_STEPS = 10**6
 _GAP_SIGNIFICANCE = 1e-13
-# The scan's first chunk of samples per point, from its last sure sample
-# (_last_sure), and the most elements (points times samples) a chunk may
-# hold, which bounds the scan's temporaries.  Median time relative to
-# (16, 4096), 40 interleaved rounds on a 2-core x86-64 host, of mpemba_scan
-# on the sweep benchmark's 240-point grids (seeds 53-55 and 63-65) and of a
-# 400-point batch whose charges underflow before they cross, so that each
-# point scans on to the window's end:
-#   first chunk      2     4     8    16    32    64    16     16
-#   budget        4096  4096  4096  4096  4096  4096  1024  16384
-#   sweep         0.99  1.04  1.05  1.00  1.06  1.16  1.05   1.06
-#   underflowing  1.24  1.23  1.22  1.00  0.93  0.95  1.49   1.17
-_MIN_CHUNK = 16
-_SCAN_BUDGET = 4096
 
 
 class CrossingReport(NamedTuple):
@@ -265,112 +262,63 @@ def _charges(x, lam_s, m_s, v_sq, f, omega):
     return erg_s, erg_d
 
 
-def _bisect(lo, hi, lo_positive, moments, floor):
+def _bisect(lo, hi, moments, floor):
     """Bisect every bracket [lo, hi] of the gap at once; moments and floor have one column per bracket.
 
-    g > 0 holds at lo (lo_positive) or at hi, not both.  Each round halves every
-    bracket, and one whose midpoint has g exactly 0 with both charges resolved
-    (at least floor) collapses to lo = hi = mid.  A bracket down to adjacent
-    floats, or collapsed, returns the same midpoint in every later round, and
-    once every midpoint equals an endpoint, mid is returned, within an ulp of
-    where g > 0 flips, or nan where the charges there are not resolved.
-    Charges that underflowed to 0 give g = 0 too, but that is no root: such a
-    midpoint counts as g <= 0, as any other.
+    g > 0 holds at lo and not at hi.  Each round halves every bracket, and one
+    whose midpoint has g exactly 0 with both charges resolved (at least floor)
+    collapses to lo = hi = mid.  A bracket down to adjacent floats, or
+    collapsed, returns the same midpoint in every later round, and once every
+    midpoint equals an endpoint, mid is returned, within an ulp of where g > 0
+    flips, or nan where the charges there are not resolved.  Charges that
+    underflowed to 0 give g = 0 too, but that is no root: such a midpoint
+    counts as g <= 0, as any other.
     """
     while True:
         mid = 0.5 * (lo + hi)
         erg_s, erg_d = _charges(np.exp(-mid), *moments)
         if ((mid == lo) | (mid == hi)).all():
             return np.where(np.minimum(erg_s, erg_d) >= floor, mid, math.nan)
-        # g > 0 exactly when erg_s > erg_d, and g = 0 exactly when erg_s == erg_d (as in the scan)
-        same_side = (erg_s > erg_d) == lo_positive
-        lo, hi = np.where(same_side, mid, lo), np.where(same_side, hi, mid)
+        # g > 0 exactly when erg_s > erg_d, and g = 0 exactly when erg_s == erg_d (as in _flags)
+        positive = erg_s > erg_d
+        lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
         if (erg_s == erg_d).any():
             root = (erg_s == erg_d) & (erg_s >= floor)
             lo, hi = np.where(root, mid, lo), np.where(root, mid, hi)
 
 
-def _last_sure(decay, moments, floor):
-    """Each point's last sure sample of decay, found by bisecting over the sample indices of all points at once.
+def _flags(erg_s, erg_d, floor):
+    """g > 0, resolved and significant, elementwise, for gap samples with charges erg_s and erg_d.
 
-    moments and floor have one column per point.  A sample is sure when both
-    charges are resolved (at least floor) and erg_s > erg_d by more than
-    _GAP_SIGNIFICANCE of their sum.  In exact arithmetic the sure samples
-    form a prefix of decay, and in floating point every sample before a sure
-    one still reads g > 0 (module docstring), so the first-flip rule may
-    start at the sample returned.  Each round keeps lo
-    sure (or 0) and hi not sure (or decay.size); about log2(decay.size)
-    rounds leave hi = lo + 1 (or lo = hi = 0), and lo is returned.
+    g > 0 exactly when erg_s > erg_d: the exact difference of two doubles is a
+    multiple of 2^-1074, so it rounds to a positive double when it is positive.
+    A sample is resolved when both charges are at least floor, and significant
+    when it is resolved and |g| exceeds _GAP_SIGNIFICANCE of their sum, so that
+    its sign stands clear of the charges' roundoff.  A sample is sure when it is
+    significant with g > 0, and sure negative when it is significant with g <= 0.
     """
-    lo, hi = np.zeros(floor.size, dtype=int), np.full(floor.size, decay.size)
-    for _ in range((decay.size - 1).bit_length()):
-        mid = (lo + hi) // 2
-        erg_s, erg_d = _charges(decay[mid], *moments)
-        sure = (np.minimum(erg_s, erg_d) >= floor) & (erg_s - erg_d > _GAP_SIGNIFICANCE * (erg_s + erg_d))
-        lo, hi = np.where(sure, mid, lo), np.where(sure, hi, mid)
-    return lo
+    resolved = np.minimum(erg_s, erg_d) >= floor
+    significant = resolved & (np.abs(erg_s - erg_d) > _GAP_SIGNIFICANCE * (erg_s + erg_d))
+    return erg_s > erg_d, resolved, significant
 
 
-def _first_sure_negative(decay, moments, floor, start):
-    """Each point's first sure negative sample after sample start of decay, or decay.size for none.
+def _search(decay, moments, floor, lo, negative):
+    """Each point's first sample after its sure sample lo that is not sure, or with negative unresolved or sure negative.
 
-    moments and floor have one column, and start one entry, per point.  A
-    sample is sure negative when both charges are resolved (at least floor)
-    and erg_d > erg_s by more than _GAP_SIGNIFICANCE of their sum.  Both
-    charges and the relative gap fall (module docstring), so the samples
-    that are unresolved or sure negative form a suffix of the window; its
-    first sample is found by bisecting over the sample indices, as
-    _last_sure finds its sample, and returned where it is sure negative.
+    moments and floor have one column, and lo one entry, per point of decay's
+    window, and a point without such a sample gets decay.size.  By the module
+    docstring's lemma the samples searched for form a suffix of the window,
+    so bisecting over the sample indices finds the first of them, for all
+    points at once: each round keeps lo short of the suffix and hi in it (or
+    at decay.size), until hi = lo + 1.
     """
-    lo, hi = start, np.full(start.size, decay.size)
-    for _ in range((decay.size - 1).bit_length()):
+    hi = np.full(lo.size, decay.size)
+    for _ in range((decay.size - 1 - int(lo.min())).bit_length()):
         mid = (lo + hi) // 2
-        erg_s, erg_d = _charges(decay[mid], *moments)
-        done = (np.minimum(erg_s, erg_d) < floor) | (erg_d - erg_s > _GAP_SIGNIFICANCE * (erg_s + erg_d))
+        positive, resolved, significant = _flags(*_charges(decay[mid], *moments), floor)
+        done = ~resolved | (significant & ~positive) if negative else ~(significant & positive)
         lo, hi = np.where(done, lo, mid), np.where(done, mid, hi)
-    erg_s, erg_d = _charges(decay[np.minimum(hi, decay.size - 1)], *moments)
-    sure = (np.minimum(erg_s, erg_d) >= floor) & (erg_d - erg_s > _GAP_SIGNIFICANCE * (erg_s + erg_d))
-    return np.where(sure & (hi < decay.size), hi, decay.size)
-
-
-def _first_flips(decay, moments, floor, pending, start, first, lo_positive):
-    """Scan the pending points' gaps together; set first[i] to k and lo_positive[i] to g > 0 at k.
-
-    Point pending[j] is scanned from sample start[j] of decay, and its first
-    significant change of g > 0 from there on lies between samples k and
-    k + 1; first stays as it is for a point without one.  The chunks start
-    at _MIN_CHUNK samples per point and grow fourfold, up to _SCAN_BUDGET
-    elements over the pending points (at most _SCAN_BUDGET // _MIN_CHUNK of
-    them); adjacent chunks share their edge sample, and a point leaves at its
-    first flip or at the window's end.  The sign of g is taken on every
-    sample, and the significance rule only on the rows of a chunk where that
-    sign changes.
-    """
-    last, width = decay.size - 1, _MIN_CHUNK
-    while pending.size:
-        # each point's next samples; past the window's end the last one repeats, which flips nothing
-        k = np.minimum(start[:, None] + np.arange(min(width, _SCAN_BUDGET // pending.size)), last)
-        erg_s, erg_d = _charges(decay[k], *moments[:, pending])
-        # g > 0 exactly when erg_s > erg_d: the exact difference of two doubles is
-        # a multiple of 2^-1074, so it rounds to a positive double when it is positive
-        positive = erg_s > erg_d
-        flips = positive[:, :-1] != positive[:, 1:]
-        keep = k[:, -1] < last
-        if np.count_nonzero(flips):
-            rows = np.flatnonzero(flips.any(axis=1))
-            erg_s, erg_d = erg_s[rows], erg_d[rows]
-            # where the two charges agree to roundoff, the gap sign is noise; only
-            # count a flip with at least one side clear of its own charges' roundoff
-            significant = (np.minimum(erg_s, erg_d) >= floor[pending[rows]]) & (
-                np.abs(erg_s - erg_d) > _GAP_SIGNIFICANCE * (erg_s + erg_d)
-            )
-            flips = flips[rows] & (significant[:, :-1] | significant[:, 1:])
-            hit = flips.any(axis=1)
-            j, found = flips[hit].argmax(axis=1), rows[hit]
-            first[pending[found]] = k[found, j]
-            lo_positive[pending[found]] = positive[found, j]
-            keep[found] = False
-        pending, start, width = pending[keep], k[keep, -1], 4 * width
+    return hi
 
 
 def _numeric_crossings(seeds, tau_max, scan_step) -> list:
@@ -378,43 +326,39 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
 
     seeds holds the moments of one seed pair per point.  Each gap
     g(tau) = erg_squeezed(tau) - erg_displaced(tau) is sampled at the
-    multiples of scan_step below tau_max and at tau_max, for its first change
-    of g > 0 (an exact zero counts as non-positive); then all bracketed
-    points are bisected together, so no crossing beyond tau_max is reported.
-    A point gets 0.0 when its tau = 0 charges coincide, and None when g > 0
-    does not change where the charges are resolved or its bracket's root lies
-    where they are not (a scan step coarser than their decay can bracket it).
-    Only points with g > 0 at tau = 0 are searched: g changes sign at most
-    once, from + to - (module docstring), so every other point gets the None
-    that a scan of the whole window gives it.  No sign change precedes a
-    sure sample (the module docstring's lemma), so the first-flip rule starts
-    at each point's last sure sample, found by bisecting over the sample
-    indices (_last_sure), and runs on from there, all points together in
-    bounded chunks (_first_flips), each stopping at its first flip; the
-    reports are those of a scan of every sample from tau = 0, kept in
-    per-point arrays.  A point that reaches the window's end with no counted
-    flip, its sign change lying between two insignificant samples, is
-    bracketed by its last sure sample and its first sure negative one
-    (_first_sure_negative), if it has one.  Raises ValueError unless
-    tau_max and scan_step are finite and positive and the window holds at
-    most _MAX_SCAN_STEPS steps.
+    multiples of scan_step below tau_max and at tau_max; a bracket of two
+    samples with g > 0 at the first and not at the second is found for each
+    point that crosses, and all bracketed points are bisected together, so no
+    crossing beyond tau_max is reported.  A point gets 0.0 when its tau = 0
+    charges coincide, and None when it has no bracket or its bracket's root
+    lies where the charges are not resolved (a scan step coarser than their
+    decay can bracket it).  Only points whose tau = 0 sample is sure are
+    searched: g changes sign at most once, from + to -, and both charges fall
+    (module docstring).  The module docstring's sample order places each
+    searched point's bracket.  With L its last sure sample and Q its first
+    sample after L that is unresolved or sure negative, both found by
+    bisecting over the sample indices (_search), it is [L, L + 1] where
+    sample L + 1 reads g <= 0.  Otherwise, where Q is sure negative, it is
+    [Q - 1, Q] where sample Q - 1 reads g > 0 and [L, Q] where it does not.
+    Raises ValueError unless tau_max and scan_step are finite and positive
+    and the window holds at most _MAX_SCAN_STEPS steps.
     """
     if not (_finite(tau_max, scan_step) and tau_max > 0.0 and scan_step > 0.0):
         raise ValueError("tau_max and scan_step must be finite and positive")
     if tau_max / scan_step > _MAX_SCAN_STEPS:
         raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")
-    # one (points, 1) column per moment, so that samples broadcast to (points, samples)
-    moments = np.array(seeds, dtype=float).reshape(-1, 5).T[:, :, None]
+    # one column per moment and entry per point
+    moments = np.array(seeds, dtype=float).reshape(-1, 5).T
     # a charge below the smallest normal float (times omega, so that the
     # moment products behind it are normal too) has lost its relative
     # precision, and so has the gap's sign
     floor = sys.float_info.min * np.maximum(1.0, moments[-1])
     erg_s, erg_d = _charges(1.0, *moments)
-    equal = (np.minimum(erg_s, erg_d) >= floor) & (
-        np.abs(erg_s - erg_d) <= _EQUAL_CHARGE_RTOL * (erg_s + erg_d)
-    )
-    times = np.where(equal[:, 0], 0.0, math.nan)
-    pending = np.flatnonzero(~equal[:, 0] & (erg_s[:, 0] > erg_d[:, 0]))
+    positive, resolved, significant = _flags(erg_s, erg_d, floor)
+    equal = resolved & (np.abs(erg_s - erg_d) <= _EQUAL_CHARGE_RTOL * (erg_s + erg_d))
+    times = np.where(equal, 0.0, math.nan)
+    # only a point whose tau = 0 sample is sure, its charges apart, can cross
+    pending = np.flatnonzero(significant & positive & ~equal)
     if pending.size:
         # the multiples of scan_step below tau_max, then tau_max itself; a last
         # multiple beyond float range is inf, and dropped with the others past tau_max
@@ -422,31 +366,25 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
             taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
         taus = np.append(taus[taus < tau_max], tau_max)
         decay = np.exp(-taus)
-        # each point's first-flip sample (-1 for none) and whether g > 0 there
-        first, lo_positive = np.full(times.size, -1), np.zeros(times.size, dtype=bool)
-        start = _last_sure(decay, moments[:, pending, 0], floor[pending, 0])
-        # a point whose last sample is sure has no flip on the window
-        scanned = start < decay.size - 1
-        pending, start = pending[scanned], start[scanned]
-        block = _SCAN_BUDGET // _MIN_CHUNK
-        for i in range(0, pending.size, block):
-            _first_flips(decay, moments, floor, pending[i:i + block], start[i:i + block], first, lo_positive)
-        # each bracket's far sample: the one after the first flip, or a rescued point's
-        ends = first + 1
-        unflipped = first[pending] < 0
-        if unflipped.any():
-            # no counted flip: a sign change between two insignificant samples
-            # lies between the last sure sample and the first sure negative one
-            missed, start = pending[unflipped], start[unflipped]
-            q = _first_sure_negative(decay, moments[:, missed, 0], floor[missed, 0], start)
-            rescued = q < decay.size
-            missed = missed[rescued]
-            first[missed], ends[missed], lo_positive[missed] = start[rescued], q[rescued], True
-        points = np.flatnonzero(first >= 0)
-        if points.size:
-            times[points] = _bisect(
-                taus[first[points]], taus[ends[points]], lo_positive[points], moments[:, points, 0], floor[points, 0]
-            )
+        moments, floor = moments[:, pending], floor[pending]
+        # L + 1, each point's first sample that is not sure; without one, g > 0 on the whole window
+        hi = _search(decay, moments, floor, np.zeros(pending.size, dtype=int), False)
+        ahead = hi < decay.size
+        pending, hi, moments, floor = pending[ahead], hi[ahead], moments[:, ahead], floor[ahead]
+        if pending.size:
+            lo = hi - 1
+            # where sample L + 1 reads g > 0, the bracket ends at Q, if Q is sure negative
+            unbracketed = _flags(*_charges(decay[hi], *moments), floor)[0]
+            rest = np.flatnonzero(unbracketed)
+            if rest.size:
+                q = _search(decay, moments[:, rest], floor[rest], lo[rest], True)
+                ends = np.minimum([q - 1, q], decay.size - 1)
+                positive, _, significant = _flags(*_charges(decay[ends], *moments[:, rest]), floor[rest])
+                unbracketed[rest] = (q == decay.size) | ~significant[1]
+                lo[rest], hi[rest] = np.where(positive[0], q - 1, lo[rest]), q
+            points = np.flatnonzero(~unbracketed)
+            if points.size:
+                times[pending[points]] = _bisect(taus[lo[points]], taus[hi[points]], moments[:, points], floor[points])
     return [None if math.isnan(t) else t for t in times.tolist()]
 
 
@@ -540,10 +478,10 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResu
     the same _seed_axes that serves crossing_report's one-point axes, so a grid
     that holds a point crossing_report refuses raises ValueError.  The
     closed form's (r, nbar_pi) part is likewise taken once per pair.  One
-    batched oracle call serves the whole grid: each point's first sign
-    change is searched for from its last sure sample, all points together,
-    then all bracketed points are bisected together as arrays; every report
-    is what the point gets alone.  Rows follow the axis order
+    batched oracle call serves the whole grid: each point's bracket of its
+    sign change is searched for over the sample indices, all points
+    together, then all bracketed points are bisected together as arrays;
+    every report is what the point gets alone.  Rows follow the axis order
     r (outer), nbar_pi, nbar (inner).
     """
     omega = 1.0 if spec is None else spec.omega

@@ -151,10 +151,10 @@ class TestNumericOracle:
 
     @pytest.mark.parametrize("tau_max, last_sample", [(50.0, 49.99), (7.305, 7.3)])
     def test_batched_scan_is_the_per_point_scan(self, tau_max, last_sample):
-        # more points than one block of the scan, with flips on either side of the
-        # sample its first two chunks share and in the pair that ends at tau_max
+        # a few hundred points, with flips on either side of sample 15 and in the
+        # pair that ends at tau_max
         step = mpemba._SCAN_STEP
-        edge = (mpemba._MIN_CHUNK - 1) * step
+        edge = 15 * step
         brackets = [(edge - step, edge), (edge, edge + step), (last_sample, tau_max)]
         points = [
             (1.0, amplitude_crossing_at(0.5 * (lo + hi), 1.0, 0.2, 0.4), 0.2, 0.4)
@@ -169,7 +169,7 @@ class TestNumericOracle:
             (3.0, 1e-6, 0.2, 0.0),  # a late crossing, near tau = 37.5
         ]
         rng = rng_for("batched crossing scan")
-        for _ in range(mpemba._SCAN_BUDGET // mpemba._MIN_CHUNK + 100):
+        for _ in range(356):
             r, nbar_pi, nbar = rng.uniform(0.05, 3.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
             mu = rng.uniform(0.0, 1.3) * equal_charge_amplitude(r, nbar_pi)
             points.append((r, mu, nbar_pi, nbar))
@@ -202,7 +202,7 @@ class TestNumericOracle:
         samples.clear()
         # a point that starts ahead and crosses past the window costs its tau = 0 sample
         # and one sample in each of the 6 rounds that search the window's 51 samples for
-        # its last sure one; that is its last sample, so no scan follows
+        # its last sure one; that is its last sample, so nothing more is sampled
         seed = seed_row(1.0, 1.0, 0.2, 0.4)
         assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP) == [None]
         assert samples == [1] * (1 + 6)
@@ -215,6 +215,27 @@ class TestNumericOracle:
         # and so does the point function, once more for its report's starting charges
         assert crossing_time_numeric(1.0, 1.5, 0.2, 0.4) is None
         assert samples == [1, 1]
+        samples.clear()
+        # the gap of this hot seed, short of equal charge by a relative 1e-11, moves by
+        # about _GAP_SIGNIFICANCE per sample, so its sign changes between two
+        # insignificant samples; the search for the first sure negative one brackets
+        # it without walking the window
+        assert crossing_time_numeric(1.0, 1661985.4665519095, 1e12, 0.0) == 3.7135791015625
+        assert sum(samples) < 200
+        samples.clear()
+        # 400 points whose displaced charge, near 1e-20 of the squeezed one, is below the
+        # smallest normal float at tau = 0 or falls there while the gap is still sure:
+        # both charges only fall, so no sample past the first unresolved one can count,
+        # and each point costs at most its tau = 0 sample, two searches of 13 rounds
+        # over the window's samples and 3 more samples
+        rng = rng_for("underflowing charges")
+        points = [(r, 1e-10 * r, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
+                  for r in 10.0 ** rng.uniform(-160.0, -140.0, 400)]
+        seeds = [seed_row(*p) for p in points]
+        times = mpemba._numeric_crossings(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
+        assert times == [None] * len(seeds)
+        assert sum(samples) <= (1 + 2 * 13 + 3) * len(seeds)
+        assert times == literal_crossing_scan(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
 
     @pytest.mark.parametrize("window", [(50.0, 0.01), (7.305, 0.01), (1e4, 2e3)])
     def test_points_that_start_below_never_cross(self, window):
@@ -278,56 +299,78 @@ class TestNumericOracle:
     @pytest.mark.parametrize("tau_max", [mpemba._TAU_MAX, 7.305])
     def test_scan_significance_only_at_flips(self, monkeypatch, tau_max):
         # synthetic charges with a chosen gap at every scan sample (linear between
-        # samples): point i's first moment is i, and its gap is gaps[i] in units of
-        # its charge scales[i]; 1e-14 is noise, 1e-3 is significant, and charges
-        # of 1e-310 lie below the smallest normal float; every gap starts at 1e-3,
-        # clear of the equal-charge rule at tau = 0
+        # samples), in the order that mpemba's module docstring proves: sure samples,
+        # then insignificant ones of either sign, then sure negative ones, then
+        # unresolved ones; point i's first moment is i, and its gap is gaps[i] in
+        # units of its charge scales[i]; 1e-14 is noise, 1e-3 is significant, and
+        # charges of 1e-310 lie below the smallest normal float; every gap starts at
+        # 1e-3, clear of the equal-charge rule at tau = 0
         step, noise, big = mpemba._SCAN_STEP, 1e-14, 1e-3
         taus = np.arange(math.ceil(tau_max / step) + 1) * step
         taus = np.append(taus[taus < tau_max], tau_max)
         decay, n = np.exp(-taus), taus.size
-        chatter = noise * (-1.0) ** (np.arange(n) + 1)  # +noise at odd samples
+        gaps, scales, omegas, placed = [], [], [], []
 
-        def crossing(k):
-            """g > 0 up to sample k and < 0 after it, significant on both sides"""
-            return big * (k + 0.5 - np.arange(n))
-
-        gaps, scales, omegas = [], [], []
-
-        def point(gap, scale=1.0, omega=1.0):
+        def point(last, middle=(), negatives=n, tail=-big, bracket=None, scale=1.0, omega=1.0):
+            """sure samples up to last, the insignificant middle, that many sure negative
+            samples, then unresolved ones with gap tail (one value, or one per sample) to
+            the window's end; bracket is where its crossing is placed, None for none"""
+            gap, middle = np.full(n, big), np.asarray(middle)[:n - 1 - last]
+            gap[last + 1:last + 1 + middle.size] = middle
+            start = last + 1 + middle.size
+            gap[start:start + negatives] = -big
+            end = min(start + negatives, n)
+            gap[end:] = tail if np.ndim(tail) == 0 else tail[:n - end]
             gaps.append(gap)
-            scales.append(np.broadcast_to(scale, n))
+            scales.append(np.where(np.arange(n) < end, scale, 1e-310))
             omegas.append(omega)
+            placed.append(bracket)
 
-        edge = mpemba._MIN_CHUNK - 1  # the sample the first two chunks share
-        # noise flips before the first significant flip, in its chunk and in earlier chunks
-        for chatter_end, k in ((19, 40), (199, 500), (999, 2000), (edge, edge + 5)):
-            point(np.where(np.arange(n) <= chatter_end, chatter, crossing(k)))
-        # sign changes at the shared sample: g = 0 there, or a flip on either side of it
-        for values, tail in (([big, 0.0, -big], -big), ([big, big, -big], -big), ([big, -big, -big], -big),
-                             ([noise, -noise, -big], -big), ([big, noise, -noise], big),
-                             ([-noise, noise, -noise], -big)):
-            gap = np.where(np.arange(n) < edge, big, tail)
-            gap[edge - 1:edge + 2] = values
-            point(gap)
-        # noise that chatters until the window ends, and charges that underflow and chatter
-        point(chatter)
-        underflowed = (np.arange(n) >= 100) & (np.arange(n) <= 300)
-        flips = big * (-1.0) ** np.arange(n)  # +big at even samples, from sample 100 on
-        point(np.where(np.arange(n) < 100, big, flips), np.where(np.arange(n) < 100, 1.0, 1e-310))
-        point(np.where(underflowed, flips, crossing(700)), np.where(underflowed, 1e-310, 1.0))
-        # random noise, zero and significant values around the shared sample
-        rng = rng_for("flip significance")
-        for _ in range(12):
-            gap = crossing(900)
-            gap[edge - 4:edge + 5] = rng.choice([big, -big, noise, -noise, 0.0], 9)
-            point(gap)
+        # a sure sample next to a sure negative one, at tau = 0, early, late and at the window's end
+        for last in (0, 15, 40, 500, n - 2):
+            point(last, bracket=(last, last + 1))
+        # sure to the window's end
+        point(n - 1)
+        # g = 0, or <= 0 noise, right after the last sure sample: that pair is the bracket
+        point(20, (0.0,), bracket=(20, 21))
+        point(20, (-noise, noise), bracket=(20, 21))
+        # insignificant samples whose last reads g > 0 next to a sure negative one
+        point(20, (noise,), bracket=(21, 22))
+        point(20, (noise, -noise, 0.0, noise), bracket=(24, 25))
+        point(n - 4, (noise, noise), bracket=(n - 2, n - 1))
+        # insignificant samples whose last reads g <= 0: the sign change lies between the
+        # last sure sample and the first sure negative one
+        point(20, (noise, -noise), bracket=(20, 23))
+        point(20, (noise, noise, 0.0), 3, bracket=(20, 24))
+        point(n - 5, (-noise, noise, -noise), bracket=(n - 5, n - 1))
+        # no sure negative sample: noise to the window's end, or down to unresolved charges
+        point(20, (noise, -noise) * n)
+        point(20, (noise, -noise, noise), 0, big)
+        point(20, (noise, -noise, noise), 0, -big)
+        # charges that underflow right after the last sure sample, reading g > 0 and
+        # chattering, or g <= 0, which is a counted flip into resolved midpoints
+        point(99, (), 0, big * (-1.0) ** np.arange(n))
+        point(99, (), 0, -big, bracket=(99, 100))
+        # sure negative samples, then unresolved ones that read g <= 0 and chatter
+        point(30, (noise, -noise), 4, -big * (-1.0) ** np.arange(n), bracket=(30, 33))
         # charges of 1e-300 are resolved at omega = 1 and not at omega = 1e10,
         # whose charges must reach 1e10 times the smallest normal float
-        point(crossing(edge + 20), 1e-300)
-        point(crossing(edge + 20), 1e-300, 1e10)
+        point(35, bracket=(35, 36), scale=1e-300)
+        point(35, scale=1e-300, omega=1e10)
+        # random insignificant samples and tails, short of the pattern below
+        rng = rng_for("flip significance")
+        for _ in range(24):
+            last, middle = int(rng.integers(0, n - 20)), rng.choice([noise, -noise, 0.0], rng.integers(0, 6))
+            negatives, tail = int(rng.integers(0, 4)), rng.choice([-big, big])
+            if middle.size and middle[-1] <= 0.0 and negatives:
+                tail = -big
+            point(last, middle, negatives, tail, ...)
+        pinned = len(gaps)
+        # an unresolved sample that reads g > 0 after sure negative ones, with no counted
+        # flip before them: the literal scan counts that flip, whose lower end is sure
+        # negative; the oracle brackets the last sure sample and the first sure negative one
+        point(40, (noise, -noise), 3, big, bracket=(40, 43))
         gaps, scales = np.array(gaps), np.array(scales)
-        gaps[:, 0] = big
 
         def charges(x, ident, *_):
             ident = np.asarray(ident).astype(int)
@@ -345,26 +388,23 @@ class TestNumericOracle:
             return scale * (1.0 + between(gaps)), scale
 
         monkeypatch.setattr(mpemba, "_charges", charges)
-        # these gaps break the module docstring's theorem on purpose, so the search for
-        # each point's last sure sample does not apply: the first-flip rule runs from sample 0
-        monkeypatch.setattr(mpemba, "_last_sure", lambda decay, moments, floor: np.zeros(floor.size, dtype=int))
         seeds = [(float(i), 0.0, 0.0, 0.0, omega) for i, omega in enumerate(omegas)]
         times = mpemba._numeric_crossings(seeds, tau_max, step)
-        assert times == literal_crossing_scan(seeds, tau_max, step)
-        # each first significant flip is where it was placed, between samples k and k + 1;
-        # noise to the window's end is not a crossing, and a lone noise flip that no
-        # counted flip follows is found between the last sure sample and the first
-        # significantly negative one
-        placed = [40, 500, 2000, edge + 5, edge - 1, edge, edge - 1, edge - 1, edge + 1, edge - 2]
-        placed += [None, None, 700] + [...] * 12 + [edge + 20, None]  # ... for the random points
-        assert len(placed) == len(times)
-        for found, k in zip(times, placed):
-            if k is ...:
+        assert times[:pinned] == literal_crossing_scan(seeds[:pinned], tau_max, step)
+        # each crossing lies in the bracket where it was placed, and the others have none
+        for found, bracket in zip(times, placed):
+            if bracket is ...:  # a random point
                 continue
-            if k is None or k > n - 2:
+            if bracket is None:
                 assert found is None
             else:
-                assert taus[k] < found < taus[k + 1]
+                assert taus[bracket[0]] < found < taus[bracket[1]]
+        # the random points both cross and miss
+        assert 0 < sum(t is None for t in times[pinned - 24:pinned]) < 24
+        # the last point's literal scan bisects its last sure negative sample, 45, and
+        # its first unresolved one
+        (literal,) = literal_crossing_scan(seeds[pinned:], tau_max, step)
+        assert taus[45] < literal < taus[46]
 
     def test_charges_are_the_shared_core_bit_for_bit(self):
         # _charges is states._work(*dynamics._relax(...)) on the scan's, the bisection's,
