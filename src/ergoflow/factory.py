@@ -132,7 +132,7 @@ def squeezed_displaced_thermal(occ, amp, z) -> GaussianState:
 
 def random_state(rng: np.random.Generator) -> GaussianState:
     """Random composite state for randomized suites: uniform nbar_pi, r, |mu| in [0, 2), [0, 1.5), [0, 2)."""
-    occ = rng.uniform(0.0, 2.0)
-    z = SqueezingParameter(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi))
-    mu = 2.0 * rng.uniform(0.0, 1.0) * cmath.exp(2j * math.pi * rng.uniform(0.0, 1.0))
-    return squeezed_displaced_thermal(occ, mu, z)
+    # rng.uniform(0, high) is high * rng.random() bit for bit, so one call draws all five
+    occ, r, theta, modulus, phase = (rng.random(5) * (2.0, 1.5, 2.0 * math.pi, 1.0, 1.0)).tolist()
+    mu = 2.0 * modulus * cmath.exp(2j * math.pi * phase)
+    return squeezed_displaced_thermal(occ, mu, SqueezingParameter(r, theta))

@@ -302,23 +302,41 @@ def _flags(erg_s, erg_d, floor):
     return erg_s > erg_d, resolved, significant
 
 
-def _search(decay, moments, floor, lo, negative):
+def _search(size, tau, moments, floor, lo, negative):
     """Each point's first sample after its sure sample lo that is not sure, or with negative unresolved or sure negative.
 
-    moments and floor have one column, and lo one entry, per point of decay's
-    window, and a point without such a sample gets decay.size.  By the module
-    docstring's lemma the samples searched for form a suffix of the window,
-    so bisecting over the sample indices finds the first of them, for all
-    points at once: each round keeps lo short of the suffix and hi in it (or
-    at decay.size), until hi = lo + 1.
+    size and tau are _window's, and moments and floor have one column, and lo
+    one entry, per point; a point without such a sample gets size.  By the
+    module docstring's lemma the samples searched for form a suffix of the
+    window, so bisecting over the sample indices finds the first of them, for
+    all points at once, forming only the samples read: each round keeps lo
+    short of the suffix and hi in it (or at size), until hi = lo + 1.
     """
-    hi = np.full(lo.size, decay.size)
-    for _ in range((decay.size - 1 - int(lo.min())).bit_length()):
+    hi = np.full(lo.size, size)
+    for _ in range((size - 1 - int(lo.min())).bit_length()):
         mid = (lo + hi) // 2
-        positive, resolved, significant = _flags(*_charges(decay[mid], *moments), floor)
+        positive, resolved, significant = _flags(*_charges(np.exp(-tau(mid)), *moments), floor)
         done = ~resolved | (significant & ~positive) if negative else ~(significant & positive)
         lo, hi = np.where(done, lo, mid), np.where(done, mid, hi)
     return hi
+
+
+def _window(tau_max, scan_step) -> tuple:
+    """(size, tau): the scan window's sample count, and tau(k), the tau of each sample index in k.
+
+    The samples are the multiples of scan_step below tau_max (so not one beyond
+    float range, which tau never forms), then tau_max.  Within _MAX_SCAN_STEPS
+    steps, rounding brings no multiple to tau_max but the top three, from
+    ceil(tau_max / scan_step) - 2 up, so only those are formed to count them.
+    """
+    if not (_finite(tau_max, scan_step) and tau_max > 0.0 and scan_step > 0.0):
+        raise ValueError("tau_max and scan_step must be finite and positive")
+    if tau_max / scan_step > _MAX_SCAN_STEPS:
+        raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")
+    first = max(math.ceil(tau_max / scan_step) - 2, 0)
+    with np.errstate(over="ignore"):
+        size = first + int(np.count_nonzero(np.arange(first, first + 3) * scan_step < tau_max)) + 1
+    return size, lambda k: np.where(k < size - 1, np.minimum(k, size - 2) * scan_step, tau_max)
 
 
 def _numeric_crossings(seeds, tau_max, scan_step) -> list:
@@ -326,27 +344,24 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
 
     seeds holds the moments of one seed pair per point.  Each gap
     g(tau) = erg_squeezed(tau) - erg_displaced(tau) is sampled at the
-    multiples of scan_step below tau_max and at tau_max; a bracket of two
-    samples with g > 0 at the first and not at the second is found for each
-    point that crosses, and all bracketed points are bisected together, so no
-    crossing beyond tau_max is reported.  A point gets 0.0 when its tau = 0
-    charges coincide, and None when it has no bracket or its bracket's root
-    lies where the charges are not resolved (a scan step coarser than their
-    decay can bracket it).  Only points whose tau = 0 sample is sure are
-    searched: g changes sign at most once, from + to -, and both charges fall
-    (module docstring).  The module docstring's sample order places each
-    searched point's bracket.  With L its last sure sample and Q its first
-    sample after L that is unresolved or sure negative, both found by
-    bisecting over the sample indices (_search), it is [L, L + 1] where
-    sample L + 1 reads g <= 0.  Otherwise, where Q is sure negative, it is
-    [Q - 1, Q] where sample Q - 1 reads g > 0 and [L, Q] where it does not.
-    Raises ValueError unless tau_max and scan_step are finite and positive
-    and the window holds at most _MAX_SCAN_STEPS steps.
+    multiples of scan_step below tau_max and at tau_max, forming only the
+    samples read (_window); a bracket of two samples with g > 0 at the first
+    and not at the second is found for each point that crosses, and all
+    bracketed points are bisected together, so no crossing beyond tau_max is
+    reported.  A point gets 0.0 when its tau = 0 charges coincide, and None
+    when it has no bracket or its bracket's root lies where the charges are
+    not resolved (a scan step coarser than their decay can bracket it).  Only
+    points whose tau = 0 sample is sure are searched: g changes sign at most
+    once, from + to -, and both charges fall (module docstring).  The module
+    docstring's sample order places each searched point's bracket.  With L
+    its last sure sample and Q its first sample after L that is unresolved or
+    sure negative, both found by bisecting over the sample indices (_search),
+    it is [L, L + 1] where sample L + 1 reads g <= 0.  Otherwise, where Q is
+    sure negative, it is [Q - 1, Q] where sample Q - 1 reads g > 0 and [L, Q]
+    where it does not.  Raises ValueError unless tau_max and scan_step are
+    finite and positive and the window holds at most _MAX_SCAN_STEPS steps.
     """
-    if not (_finite(tau_max, scan_step) and tau_max > 0.0 and scan_step > 0.0):
-        raise ValueError("tau_max and scan_step must be finite and positive")
-    if tau_max / scan_step > _MAX_SCAN_STEPS:
-        raise ValueError(f"the scan window holds more than {_MAX_SCAN_STEPS} steps of scan_step")
+    size, tau = _window(tau_max, scan_step)
     # one column per moment and entry per point
     moments = np.array(seeds, dtype=float).reshape(-1, 5).T
     # a charge below the smallest normal float (times omega, so that the
@@ -360,31 +375,25 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     # only a point whose tau = 0 sample is sure, its charges apart, can cross
     pending = np.flatnonzero(significant & positive & ~equal)
     if pending.size:
-        # the multiples of scan_step below tau_max, then tau_max itself; a last
-        # multiple beyond float range is inf, and dropped with the others past tau_max
-        with np.errstate(over="ignore"):
-            taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
-        taus = np.append(taus[taus < tau_max], tau_max)
-        decay = np.exp(-taus)
         moments, floor = moments[:, pending], floor[pending]
         # L + 1, each point's first sample that is not sure; without one, g > 0 on the whole window
-        hi = _search(decay, moments, floor, np.zeros(pending.size, dtype=int), False)
-        ahead = hi < decay.size
+        hi = _search(size, tau, moments, floor, np.zeros(pending.size, dtype=int), False)
+        ahead = hi < size
         pending, hi, moments, floor = pending[ahead], hi[ahead], moments[:, ahead], floor[ahead]
         if pending.size:
             lo = hi - 1
             # where sample L + 1 reads g > 0, the bracket ends at Q, if Q is sure negative
-            unbracketed = _flags(*_charges(decay[hi], *moments), floor)[0]
+            unbracketed = _flags(*_charges(np.exp(-tau(hi)), *moments), floor)[0]
             rest = np.flatnonzero(unbracketed)
             if rest.size:
-                q = _search(decay, moments[:, rest], floor[rest], lo[rest], True)
-                ends = np.minimum([q - 1, q], decay.size - 1)
-                positive, _, significant = _flags(*_charges(decay[ends], *moments[:, rest]), floor[rest])
-                unbracketed[rest] = (q == decay.size) | ~significant[1]
+                q = _search(size, tau, moments[:, rest], floor[rest], lo[rest], True)
+                ends = np.minimum([q - 1, q], size - 1)
+                positive, _, significant = _flags(*_charges(np.exp(-tau(ends)), *moments[:, rest]), floor[rest])
+                unbracketed[rest] = (q == size) | ~significant[1]
                 lo[rest], hi[rest] = np.where(positive[0], q - 1, lo[rest]), q
             points = np.flatnonzero(~unbracketed)
             if points.size:
-                times[pending[points]] = _bisect(taus[lo[points]], taus[hi[points]], moments[:, points], floor[points])
+                times[pending[points]] = _bisect(tau(lo[points]), tau(hi[points]), moments[:, points], floor[points])
     return [None if math.isnan(t) else t for t in times.tolist()]
 
 

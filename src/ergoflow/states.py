@@ -126,21 +126,15 @@ def _state(alpha, variance, anomalous, lam=None) -> GaussianState:
     V^2, |<a>|^2 or |M| is not a finite float exceed float range and raise
     ValueError.
     """
-    try:
-        alpha, variance, anomalous = complex(alpha), complex(variance), complex(anomalous)
-    except OverflowError:  # an int beyond float range; _finite inline, since every state made passes here
-        raise InvalidStateError("mean/cov contain non-finite entries") from None
-    if not (cmath.isfinite(alpha) and cmath.isfinite(variance) and cmath.isfinite(anomalous)):
+    if not _finite(alpha, variance, anomalous):
         raise InvalidStateError("mean/cov contain non-finite entries")
+    alpha, variance, anomalous = complex(alpha), complex(variance), complex(anomalous)
     if abs(variance.imag) > VALIDATION_ATOL:
         raise InvalidStateError("diagonal covariance entries must be real")
     v = float(variance.real)
     if v < VACUUM_VARIANCE - VALIDATION_ATOL:
         raise InvalidStateError(f"variance {v} below the vacuum floor 1/2")
-    try:
-        amplitude, m = abs(alpha), abs(anomalous)
-    except OverflowError:  # as in _modulus, inline since every state made passes here
-        raise ValueError("moments exceed float range: |<a>| or |M| overflows") from None
+    amplitude, m = _modulus(alpha, "<a>"), _modulus(anomalous, "M")
     if not (math.isfinite(v * v) and math.isfinite(amplitude * amplitude)):
         raise ValueError("moments exceed float range: V^2 or |<a>|^2 overflows")
     lam = v - m if lam is None else lam
@@ -166,11 +160,7 @@ class SystemBathSpec:
 
     def __post_init__(self):
         for name in ("omega", "gamma", "nbar"):
-            try:
-                finite = math.isfinite(getattr(self, name))
-            except OverflowError:  # an int beyond float range; _finite inline, since every spec passes here
-                finite = False
-            if not finite:
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")

@@ -4,7 +4,6 @@ crossing scan one point at a time, its seed rows, and the order of a sweep's cro
 
 import decimal
 import functools
-import math
 import sys
 from decimal import Decimal
 
@@ -189,10 +188,10 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
     return np.stack([v for v, _ in records]), np.stack([c for _, c in records])
 
 
-def literal_bisect(lo, hi, lo_positive, moments, floor):
-    """One bracket of the gap halved until its midpoint equals an endpoint or g is exactly 0
-    there with both charges at least floor, with the oracle's ufuncs on 1-element arrays;
-    returns that midpoint, or None where the charges there are below floor."""
+def literal_bisect(lo, hi, moments, floor):
+    """One bracket of the gap, g > 0 at lo and not at hi, halved until its midpoint equals an
+    endpoint or g is exactly 0 there with both charges at least floor, with the oracle's ufuncs
+    on 1-element arrays; returns that midpoint, or None where the charges there are below floor."""
     lo, hi = np.array([lo]), np.array([hi])
     columns = [np.array([value]) for value in moments]
     while True:
@@ -202,7 +201,7 @@ def literal_bisect(lo, hi, lo_positive, moments, floor):
         resolved = min(erg_s[0], erg_d[0]) >= floor
         if mid[0] == lo[0] or mid[0] == hi[0] or (g_mid[0] == 0.0 and resolved):
             return float(mid[0]) if resolved else None
-        if (g_mid[0] > 0.0) == lo_positive:
+        if g_mid[0] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -210,13 +209,13 @@ def literal_bisect(lo, hi, lo_positive, moments, floor):
 
 def literal_crossing_scan(seeds, tau_max, scan_step):
     """The crossing oracle with each point's gap sampled over the whole window on its own,
-    with the same samples, resolution, significance and first-flip rules, and each bracket
-    bisected on its own (literal_bisect); returns one crossing time (or None) per seed pair.
-    A point that starts ahead with no counted flip is bracketed by its last sure sample (or
+    with the same samples (mpemba._window), resolution, significance and first-flip rules, and
+    each bracket bisected on its own (literal_bisect); returns one crossing time (or None) per
+    seed pair.  A flip counts only from g > 0 to g <= 0, as the gap changes sign only from + to
+    -.  A point that starts ahead with no counted flip is bracketed by its last sure sample (or
     sample 0) and the first significantly negative resolved sample after it, if any."""
-    with np.errstate(over="ignore"):
-        taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
-    taus = np.append(taus[taus < tau_max], tau_max)
+    size, tau = mpemba._window(tau_max, scan_step)
+    taus = tau(np.arange(size))
     decay = np.exp(-taus)
     times = [None] * len(seeds)
     for i, moments in enumerate(seeds):
@@ -229,17 +228,17 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
             continue
         significant = resolved & (np.abs(gap) > mpemba._GAP_SIGNIFICANCE * (erg_s + erg_d))
         positive = gap > 0.0
-        flips = np.nonzero(positive[:-1] != positive[1:])[0]
+        flips = np.nonzero(positive[:-1] & ~positive[1:])[0]
         flips = flips[significant[flips] | significant[flips + 1]]
         if flips.size:
             k = flips[0]
-            times[i] = literal_bisect(taus[k], taus[k + 1], bool(positive[k]), moments, floor)
+            times[i] = literal_bisect(taus[k], taus[k + 1], moments, floor)
         elif positive[0]:
             sure = np.flatnonzero(significant & positive)
             p = sure[-1] if sure.size else 0
             negative = np.flatnonzero(significant[p:] & (gap[p:] < 0.0))
             if negative.size:
-                times[i] = literal_bisect(taus[p], taus[p + negative[0]], True, moments, floor)
+                times[i] = literal_bisect(taus[p], taus[p + negative[0]], moments, floor)
     return times
 
 

@@ -201,3 +201,18 @@ class TestComposite:
             assert state.cov_det >= 0.25 - 1e-10
             assert state.symmetric_variance >= 0.5 - 1e-10
             assert np.isfinite(state.cov).all()
+
+    def test_random_state_draws_are_the_five_uniform_calls(self):
+        # random_state draws its five uniforms with one rng.random(5); that is five
+        # rng.uniform(0, high) calls bit for bit, and leaves the generator where they do
+        for seed in range(300):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                state = random_state(rng)
+                occ = reference.uniform(0.0, 2.0)
+                z = SqueezingParameter(reference.uniform(0.0, 1.5), reference.uniform(0.0, 2.0 * math.pi))
+                mu = 2.0 * reference.uniform(0.0, 1.0) * cmath.exp(2j * math.pi * reference.uniform(0.0, 1.0))
+                expected = squeezed_displaced_thermal(occ, mu, z)
+                moments = [(s.alpha_mean, s.symmetric_variance, s.anomalous_variance) for s in (state, expected)]
+                assert repr(moments[0]) == repr(moments[1])
+            assert rng.random() == reference.random()

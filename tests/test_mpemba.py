@@ -2,6 +2,8 @@
 
 import math
 import sys
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -296,6 +298,48 @@ class TestNumericOracle:
             erg_s, erg_d = values[:, None], np.concatenate([values, values[:200] * (1.0 + 2.0**-52)])[None, :]
             assert np.array_equal(erg_s > erg_d, (erg_s - erg_d) > 0.0)
 
+    def test_window_is_the_explicit_window(self):
+        # _window counts the window from its top three multiples only, and forms a
+        # sample's tau only where it is read; the reference builds every multiple of
+        # scan_step up to ceil(tau_max / scan_step), keeps those below tau_max and
+        # appends tau_max, on seeded pairs and at the edges
+        def explicit(tau_max, scan_step):
+            with np.errstate(over="ignore"):
+                taus = np.arange(math.ceil(tau_max / scan_step) + 1) * scan_step
+            return np.append(taus[taus < tau_max], tau_max)
+
+        huge = sys.float_info.max
+        pairs = [(huge, 1e303), (huge, 1.7976931348623157e302), (1e-300, 1e-306), (5e-324, 1.0)]
+        pairs += [(0.005, 0.01), (1e-310, 1e-300), (1.0, 1e300), (1e4, 1e-2), (50.0, 5e-5), (1.0, 1e-6)]
+        # exact multiples, and 1 ulp either side, up to the largest window
+        steps = (0.01, 0.37, 1e-3, 2e3, 0.1, 1.0 / 3.0, 5e-324, 1e300)
+        multiples = [(n * step, step) for step, n in product(steps, (1, 2, 3, 7, 100, 4999, 5000, 5001))]
+        multiples += [(n * step, step) for step, n in product((0.01, 1.0 / 3.0, 1e300), (10**6,))]
+        for tau_max, step in multiples:
+            pairs += [(tau_max, step), (math.nextafter(tau_max, 0.0), step), (math.nextafter(tau_max, huge), step)]
+        # seeded pairs over the whole float range, half of them snapped to a multiple and nudged
+        # by up to 2 ulps; most windows are short, so that the reference stays cheap
+        rng = rng_for("scan window")
+        for i in range(20_000):
+            ratio = 10.0 ** rng.uniform(-3.0, 6.0 if i % 400 == 0 else 3.0)
+            step = 10.0 ** rng.uniform(-323.0, 307.0 - max(math.log10(ratio), 0.0)) * rng.uniform(1.0, 10.0)
+            tau_max = ratio * step
+            if i % 2:
+                tau_max = math.ceil(ratio) * step
+                for _ in range(int(rng.integers(-2, 3)) % 3):
+                    tau_max = math.nextafter(tau_max, huge if rng.integers(2) else 0.0)
+            pairs.append((tau_max, step))
+        pairs = [(t, s) for t, s in pairs if 0.0 < t < math.inf and t / s <= mpemba._MAX_SCAN_STEPS]
+        assert len(pairs) > 20_000
+        for tau_max, step in pairs:
+            size, tau = mpemba._window(tau_max, step)
+            taus = explicit(tau_max, step)
+            assert size == taus.size and tau(np.arange(size)).tobytes() == taus.tobytes(), (tau_max, step)
+        # the edges reach the largest window, and tau never forms a last multiple that
+        # overflows (a RuntimeWarning fails the suite)
+        assert mpemba._window(1e4, 1e-2)[0] == 10**6 + 1
+        assert mpemba._window(huge, 1.7976931348623157e302)[1](np.array([10**6])) == huge
+
     @pytest.mark.parametrize("tau_max", [mpemba._TAU_MAX, 7.305])
     def test_scan_significance_only_at_flips(self, monkeypatch, tau_max):
         # synthetic charges with a chosen gap at every scan sample (linear between
@@ -306,9 +350,9 @@ class TestNumericOracle:
         # charges of 1e-310 lie below the smallest normal float; every gap starts at
         # 1e-3, clear of the equal-charge rule at tau = 0
         step, noise, big = mpemba._SCAN_STEP, 1e-14, 1e-3
-        taus = np.arange(math.ceil(tau_max / step) + 1) * step
-        taus = np.append(taus[taus < tau_max], tau_max)
-        decay, n = np.exp(-taus), taus.size
+        n, tau = mpemba._window(tau_max, step)
+        taus = tau(np.arange(n))
+        decay = np.exp(-taus)
         gaps, scales, omegas, placed = [], [], [], []
 
         def point(last, middle=(), negatives=n, tail=-big, bracket=None, scale=1.0, omega=1.0):
@@ -357,19 +401,15 @@ class TestNumericOracle:
         # whose charges must reach 1e10 times the smallest normal float
         point(35, bracket=(35, 36), scale=1e-300)
         point(35, scale=1e-300, omega=1e10)
-        # random insignificant samples and tails, short of the pattern below
+        # an unresolved sample that reads g > 0 after sure negative ones, with no counted
+        # flip before them: a flip into g > 0 does not count, so the bracket is the last
+        # sure sample and the first sure negative one
+        point(40, (noise, -noise), 3, big, bracket=(40, 43))
+        # random insignificant samples and tails, the pattern above among them
         rng = rng_for("flip significance")
         for _ in range(24):
             last, middle = int(rng.integers(0, n - 20)), rng.choice([noise, -noise, 0.0], rng.integers(0, 6))
-            negatives, tail = int(rng.integers(0, 4)), rng.choice([-big, big])
-            if middle.size and middle[-1] <= 0.0 and negatives:
-                tail = -big
-            point(last, middle, negatives, tail, ...)
-        pinned = len(gaps)
-        # an unresolved sample that reads g > 0 after sure negative ones, with no counted
-        # flip before them: the literal scan counts that flip, whose lower end is sure
-        # negative; the oracle brackets the last sure sample and the first sure negative one
-        point(40, (noise, -noise), 3, big, bracket=(40, 43))
+            point(last, middle, int(rng.integers(0, 4)), rng.choice([-big, big]), ...)
         gaps, scales = np.array(gaps), np.array(scales)
 
         def charges(x, ident, *_):
@@ -390,7 +430,7 @@ class TestNumericOracle:
         monkeypatch.setattr(mpemba, "_charges", charges)
         seeds = [(float(i), 0.0, 0.0, 0.0, omega) for i, omega in enumerate(omegas)]
         times = mpemba._numeric_crossings(seeds, tau_max, step)
-        assert times[:pinned] == literal_crossing_scan(seeds[:pinned], tau_max, step)
+        assert times == literal_crossing_scan(seeds, tau_max, step)
         # each crossing lies in the bracket where it was placed, and the others have none
         for found, bracket in zip(times, placed):
             if bracket is ...:  # a random point
@@ -399,12 +439,8 @@ class TestNumericOracle:
                 assert found is None
             else:
                 assert taus[bracket[0]] < found < taus[bracket[1]]
-        # the random points both cross and miss
-        assert 0 < sum(t is None for t in times[pinned - 24:pinned]) < 24
-        # the last point's literal scan bisects its last sure negative sample, 45, and
-        # its first unresolved one
-        (literal,) = literal_crossing_scan(seeds[pinned:], tau_max, step)
-        assert taus[45] < literal < taus[46]
+        # the random points, the last 24, both cross and miss
+        assert 0 < sum(t is None for t in times[-24:]) < 24
 
     def test_charges_are_the_shared_core_bit_for_bit(self):
         # _charges is states._work(*dynamics._relax(...)) on the scan's, the bisection's,
@@ -585,6 +621,19 @@ class TestCrossingReport:
         report = crossing_report(1.0, 1.0, 0.2, 0.4, tau_max=tau_max, scan_step=scan_step)
         assert report.exists
         assert abs(report.tau_c_numeric - TAU_C_FIG2) <= 1e-9
+
+    def test_fine_window_memory(self):
+        # the oracle forms only the samples that its searches read, so a window of
+        # 10^6 samples stays small; built whole, it took about 23 MB
+        crossing_report(1, 1, 0.2, 0.4, None, 50, 5e-5)
+        tracemalloc.start()
+        try:
+            report = crossing_report(1, 1, 0.2, 0.4, None, 50, 5e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(report.tau_c_numeric - TAU_C_FIG2) <= 1e-9
+        assert peak < 2**20
 
     def test_thermal_vs_thermal_absent(self):
         report = crossing_report(0.0, 0.0, 0.2, 0.2)
