@@ -64,14 +64,14 @@ class CliError(Exception):
         self.code = code
 
 
+# full-precision decimal text of a float, locale independent, and a CSV row in one %-format
+_FLOAT = "%.17g"
+_TRAJECTORY_ROW = ",".join([_FLOAT] * 9)
+_SWEEP_ROW = ",".join([_FLOAT] * 4 + ["%s"] * 3 + [_FLOAT] * 2 + ["%s"])
+
+
 def _fmt(x) -> str:
-    # full-precision decimal text, locale independent
-    return format(float(x), ".17g")
-
-
-# a CSV row in one %-format, "%.17g" being _fmt's text for every float
-_TRAJECTORY_ROW = ",".join(["%.17g"] * 9)
-_SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%.17g,%.17g,%s"
+    return _FLOAT % float(x)
 
 
 def parse_config_text(text: str) -> dict:
@@ -108,18 +108,14 @@ def _config_tokens(path: str) -> list:
 def _inject_config(argv: list) -> list:
     """Insert config-file tokens right after the subcommand.
 
-    Explicit command-line flags come later in argv and therefore override
-    the file (argparse keeps the last occurrence).
+    Explicit command-line flags come later in argv and therefore override the file
+    (argparse keeps the last occurrence).  argparse finds --config or a prefix of it;
+    the subcommand's parser refuses an ambiguous prefix and a --config without PATH.
     """
-    path = None
-    for i, token in enumerate(argv):
-        flag, equals, value = token.partition("=")
-        # argparse takes a prefix of --config, down to --c, as --config (or refuses an ambiguous one)
-        if len(flag) > 2 and "--config".startswith(flag) and (equals or i + 1 < len(argv)):
-            path = value if equals else argv[i + 1]
-    if path is None or not argv:
-        return argv
-    return [argv[0]] + _config_tokens(path) + argv[1:]
+    finder = argparse.ArgumentParser(prog="ergoflow", add_help=False)
+    finder.add_argument("--config", nargs="?")
+    path = finder.parse_known_args(argv)[0].config
+    return argv if path is None else [argv[0]] + _config_tokens(path) + argv[1:]
 
 
 def _write_text(path: str, text: str):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .factory import _seed_scale, _squeezed_seed, _squeezing
-from .states import GaussianState, SystemBathSpec, _finite, _moduli, _state, _work
+from .states import _LOG_PI_PLUS_ONE, GaussianState, SystemBathSpec, _finite, _moduli, _state, _work
 
 __all__ = [
     "EffectiveParameters",
@@ -35,9 +35,6 @@ __all__ = [
     "sample_trajectory",
     "ergotropy_rate",
 ]
-
-LOG_PI_PLUS_ONE = math.log(math.pi) + 1.0
-
 
 @dataclass(frozen=True)
 class EffectiveParameters:
@@ -96,9 +93,14 @@ def _turned(theta: float, spec: SystemBathSpec, t: float) -> float:
     return theta_t
 
 
+def _toward(value, f, x):
+    """value x + f (1 - x), relaxed to x = exp(-gamma t) toward f: exact at x = 1 and as x -> 0, elementwise."""
+    return value * x + f * (1.0 - x)
+
+
 def _relax(lam0, m0, v0_sq, f, x):
     """Moduli (lam, |M|, |<a>|^2) relaxed to x = exp(-gamma t) toward bath scale f, elementwise."""
-    return lam0 * x + f * (1.0 - x), m0 * x, v0_sq * x
+    return _toward(lam0, f, x), m0 * x, v0_sq * x
 
 
 def evolve_analytic(state0: GaussianState, spec: SystemBathSpec, t: float) -> GaussianState:
@@ -107,10 +109,9 @@ def evolve_analytic(state0: GaussianState, spec: SystemBathSpec, t: float) -> Ga
     decay = _decay(spec, t)
     _turned(0.0, spec, t)  # the phase of M below must be a float
     v = state0.alpha_mean * cmath.exp(-(1j * spec.omega + 0.5 * spec.gamma) * t)
-    # convex combinations: exact at t = 0 and in the t -> infinity limit
-    a = state0.symmetric_variance * decay + f * (1.0 - decay)
+    a = _toward(state0.symmetric_variance, f, decay)
     m = state0.anomalous_variance * cmath.exp(-(spec.gamma + 2j * spec.omega) * t)
-    return _state(v, a, m, state0._lam * decay + f * (1.0 - decay))
+    return _state(v, a, m, _toward(state0._lam, f, decay))
 
 
 def effective_parameters(occ, z, spec: SystemBathSpec, t: float) -> EffectiveParameters:
@@ -128,7 +129,7 @@ def effective_parameters(occ, z, spec: SystemBathSpec, t: float) -> EffectivePar
     lam, m, _ = _relax(lam0, m0, 0.0, f, x)
     f_t = float(_work(lam, m, 0.0, 1.0)[0])
     theta_t = _turned(zz.theta, spec, t)
-    return EffectiveParameters(f_t, 0.5 * math.asinh(m / f_t), theta_t, f_pi * x + f * (1.0 - x))
+    return EffectiveParameters(f_t, 0.5 * math.asinh(m / f_t), theta_t, _toward(f_pi, f, x))
 
 
 def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> Trajectory:
@@ -154,13 +155,14 @@ def sample_trajectory(state0: GaussianState, spec: SystemBathSpec, tau_grid) -> 
     if tau.size > 1 and not np.all(np.diff(tau) > 0.0):
         raise ValueError("tau grid must be strictly increasing")
 
+    # these grid-sized temporaries, their number and order, keep perfbench closed_forms free of page faults
     lam, m, v_sq = _relax(*_moduli(state0, spec), spec.f_beta, np.exp(-tau))
     f_t, erg_v, erg_theta = _work(lam, m, v_sq, spec.omega)
     a = lam + m
     e_state = spec.omega * (a + v_sq)
     e_passive = spec.omega * f_t
     erg = e_state - e_passive
-    entropy = LOG_PI_PLUS_ONE + np.log(f_t)
+    entropy = _LOG_PI_PLUS_ONE + np.log(f_t)
     r_t = 0.5 * np.arcsinh(m / f_t)
     return Trajectory(tau, e_state, e_passive, erg, erg_v, erg_theta, entropy, f_t, r_t)
 

@@ -343,23 +343,15 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     """Bisection oracle for a batch of seed pairs: one crossing time (or None) each.
 
     seeds holds the moments of one seed pair per point.  Each gap
-    g(tau) = erg_squeezed(tau) - erg_displaced(tau) is sampled at the
-    multiples of scan_step below tau_max and at tau_max, forming only the
-    samples read (_window); a bracket of two samples with g > 0 at the first
-    and not at the second is found for each point that crosses, and all
-    bracketed points are bisected together, so no crossing beyond tau_max is
-    reported.  A point gets 0.0 when its tau = 0 charges coincide, and None
-    when it has no bracket or its bracket's root lies where the charges are
-    not resolved (a scan step coarser than their decay can bracket it).  Only
-    points whose tau = 0 sample is sure are searched: g changes sign at most
-    once, from + to -, and both charges fall (module docstring).  The module
-    docstring's sample order places each searched point's bracket.  With L
-    its last sure sample and Q its first sample after L that is unresolved or
-    sure negative, both found by bisecting over the sample indices (_search),
-    it is [L, L + 1] where sample L + 1 reads g <= 0.  Otherwise, where Q is
-    sure negative, it is [Q - 1, Q] where sample Q - 1 reads g > 0 and [L, Q]
-    where it does not.  Raises ValueError unless tau_max and scan_step are
-    finite and positive and the window holds at most _MAX_SCAN_STEPS steps.
+    g(tau) = erg_squeezed(tau) - erg_displaced(tau) is sampled on the window
+    (_window), forming only the samples read; each point that crosses gets
+    the bracket that the module docstring places, two samples with g > 0 at
+    the first and not at the second, and all bracketed points are bisected
+    together, so no crossing beyond tau_max is reported.  A point gets 0.0
+    when its tau = 0 charges coincide, and None when it has no bracket or its
+    bracket's root lies where the charges are not resolved (a scan step
+    coarser than their decay can bracket it).  Raises ValueError as _window
+    does.
     """
     size, tau = _window(tau_max, scan_step)
     # one column per moment and entry per point
@@ -412,23 +404,22 @@ def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = No
     return crossing_report(r, mu, nbar_pi, nbar, spec).tau_c_numeric
 
 
-def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, omega, tau_max, scan_step) -> list:
+def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, spec, tau_max, scan_step) -> list:
     """Crossing reports for every point of axes as _seed_axes takes them, with one oracle call for all.
 
     Each point's seed pair (lam_s, |m_s|, |mu|^2, f, omega) is one row of an
-    (N, 5) array, in row order.  The oracle scans the tested points; the
-    others are reported as a missing precondition.  The reported tau = 0
-    charges are the oracle's own charges at x = 1, for all points at once.
+    (N, 5) array, in row order, and the oracle takes them all: where r <= 0
+    or mu = 0, a tau = 0 charge is 0, not resolved, so it gives None.  The
+    reported tau = 0 charges are the oracle's own charges at x = 1.
     """
-    moduli, tested, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
-    n_nbar = len(nbar_values)
-    seeds = np.empty((len(moduli), n_nbar, 5))
+    omega = 1.0 if spec is None else spec.omega
+    moduli, _, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
+    seeds = np.empty((len(moduli), len(nbar_values), 5))
     seeds[:, :, :2] = np.array(moduli)[:, None, :]
     seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_abs ** 2, [nbar + 0.5 for nbar in nbar_values], omega
-    seeds, tested = seeds.reshape(-1, 5), np.repeat(tested, n_nbar)
+    seeds = seeds.reshape(-1, 5)
     erg0_s, erg0_d = _charges(1.0, *seeds.T)
-    numerics = iter(_numeric_crossings(seeds[tested], tau_max, scan_step))
-    numeric = [next(numerics) if is_tested else None for is_tested in tested.tolist()]
+    numeric = _numeric_crossings(seeds, tau_max, scan_step)
     notes = [
         NOTE_NO_PRECONDITION if tau_c is None
         else NOTE_DEGENERATE if tau_c == 0.0
@@ -458,8 +449,7 @@ def crossing_report(
     when None) and the bath scale from nbar.
     """
     mu_abs = _check_point(r, mu, nbar_pi, nbar, boundary_ok=True)
-    omega = 1.0 if spec is None else spec.omega
-    return _reports((r,), (nbar_pi,), (nbar,), mu_abs, omega, tau_max, scan_step)[0]
+    return _reports((r,), (nbar_pi,), (nbar,), mu_abs, spec, tau_max, scan_step)[0]
 
 
 def equal_charge_amplitude(r, nbar_pi) -> float:
@@ -487,15 +477,12 @@ def mpemba_scan(grid: SweepGrid, spec: SystemBathSpec | None = None) -> ScanResu
     the same _seed_axes that serves crossing_report's one-point axes, so a grid
     that holds a point crossing_report refuses raises ValueError.  The
     closed form's (r, nbar_pi) part is likewise taken once per pair.  One
-    batched oracle call serves the whole grid: each point's bracket of its
-    sign change is searched for over the sample indices, all points
-    together, then all bracketed points are bisected together as arrays;
-    every report is what the point gets alone.  Rows follow the axis order
-    r (outer), nbar_pi, nbar (inner).
+    batched oracle call serves the whole grid, and every report is what the
+    point gets alone.  Rows follow the axis order r (outer), nbar_pi, nbar
+    (inner).
     """
-    omega = 1.0 if spec is None else spec.omega
     axes = grid.r_values, grid.nbar_pi_values, grid.nbar_values
-    reports = _reports(*axes, abs(grid.mu), omega, _TAU_MAX, _SCAN_STEP)
+    reports = _reports(*axes, abs(grid.mu), spec, _TAU_MAX, _SCAN_STEP)
     rs, pis, nbars = zip(*product(*axes))
     return ScanResult(tuple(map(ScanRow, rs, pis, nbars, repeat(grid.mu), reports)))
 

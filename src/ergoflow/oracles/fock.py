@@ -186,9 +186,8 @@ def fock_gaussian_state(
         s_op = squeezing_operator(r, theta, dim)
         rho = s_op @ rho @ s_op.conj().T
     # the Hermitian matrix of the lower triangle, which is all eigvalsh reads
-    upper = np.triu_indices(dim, 1)
-    rho[upper] = rho.T[upper].conj()
-    np.fill_diagonal(rho, rho.diagonal().real)
+    to_band, to_matrix = _band_maps(dim)
+    rho = to_matrix(to_band(rho))
     # the seed's thermal levels beyond the cutoff, ratio^dim of its population, never enter rho
     tail = float(np.sum(np.diag(rho)[dim - TAIL_LEVELS :]).real) + ratio ** dim
     if tail >= TAIL_TOL:
@@ -204,6 +203,28 @@ def _bands(dim: int):
     cols = np.concatenate([np.arange(dim - d) for d in range(dim)])
     rows = cols + np.repeat(np.arange(dim), np.arange(dim, 0, -1))
     return rows, cols
+
+
+def _band_maps(dim: int):
+    """(to_band, to_matrix) between a dim x dim matrix and its lower triangle in _bands' order.
+
+    to_band takes a seed diagonal's real part; to_matrix keeps a record's (conjugates first).
+    """
+    rows, cols = _bands(dim)
+    lower, upper = rows * dim + cols, cols * dim + rows
+
+    def to_band(matrix):
+        band = matrix.ravel()[lower]
+        band[:dim] = band[:dim].real  # the main diagonal is the first band
+        return band
+
+    def to_matrix(band):
+        full = np.empty(dim * dim, dtype=complex)
+        full[upper] = band.conj()
+        full[lower] = band
+        return full.reshape(dim, dim)
+
+    return to_band, to_matrix
 
 
 def _rhs_factory(dim: int, rows, cols, spec: SystemBathSpec):
@@ -282,17 +303,9 @@ def fock_lindblad_path(
 def _fock_records(rho0, spec, times, dt):
     """fock_lindblad_path's records, each yielded as soon as it is reached and validated."""
     dim = rho0.dim
-    rows, cols = _bands(dim)
-    lower, upper = rows * dim + cols, cols * dim + rows
-    band = rho0.matrix.ravel()[lower]
-    # the main diagonal is the first band
-    band[:dim] = band[:dim].real
-    for record in _rk4_path(_rhs_factory(dim, rows, cols, spec), band, dt, times):
-        full = np.empty(dim * dim, dtype=complex)
-        # conjugates first, so the diagonal keeps its stepped value
-        full[upper] = record.conj()
-        full[lower] = record
-        yield FockDensityMatrix(full.reshape(dim, dim))
+    to_band, to_matrix = _band_maps(dim)
+    for record in _rk4_path(_rhs_factory(dim, *_bands(dim), spec), to_band(rho0.matrix), dt, times):
+        yield FockDensityMatrix(to_matrix(record))
 
 
 def fock_ergotropy(rho: FockDensityMatrix, spec: SystemBathSpec) -> float:

@@ -56,6 +56,7 @@ VALIDATION_ATOL = 1e-10
 NEGATIVE_ROUNDOFF_FLOOR = -1e-12
 
 VACUUM_VARIANCE = 0.5
+_LOG_PI_PLUS_ONE = math.log(math.pi) + 1.0
 
 
 class InvalidStateError(ValueError):
@@ -254,7 +255,7 @@ def wigner_entropy(state: GaussianState) -> float:
     partner produce bit-identical values (both go through the same sqrt).
     Independent of the mean vector.
     """
-    return math.log(math.pi) + 1.0 + math.log(passive_occupation(state))
+    return _LOG_PI_PLUS_ONE + math.log(passive_occupation(state))
 
 
 def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> float:

@@ -485,6 +485,25 @@ class TestConfigFile:
         assert excinfo.value.code == 2
         assert "--config" in capsys.readouterr().err
 
+    def test_last_config_is_read(self, tmp_path, capsys):
+        # argparse keeps the last --config, as it keeps the last of any flag
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("family = thermal\nnbar-pi = 0.2\ntmax = 1\ndt = 0.5\n")
+        last.write_text("family = thermal\nnbar-pi = 1.5\ntmax = 1\ndt = 0.5\n")
+        code, out, _ = run(["simulate", "--config", str(first), "--config", str(last)], capsys)
+        assert code == 0
+        # thermal seed at 1.5 has passive occupation 2.0
+        assert float(out.strip().split("\n")[1].split(",")[7]) == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("argv", [["--config"], ["--config", "--tmax", "1"]])
+    def test_config_without_path_is_usage_error(self, capsys, argv):
+        # a flag in place of the path is no path: the subcommand's parser refuses it
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["simulate", "--family", "thermal", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "cannot read config file" not in err
+
     def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family = thermal\nabsolute-time\n")

@@ -636,10 +636,13 @@ class TestCrossingReport:
         assert peak < 2**20
 
     def test_thermal_vs_thermal_absent(self):
-        report = crossing_report(0.0, 0.0, 0.2, 0.2)
-        assert not report.exists
-        assert report.tau_c_closed is None and report.tau_c_numeric is None
-        assert report.erg0_squeezed == 0.0 and report.erg0_displaced == 0.0
+        # r <= 0 is no squeezing; the oracle sees these points too, and its zero charges give None
+        for r in (0.0, -0.5):
+            report = crossing_report(r, 0.0, 0.2, 0.2)
+            assert not report.exists
+            assert report.tau_c_closed is None and report.tau_c_numeric is None
+            assert report.erg0_squeezed == 0.0 and report.erg0_displaced == 0.0
+            assert report.validity_note == NOTE_NO_PRECONDITION
 
     def test_precondition_soundness(self):
         # closed form exists precisely when the sampled curves really cross

@@ -560,6 +560,18 @@ class TestFockOracle:
             assert np.array_equal(record.matrix, record.matrix.conj().T)
             assert np.all(record.matrix.diagonal().imag == 0.0)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [(0.2, 0j, 1.0, 0.0), (0.4, 0j, 0.0, 0.0), (0.2, 1 + 0j, 0.0, 0.0)],
+        ids=["squeezed", "thermal", "displaced"],
+    )
+    def test_record_at_zero_is_the_seed(self, seed):
+        # verify's default seeds: the seed and each record are built by the same
+        # band-to-matrix map, so the record at t = 0 is the seed bit for bit
+        rho0 = fock_gaussian_state(*seed, dim=60)
+        record = fock_lindblad_path(rho0, SystemBathSpec(nbar=0.4), [0.0])[0]
+        assert record.matrix.tobytes() == rho0.matrix.tobytes()
+
     def test_records_stay_valid_along_path(self):
         rho0 = fock_gaussian_state(0.2, 0j, 1.0, 0.0, dim=60)
         taus = np.linspace(0.25, 1.5, 6)
