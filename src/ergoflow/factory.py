@@ -51,10 +51,13 @@ def _squeezing(z) -> SqueezingParameter:
 
 
 def _seed_scale(nbar_pi) -> float:
-    """Covariance scale nbar_pi + 1/2 of a thermal seed; ValueError unless nbar_pi is finite and >= 0."""
+    """Covariance scale f_pi = nbar_pi + 1/2 of a thermal seed; ValueError unless nbar_pi >= 0 and f_pi^2 are finite."""
     if not _finite(nbar_pi) or nbar_pi < 0.0:
         raise ValueError("nbar_pi must be finite and nonnegative")
-    return float(nbar_pi) + 0.5
+    f_pi = float(nbar_pi) + 0.5
+    if not math.isfinite(f_pi * f_pi):
+        raise ValueError("nbar_pi exceeds float range: (nbar_pi + 1/2)^2 overflows")
+    return f_pi
 
 
 def _cosh_2r(r: float) -> float:
@@ -71,7 +74,7 @@ def _squeezed_seed(f_pi: float, r: float) -> tuple:
     """
     v = _cosh_2r(r) * f_pi
     if not math.isfinite(v * v):
-        raise ValueError(f"squeezing r = {r} takes the moments beyond float range: V^2 overflows")
+        raise ValueError(f"seed nbar_pi + 1/2 = {f_pi} at r = {r} takes the moments beyond float range: V^2 overflows")
     m = 2.0 * math.cosh(r) * math.sinh(r) * f_pi
     return v, m, f_pi * f_pi / (v + m)
 

@@ -178,16 +178,17 @@ def _check_point(r, mu, nbar_pi, nbar, boundary_ok=False) -> float:
 
 
 def _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega=1.0) -> tuple:
-    """(moduli, tested, closed) of finite axes, with nonnegative occupations, at |mu| = mu_abs.
+    """(moduli, closed) of finite axes, with nonnegative occupations, at |mu| = mu_abs.
 
-    moduli holds each (r, nbar_pi) pair's squeezed seed (lam_s, |m_s|) and
-    tested whether the pair has r > 0 and mu != 0, in row order (r outer);
-    closed holds each point's closed-form tau_c, None where the pair is not
-    tested.  The axes are checked once each, not once per point: |mu|^2
-    once, (nbar + 1/2)^2 once per nbar, and the seed and its energy range
-    once per pair, at the largest nbar.  Raises ValueError for a seed beyond
-    float range (its V^2, |mu|^2, (nbar + 1/2)^2 or omega times an energy),
-    as the states would.
+    moduli holds each (r, nbar_pi) pair's squeezed seed (lam_s, |m_s|), in row
+    order (r outer), and closed each point's closed-form tau_c, None unless
+    r > 0 (at r = 0 an |mu|^2 that underflowed to 0 would read as the
+    degenerate boundary) and mu != 0 (_closed_form_time would divide by a zero
+    mantissa).  The axes are checked once each, not once per point: |mu|^2
+    once, (nbar + 1/2)^2 once per nbar, and the seed and its energy range once
+    per pair, at the largest nbar.  Raises ValueError for a seed beyond float
+    range (its V^2, |mu|^2, (nbar + 1/2)^2 or omega times an energy), as the
+    states would.
     """
     fs = [nbar + 0.5 for nbar in nbar_values]
     if not _finite(mu_abs * mu_abs, *(f * f for f in fs)):
@@ -200,13 +201,9 @@ def _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega=1.0) -> tupl
         v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))
         _check_energy(v_s, mu_sq, omega, f_max)  # it grows with f, so f_max covers the pair
         moduli.append((lam_s, m_s))
-    tested = [r > 0.0 and mu_abs != 0.0 for r, _ in pairs]
-    gaps = [
-        _closed_form_gap(r, mu_sq, nbar_pi + 0.5) if is_tested else None
-        for (r, nbar_pi), is_tested in zip(pairs, tested)
-    ]
+    gaps = [_closed_form_gap(r, mu_sq, nbar_pi + 0.5) if r > 0.0 and mu_abs != 0.0 else None for r, nbar_pi in pairs]
     closed = [p if not p else _closed_form_time(p, mu_abs, mu_sq, f) for p in gaps for f in fs]
-    return moduli, tested, closed
+    return moduli, closed
 
 
 def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
@@ -216,7 +213,7 @@ def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
     strictly more charged at tau = 0); returns None when the ordering fails
     and 0.0 on the degenerate equal-charge boundary.
     """
-    return _seed_axes((r,), (nbar_pi,), (nbar,), _check_point(r, mu, nbar_pi, nbar))[2][0]
+    return _seed_axes((r,), (nbar_pi,), (nbar,), _check_point(r, mu, nbar_pi, nbar))[1][0]
 
 
 def _closed_form_gap(r, mu_sq, f_pi) -> float | None:
@@ -310,10 +307,11 @@ def _search(size, tau, moments, floor, lo, negative):
     module docstring's lemma the samples searched for form a suffix of the
     window, so bisecting over the sample indices finds the first of them, for
     all points at once, forming only the samples read: each round keeps lo
-    short of the suffix and hi in it (or at size), until hi = lo + 1.
+    short of the suffix and hi in it (or at size), until hi = lo + 1; an empty
+    batch runs no rounds.
     """
     hi = np.full(lo.size, size)
-    for _ in range((size - 1 - int(lo.min())).bit_length()):
+    for _ in range((size - 1 - int(lo.min(initial=size - 1))).bit_length()):
         mid = (lo + hi) // 2
         positive, resolved, significant = _flags(*_charges(np.exp(-tau(mid)), *moments), floor)
         done = ~resolved | (significant & ~positive) if negative else ~(significant & positive)
@@ -339,8 +337,8 @@ def _window(tau_max, scan_step) -> tuple:
     return size, lambda k: np.where(k < size - 1, np.minimum(k, size - 2) * scan_step, tau_max)
 
 
-def _numeric_crossings(seeds, tau_max, scan_step) -> list:
-    """Bisection oracle for a batch of seed pairs: one crossing time (or None) each.
+def _numeric_crossings(seeds, tau_max, scan_step) -> tuple:
+    """Bisection oracle for a batch of seed pairs: lists (times, erg0_s, erg0_d), one entry per point.
 
     seeds holds the moments of one seed pair per point.  Each gap
     g(tau) = erg_squeezed(tau) - erg_displaced(tau) is sampled on the window
@@ -350,8 +348,8 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     together, so no crossing beyond tau_max is reported.  A point gets 0.0
     when its tau = 0 charges coincide, and None when it has no bracket or its
     bracket's root lies where the charges are not resolved (a scan step
-    coarser than their decay can bracket it).  Raises ValueError as _window
-    does.
+    coarser than their decay can bracket it).  erg0_s and erg0_d are the
+    charges of its first sample, at tau = 0.  Raises ValueError as _window does.
     """
     size, tau = _window(tau_max, scan_step)
     # one column per moment and entry per point
@@ -366,27 +364,23 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> list:
     times = np.where(equal, 0.0, math.nan)
     # only a point whose tau = 0 sample is sure, its charges apart, can cross
     pending = np.flatnonzero(significant & positive & ~equal)
-    if pending.size:
-        moments, floor = moments[:, pending], floor[pending]
-        # L + 1, each point's first sample that is not sure; without one, g > 0 on the whole window
-        hi = _search(size, tau, moments, floor, np.zeros(pending.size, dtype=int), False)
-        ahead = hi < size
-        pending, hi, moments, floor = pending[ahead], hi[ahead], moments[:, ahead], floor[ahead]
-        if pending.size:
-            lo = hi - 1
-            # where sample L + 1 reads g > 0, the bracket ends at Q, if Q is sure negative
-            unbracketed = _flags(*_charges(np.exp(-tau(hi)), *moments), floor)[0]
-            rest = np.flatnonzero(unbracketed)
-            if rest.size:
-                q = _search(size, tau, moments[:, rest], floor[rest], lo[rest], True)
-                ends = np.minimum([q - 1, q], size - 1)
-                positive, _, significant = _flags(*_charges(np.exp(-tau(ends)), *moments[:, rest]), floor[rest])
-                unbracketed[rest] = (q == size) | ~significant[1]
-                lo[rest], hi[rest] = np.where(positive[0], q - 1, lo[rest]), q
-            points = np.flatnonzero(~unbracketed)
-            if points.size:
-                times[pending[points]] = _bisect(tau(lo[points]), tau(hi[points]), moments[:, points], floor[points])
-    return [None if math.isnan(t) else t for t in times.tolist()]
+    moments, floor = moments[:, pending], floor[pending]
+    # L + 1, each point's first sample that is not sure; without one, g > 0 on the whole window
+    hi = _search(size, tau, moments, floor, np.zeros(pending.size, dtype=int), False)
+    ahead = hi < size
+    pending, hi, moments, floor = pending[ahead], hi[ahead], moments[:, ahead], floor[ahead]
+    lo = hi - 1
+    # where sample L + 1 reads g > 0, the bracket ends at Q, if Q is sure negative
+    unbracketed = _flags(*_charges(np.exp(-tau(hi)), *moments), floor)[0]
+    rest = np.flatnonzero(unbracketed)
+    q = _search(size, tau, moments[:, rest], floor[rest], lo[rest], True)
+    ends = np.minimum([q - 1, q], size - 1)
+    positive, _, significant = _flags(*_charges(np.exp(-tau(ends)), *moments[:, rest]), floor[rest])
+    unbracketed[rest] = (q == size) | ~significant[1]
+    lo[rest], hi[rest] = np.where(positive[0], q - 1, lo[rest]), q
+    points = np.flatnonzero(~unbracketed)
+    times[pending[points]] = _bisect(tau(lo[points]), tau(hi[points]), moments[:, points], floor[points])
+    return [None if math.isnan(t) else t for t in times.tolist()], erg_s.tolist(), erg_d.tolist()
 
 
 def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = None) -> float | None:
@@ -410,16 +404,15 @@ def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, spec, tau_max, scan_
     Each point's seed pair (lam_s, |m_s|, |mu|^2, f, omega) is one row of an
     (N, 5) array, in row order, and the oracle takes them all: where r <= 0
     or mu = 0, a tau = 0 charge is 0, not resolved, so it gives None.  The
-    reported tau = 0 charges are the oracle's own charges at x = 1.
+    reported tau = 0 charges are the oracle's own, its first sample.
     """
     omega = 1.0 if spec is None else spec.omega
-    moduli, _, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
+    moduli, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
     seeds = np.empty((len(moduli), len(nbar_values), 5))
     seeds[:, :, :2] = np.array(moduli)[:, None, :]
     seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_abs ** 2, [nbar + 0.5 for nbar in nbar_values], omega
     seeds = seeds.reshape(-1, 5)
-    erg0_s, erg0_d = _charges(1.0, *seeds.T)
-    numeric = _numeric_crossings(seeds, tau_max, scan_step)
+    numeric, erg0_s, erg0_d = _numeric_crossings(seeds, tau_max, scan_step)
     notes = [
         NOTE_NO_PRECONDITION if tau_c is None
         else NOTE_DEGENERATE if tau_c == 0.0
@@ -428,7 +421,7 @@ def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, spec, tau_max, scan_
         for tau_c, tau_n in zip(closed, numeric)
     ]
     exists = [note == "" for note in notes]
-    return list(map(CrossingReport, exists, closed, numeric, erg0_s.tolist(), erg0_d.tolist(), notes))
+    return list(map(CrossingReport, exists, closed, numeric, erg0_s, erg0_d, notes))
 
 
 def crossing_report(

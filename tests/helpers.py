@@ -245,7 +245,7 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
 def seed_row(r, mu, nbar_pi, nbar, omega=1.0) -> tuple:
     """The crossing oracle's seed row (lam_s, |m_s|, |mu|^2, f, omega) of a valid point, seeded
     and range-checked as crossing_report seeds it."""
-    (moduli,), _, _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu), omega)
+    (moduli,), _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu), omega)
     return (*moduli, abs(mu) ** 2, nbar + 0.5, omega)
 
 

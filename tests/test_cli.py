@@ -233,6 +233,28 @@ class TestCrossing:
         assert proc.stderr.startswith("error: ") and "float range" in proc.stderr
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # V^2 = (nbar_pi + 1/2)^2 overflows with no squeezing: it blamed r alone
+            (
+                ["crossing", "--r", "0", "--nbar-pi", "1e200", "--mu", "1", "--nbar", "0"],
+                "seed nbar_pi + 1/2 = 1e+200 at r = 0.0 takes the moments beyond float range: V^2 overflows",
+            ),
+            # the thermal seed fails before it is squeezed: it said only "moments"
+            (
+                ["simulate", "--family", "squeezed", "--r", "1e-112", "--nbar-pi", "1e200"],
+                "nbar_pi exceeds float range: (nbar_pi + 1/2)^2 overflows",
+            ),
+        ],
+        ids=["crossing", "simulate"],
+    )
+    def test_seed_beyond_float_range_names_nbar_pi(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--scan-step", "0"],  # ZeroDivisionError
@@ -240,8 +262,9 @@ class TestCrossing:
             ["--tau-max", "nan"],  # "cannot convert float NaN to integer"
             ["--tau-max=-1"],  # scanned backwards to "no crossing" and exit 0
             ["--scan-step=-0.01"],  # likewise
+            ["--tau-max", "0"],  # a window of one sample, at tau = 0
         ],
-        ids=["zero-step", "infinite-window", "nan-window", "negative-window", "negative-step"],
+        ids=["zero-step", "infinite-window", "nan-window", "negative-window", "negative-step", "zero-window"],
     )
     def test_invalid_scan_window_exits_2(self, capsys, flags):
         code, out, err = run(["crossing", *flags], capsys)

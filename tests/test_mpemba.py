@@ -177,7 +177,7 @@ class TestNumericOracle:
             points.append((r, mu, nbar_pi, nbar))
         omegas = rng.uniform(0.5, 2.0, len(points))
         seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
-        times = mpemba._numeric_crossings(seeds, tau_max, step)
+        times, _, _ = mpemba._numeric_crossings(seeds, tau_max, step)
         assert times == literal_crossing_scan(seeds, tau_max, step)
         # the edge cases are where they were placed
         for (lo, hi), found in zip(brackets, times):
@@ -192,7 +192,8 @@ class TestNumericOracle:
 
         def counting(x, *moments):
             erg_s, erg_d = charges(x, *moments)
-            samples.append(erg_s.size)
+            if erg_s.size:  # a step of the oracle that no point reaches forms no sample
+                samples.append(erg_s.size)
             return erg_s, erg_d
 
         charges = mpemba._charges
@@ -206,17 +207,17 @@ class TestNumericOracle:
         # and one sample in each of the 6 rounds that search the window's 51 samples for
         # its last sure one; that is its last sample, so nothing more is sampled
         seed = seed_row(1.0, 1.0, 0.2, 0.4)
-        assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP) == [None]
+        assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP)[0] == [None]
         assert samples == [1] * (1 + 6)
         samples.clear()
         # a point that starts below never crosses: the oracle evaluates only its tau = 0 sample
         below = seed_row(1.0, 1.5, 0.2, 0.4)
-        assert mpemba._numeric_crossings([below], mpemba._TAU_MAX, mpemba._SCAN_STEP) == [None]
+        assert mpemba._numeric_crossings([below], mpemba._TAU_MAX, mpemba._SCAN_STEP)[0] == [None]
         assert samples == [1]
         samples.clear()
-        # and so does the point function, once more for its report's starting charges
+        # and so does the point function, whose report's starting charges are that sample
         assert crossing_time_numeric(1.0, 1.5, 0.2, 0.4) is None
-        assert samples == [1, 1]
+        assert samples == [1]
         samples.clear()
         # the gap of this hot seed, short of equal charge by a relative 1e-11, moves by
         # about _GAP_SIGNIFICANCE per sample, so its sign changes between two
@@ -234,7 +235,7 @@ class TestNumericOracle:
         points = [(r, 1e-10 * r, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
                   for r in 10.0 ** rng.uniform(-160.0, -140.0, 400)]
         seeds = [seed_row(*p) for p in points]
-        times = mpemba._numeric_crossings(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
+        times, _, _ = mpemba._numeric_crossings(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
         assert times == [None] * len(seeds)
         assert sum(samples) <= (1 + 2 * 13 + 3) * len(seeds)
         assert times == literal_crossing_scan(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
@@ -259,7 +260,7 @@ class TestNumericOracle:
         erg_s, erg_d = mpemba._charges(1.0, *np.array(seeds).T)
         assert np.all(erg_s <= erg_d)
         assert literal_crossing_scan(seeds, *window) == [None] * len(seeds)
-        assert mpemba._numeric_crossings(seeds, *window) == [None] * len(seeds)
+        assert mpemba._numeric_crossings(seeds, *window)[0] == [None] * len(seeds)
 
     @pytest.mark.parametrize("window", [(50.0, 0.01), (7.305, 0.01), (1e4, 2e3), (3.0, 0.37)])
     def test_search_for_the_last_sure_sample_is_the_scan_from_tau_0(self, window):
@@ -280,7 +281,7 @@ class TestNumericOracle:
                 mu = 10.0 ** rng.uniform(-160.0, 0.0)
             points.append((r, mu, nbar_pi, nbar))
         seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
-        times = mpemba._numeric_crossings(seeds, *window)
+        times, _, _ = mpemba._numeric_crossings(seeds, *window)
         assert times == literal_crossing_scan(seeds, *window)
         # the draws both cross and miss
         assert sum(t is None for t in times) > 10
@@ -429,7 +430,7 @@ class TestNumericOracle:
 
         monkeypatch.setattr(mpemba, "_charges", charges)
         seeds = [(float(i), 0.0, 0.0, 0.0, omega) for i, omega in enumerate(omegas)]
-        times = mpemba._numeric_crossings(seeds, tau_max, step)
+        times, _, _ = mpemba._numeric_crossings(seeds, tau_max, step)
         assert times == literal_crossing_scan(seeds, tau_max, step)
         # each crossing lies in the bracket where it was placed, and the others have none
         for found, bracket in zip(times, placed):
@@ -474,7 +475,7 @@ class TestNumericOracle:
         points = [(3.0, 1e-6, 0.2, 0.0), (1.0, 1.5, 0.2, 0.4), (1e-7, 1e-8, 0.2, 0.4)]
         late, missing, weak = [seed_row(*p) for p in points]
         batches, window = [[seed, late, missing], [weak]], (mpemba._TAU_MAX, mpemba._SCAN_STEP)
-        times = [mpemba._numeric_crossings(seeds, *window) for seeds in batches]
+        times = [mpemba._numeric_crossings(seeds, *window)[0] for seeds in batches]
         assert times == [literal_crossing_scan(seeds, *window) for seeds in batches]
         assert None in times[0] and None not in times[1]
 
@@ -501,6 +502,17 @@ class TestCrossingReport:
         assert not report.exists
         assert report.tau_c_closed is None
         assert report.validity_note == NOTE_NO_PRECONDITION
+
+    def test_no_squeezing_with_underflowing_amplitude_has_no_precondition(self):
+        # at r = 0 and |mu|^2 underflowing to 0 both initial charges read 0, which the
+        # closed form's gap would take for the equal-charge boundary; the r > 0 gate
+        # reports the missing precondition instead, for a point and for a sweep row
+        point = crossing_report(0.0, 1e-170, 0.2, 0.4)
+        row = mpemba_scan(SweepGrid((0.0, 1.0), (0.2,), (0.4,), 1e-170)).rows[0]
+        for report in (point, row.report):
+            assert not report.exists
+            assert report.tau_c_closed is None
+            assert report.validity_note == NOTE_NO_PRECONDITION
 
     def test_degenerate_note(self):
         report = crossing_report(1.0, equal_charge_amplitude(1.0, 0.2), 0.2, 0.4)
