@@ -52,9 +52,12 @@ class EffectiveParameters:
     delta_beta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Observables sampled along a relaxation, indexed by tau = gamma t."""
+    """Observables sampled along a relaxation, indexed by tau = gamma t.
+
+    Its fields are arrays, so == and hash are by identity, as GaussianState's.
+    """
 
     tau: np.ndarray
     e_state: np.ndarray

@@ -54,6 +54,23 @@ unresolved, no significant sample follows L, and the point has no crossing
 on the window.  L and Q are found by bisecting over the sample indices:
 the samples that are not sure form a suffix of the window, and so do those
 that are unresolved or sure negative.
+
+Certificate: the oracle takes each point's closed-form tau_c as a hint, and
+the hint only decides where it looks, never what it reports.  Where sample
+k = floor(tau_c / scan_step) is sure and sample k + 1 is not, the sure
+prefix ends at k, so L = k without a search.  The bisection first reads
+a, b = tau_c (1 -+ _HINT_RTOL).  Where a is sure, b is sure negative and the
+bracket's upper end is resolved, a halving whose midpoint lies outside
+(a, b) is decided from a or b alone, and only the others are evaluated.  A
+midpoint at or below a comes no later than a sure point, so by the lemma it
+reads erg_squeezed > erg_displaced, with no tie: g > 0, as evaluating it
+would give.  A midpoint at or above b, and below the upper end, has charges
+at least the upper end's, to a few ulps, so they are normal floats computed
+to a few ulps, and its relative gap is below b's, more than
+_GAP_SIGNIFICANCE below 0: it reads erg_squeezed < erg_displaced, with no
+tie, so g <= 0, as evaluating it would give.  So every report is the same
+bit for bit whatever the hint; a wrong or missing hint fails its
+certificate and costs evaluations.
 """
 
 from __future__ import annotations
@@ -102,6 +119,12 @@ _TAU_MAX = 50.0
 _SCAN_STEP = 0.01
 _MAX_SCAN_STEPS = 10**6
 _GAP_SIGNIFICANCE = 1e-13
+# The bisection decides its halvings outside (a, b) = hint (1 -+ _HINT_RTOL)
+# without evaluating them where the gap's sign at a and b certifies it
+# (_bisect).  Wide enough that the gap is significant at a and b for nearly
+# every crossing (2 of 2,000 random crossing points miss it, 18 at 1e-11),
+# and narrow enough that about 22 of a grid's some 50 halvings are evaluated.
+_HINT_RTOL = 1e-10
 
 
 class CrossingReport(NamedTuple):
@@ -150,9 +173,9 @@ class ScanResult:
     rows: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DischargePair:
-    """Equal-charge squeezed/displaced trajectories (squeezed loses faster)."""
+    """Equal-charge squeezed/displaced trajectories (squeezed loses faster); == and hash by identity."""
 
     mu: float
     squeezed: Trajectory
@@ -178,32 +201,38 @@ def _check_point(r, mu, nbar_pi, nbar, boundary_ok=False) -> float:
 
 
 def _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega=1.0) -> tuple:
-    """(moduli, closed) of finite axes, with nonnegative occupations, at |mu| = mu_abs.
+    """(seeds, closed) of finite axes, with nonnegative occupations, at |mu| = mu_abs.
 
-    moduli holds each (r, nbar_pi) pair's squeezed seed (lam_s, |m_s|), in row
-    order (r outer), and closed each point's closed-form tau_c, None unless
-    r > 0 (at r = 0 an |mu|^2 that underflowed to 0 would read as the
-    degenerate boundary) and mu != 0 (_closed_form_time would divide by a zero
-    mantissa).  The axes are checked once each, not once per point: |mu|^2
-    once, (nbar + 1/2)^2 once per nbar, and the seed and its energy range once
-    per pair, at the largest nbar.  Raises ValueError for a seed beyond float
-    range (its V^2, |mu|^2, (nbar + 1/2)^2 or omega times an energy), as the
-    states would.
+    seeds is the oracle's (N, 5) array, one seed pair (lam_s, |m_s|, |mu|^2, f,
+    omega) per point in row order (r outer, nbar inner), and closed holds each
+    point's closed-form tau_c, None unless r > 0 (at r = 0 an |mu|^2 that
+    underflowed to 0 would read as the degenerate boundary) and mu != 0
+    (_closed_form_time would divide by a zero mantissa).  |mu| and the
+    occupations are taken as Python floats, so that numpy scalars, whose
+    overflow warns, do the same arithmetic.  The axes are checked once each,
+    not once per point: |mu|^2 once, (nbar + 1/2)^2 once per nbar, and the seed
+    and its energy range once per pair, at the largest nbar.  Raises
+    ValueError for a seed beyond float range (its V^2, |mu|^2, (nbar + 1/2)^2
+    or omega times an energy), as the states would.
     """
-    fs = [nbar + 0.5 for nbar in nbar_values]
+    mu_abs = float(mu_abs)
+    fs = [float(nbar) + 0.5 for nbar in nbar_values]
     if not _finite(mu_abs * mu_abs, *(f * f for f in fs)):
         raise ValueError("crossing point exceeds float range: |mu|^2 or (nbar + 1/2)^2 overflows")
     mu_sq = mu_abs ** 2
-    pairs = [(r, nbar_pi) for r in r_values for nbar_pi in nbar_pi_values]
+    pairs = [(r, float(nbar_pi) + 0.5) for r in r_values for nbar_pi in nbar_pi_values]
     # every seed is checked before the closed form takes sinh r and cosh r
     moduli, f_max = [], max(fs)
-    for r, nbar_pi in pairs:
-        v_s, m_s, lam_s = _squeezed_seed(nbar_pi + 0.5, max(r, 0.0))
+    for r, f_pi in pairs:
+        v_s, m_s, lam_s = _squeezed_seed(f_pi, max(r, 0.0))
         _check_energy(v_s, mu_sq, omega, f_max)  # it grows with f, so f_max covers the pair
         moduli.append((lam_s, m_s))
-    gaps = [_closed_form_gap(r, mu_sq, nbar_pi + 0.5) if r > 0.0 and mu_abs != 0.0 else None for r, nbar_pi in pairs]
+    seeds = np.empty((len(pairs), len(fs), 5))
+    seeds[:, :, :2] = np.array(moduli)[:, None, :]
+    seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_sq, fs, omega
+    gaps = [_closed_form_gap(r, mu_sq, f_pi) if r > 0.0 and mu_abs != 0.0 else None for r, f_pi in pairs]
     closed = [p if not p else _closed_form_time(p, mu_abs, mu_sq, f) for p in gaps for f in fs]
-    return moduli, closed
+    return seeds.reshape(-1, 5), closed
 
 
 def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
@@ -259,20 +288,39 @@ def _charges(x, lam_s, m_s, v_sq, f, omega):
     return erg_s, erg_d
 
 
-def _bisect(lo, hi, moments, floor):
-    """Bisect every bracket [lo, hi] of the gap at once; moments and floor have one column per bracket.
+def _bisect(lo, hi, moments, floor, hint, settled):
+    """Bisect every bracket [lo, hi] of the gap at once; each argument has one column or entry per bracket.
 
-    g > 0 holds at lo and not at hi.  Each round halves every bracket, and one
-    whose midpoint has g exactly 0 with both charges resolved (at least floor)
-    collapses to lo = hi = mid.  A bracket down to adjacent floats, or
-    collapsed, returns the same midpoint in every later round, and once every
-    midpoint equals an endpoint, mid is returned, within an ulp of where g > 0
-    flips, or nan where the charges there are not resolved.  Charges that
-    underflowed to 0 give g = 0 too, but that is no root: such a midpoint
-    counts as g <= 0, as any other.
+    g > 0 holds at lo and not at hi, settled marks the brackets whose hi is
+    resolved, and hint is where each root is expected (nan where unknown).
+    Each round halves every bracket, and one whose midpoint has g exactly 0
+    with both charges resolved (at least floor) collapses to lo = hi = mid.  A
+    bracket down to adjacent floats, or collapsed, returns the same midpoint
+    in every later round, and once every midpoint equals an endpoint, mid is
+    returned, within an ulp of where g > 0 flips, or nan where the charges
+    there are not resolved.  Charges that underflowed to 0 give g = 0 too, but
+    that is no root: such a midpoint counts as g <= 0, as any other.  One
+    evaluation first reads a, b = hint (1 -+ _HINT_RTOL).  Where every bracket
+    is certified there, a sure, b sure negative and hi settled, a round in
+    which some midpoints lie at or below their a, or at or above their b, and
+    short of their endpoints, halves only those brackets, without evaluation:
+    g > 0 at or below a and g <= 0 at or above b, as evaluating would give
+    (the module docstring's certificate).  The other rounds are evaluated.
+    So the hint changes no result, only the number of evaluations.
     """
+    a, b = hint * (1.0 - _HINT_RTOL), hint * (1.0 + _HINT_RTOL)
+    positive, _, significant = _flags(*_charges(np.exp(-np.stack([a, b])), *moments), floor)
+    # a bracket that is not certified takes more evaluated rounds than the others
+    # could skip, so halvings are skipped only where every bracket is certified
+    certified = (settled & significant[0] & positive[0] & significant[1] & ~positive[1]).all()
     while True:
         mid = 0.5 * (lo + hi)
+        if certified:
+            # a midpoint equal to an endpoint (no halving left) is left to an evaluated round
+            below, above = (mid <= a) & (lo < mid), (mid >= b) & (mid < hi)
+            if (below | above).any():
+                lo, hi = np.where(below, mid, lo), np.where(above, mid, hi)
+                continue
         erg_s, erg_d = _charges(np.exp(-mid), *moments)
         if ((mid == lo) | (mid == hi)).all():
             return np.where(np.minimum(erg_s, erg_d) >= floor, mid, math.nan)
@@ -299,19 +347,19 @@ def _flags(erg_s, erg_d, floor):
     return erg_s > erg_d, resolved, significant
 
 
-def _search(size, tau, moments, floor, lo, negative):
+def _search(tau, moments, floor, lo, hi, negative):
     """Each point's first sample after its sure sample lo that is not sure, or with negative unresolved or sure negative.
 
-    size and tau are _window's, and moments and floor have one column, and lo
-    one entry, per point; a point without such a sample gets size.  By the
-    module docstring's lemma the samples searched for form a suffix of the
-    window, so bisecting over the sample indices finds the first of them, for
-    all points at once, forming only the samples read: each round keeps lo
-    short of the suffix and hi in it (or at size), until hi = lo + 1; an empty
-    batch runs no rounds.
+    tau is _window's, and moments and floor have one column, and lo and hi
+    one entry, per point; the sample searched for lies in (lo, hi], where hi
+    is the window's size if the point may have none, and a point without one
+    gets hi back.  By the module docstring's lemma the samples searched for
+    form a suffix of the window, so bisecting over the sample indices finds
+    the first of them, for all points at once, forming only the samples read:
+    each round keeps lo short of the suffix and hi in it (or where it was),
+    until hi = lo + 1; an empty batch runs no rounds.
     """
-    hi = np.full(lo.size, size)
-    for _ in range((size - 1 - int(lo.min(initial=size - 1))).bit_length()):
+    for _ in range(int((hi - lo).max(initial=1) - 1).bit_length()):
         mid = (lo + hi) // 2
         positive, resolved, significant = _flags(*_charges(np.exp(-tau(mid)), *moments), floor)
         done = ~resolved | (significant & ~positive) if negative else ~(significant & positive)
@@ -337,23 +385,31 @@ def _window(tau_max, scan_step) -> tuple:
     return size, lambda k: np.where(k < size - 1, np.minimum(k, size - 2) * scan_step, tau_max)
 
 
-def _numeric_crossings(seeds, tau_max, scan_step) -> tuple:
+def _numeric_crossings(seeds, tau_max, scan_step, hints=None) -> tuple:
     """Bisection oracle for a batch of seed pairs: lists (times, erg0_s, erg0_d), one entry per point.
 
-    seeds holds the moments of one seed pair per point.  Each gap
-    g(tau) = erg_squeezed(tau) - erg_displaced(tau) is sampled on the window
-    (_window), forming only the samples read; each point that crosses gets
-    the bracket that the module docstring places, two samples with g > 0 at
-    the first and not at the second, and all bracketed points are bisected
-    together, so no crossing beyond tau_max is reported.  A point gets 0.0
-    when its tau = 0 charges coincide, and None when it has no bracket or its
-    bracket's root lies where the charges are not resolved (a scan step
-    coarser than their decay can bracket it).  erg0_s and erg0_d are the
-    charges of its first sample, at tau = 0.  Raises ValueError as _window does.
+    seeds holds the moments of one seed pair per point, and hints, if given,
+    where each point's crossing is expected (nan where unknown), such as its
+    closed-form tau_c.  Each gap g(tau) = erg_squeezed(tau) - erg_displaced(tau)
+    is sampled on the window (_window), forming only the samples read; each
+    point that crosses gets the bracket that the module docstring places, two
+    samples with g > 0 at the first and not at the second, and all bracketed
+    points are bisected together, so no crossing beyond tau_max is reported.
+    A hint only decides where the oracle looks: the sample pair k, k + 1
+    around it is read first, and where k is sure and k + 1 not, k is the last
+    sure sample L with no search; elsewhere the pair narrows the search.  The
+    bisection takes the hint too (_bisect), so a wrong or missing hint costs
+    evaluations and changes no result.  A point gets 0.0 when its tau = 0
+    charges coincide, and None when it has no bracket or its bracket's root
+    lies where the charges are not resolved (a scan step coarser than their
+    decay can bracket it).  erg0_s and erg0_d are the charges of its first
+    sample, at tau = 0.  Raises ValueError as _window does.
     """
     size, tau = _window(tau_max, scan_step)
     # one column per moment and entry per point
     moments = np.array(seeds, dtype=float).reshape(-1, 5).T
+    # a hint below 0 reads as 0, so that the charges the certificates read are at tau >= 0
+    hints = np.full(moments.shape[1], math.nan) if hints is None else np.maximum(hints, 0.0)
     # a charge below the smallest normal float (times omega, so that the
     # moment products behind it are normal too) has lost its relative
     # precision, and so has the gap's sign
@@ -365,21 +421,30 @@ def _numeric_crossings(seeds, tau_max, scan_step) -> tuple:
     # only a point whose tau = 0 sample is sure, its charges apart, can cross
     pending = np.flatnonzero(significant & positive & ~equal)
     moments, floor = moments[:, pending], floor[pending]
-    # L + 1, each point's first sample that is not sure; without one, g > 0 on the whole window
-    hi = _search(size, tau, moments, floor, np.zeros(pending.size, dtype=int), False)
+    # the samples k, k + 1 around the hint (k = size - 2 where it is nan or past the window)
+    k = np.clip(np.floor(np.fmin(hints[pending], tau_max) / scan_step), 0, size - 2).astype(int)
+    positive, _, significant = _flags(*_charges(np.exp(-tau(np.stack([k, k + 1]))), *moments), floor)
+    sure = significant & positive
+    # L + 1, each point's first sample that is not sure, is k + 1 where k is sure and
+    # k + 1 not, beyond k + 1 where that is sure, and before k where k is not (sample
+    # 0 is sure); without one, g > 0 on the whole window
+    lo = np.where(sure[1], k + 1, np.where(sure[0], k, 0))
+    hi = _search(tau, moments, floor, lo, np.where(sure[1], size, np.where(sure[0], k + 1, k)), False)
     ahead = hi < size
     pending, hi, moments, floor = pending[ahead], hi[ahead], moments[:, ahead], floor[ahead]
     lo = hi - 1
     # where sample L + 1 reads g > 0, the bracket ends at Q, if Q is sure negative
-    unbracketed = _flags(*_charges(np.exp(-tau(hi)), *moments), floor)[0]
+    unbracketed, settled, _ = _flags(*_charges(np.exp(-tau(hi)), *moments), floor)
     rest = np.flatnonzero(unbracketed)
-    q = _search(size, tau, moments[:, rest], floor[rest], lo[rest], True)
+    q = _search(tau, moments[:, rest], floor[rest], lo[rest], np.full(rest.size, size), True)
     ends = np.minimum([q - 1, q], size - 1)
     positive, _, significant = _flags(*_charges(np.exp(-tau(ends)), *moments[:, rest]), floor[rest])
     unbracketed[rest] = (q == size) | ~significant[1]
-    lo[rest], hi[rest] = np.where(positive[0], q - 1, lo[rest]), q
+    lo[rest], hi[rest], settled[rest] = np.where(positive[0], q - 1, lo[rest]), q, significant[1]
     points = np.flatnonzero(~unbracketed)
-    times[pending[points]] = _bisect(tau(lo[points]), tau(hi[points]), moments[:, points], floor[points])
+    times[pending[points]] = _bisect(
+        tau(lo[points]), tau(hi[points]), moments[:, points], floor[points], hints[pending[points]], settled[points]
+    )
     return [None if math.isnan(t) else t for t in times.tolist()], erg_s.tolist(), erg_d.tolist()
 
 
@@ -401,18 +466,14 @@ def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = No
 def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, spec, tau_max, scan_step) -> list:
     """Crossing reports for every point of axes as _seed_axes takes them, with one oracle call for all.
 
-    Each point's seed pair (lam_s, |m_s|, |mu|^2, f, omega) is one row of an
-    (N, 5) array, in row order, and the oracle takes them all: where r <= 0
-    or mu = 0, a tau = 0 charge is 0, not resolved, so it gives None.  The
-    reported tau = 0 charges are the oracle's own, its first sample.
+    The oracle takes every point's seed pair, one row of _seed_axes's seeds:
+    where r <= 0 or mu = 0, a tau = 0 charge is 0, not resolved, so it gives
+    None.  The reported tau = 0 charges are the oracle's own, its first sample.
     """
     omega = 1.0 if spec is None else spec.omega
-    moduli, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
-    seeds = np.empty((len(moduli), len(nbar_values), 5))
-    seeds[:, :, :2] = np.array(moduli)[:, None, :]
-    seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_abs ** 2, [nbar + 0.5 for nbar in nbar_values], omega
-    seeds = seeds.reshape(-1, 5)
-    numeric, erg0_s, erg0_d = _numeric_crossings(seeds, tau_max, scan_step)
+    seeds, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
+    hints = [math.nan if tau_c is None else tau_c for tau_c in closed]
+    numeric, erg0_s, erg0_d = _numeric_crossings(seeds, tau_max, scan_step, hints)
     notes = [
         NOTE_NO_PRECONDITION if tau_c is None
         else NOTE_DEGENERATE if tau_c == 0.0

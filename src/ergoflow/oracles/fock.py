@@ -64,12 +64,15 @@ class CutoffError(RuntimeError):
     """The Fock cutoff cannot represent the requested state to tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
-    """Validated density matrix on the truncated ladder basis, with its ascending spectrum."""
+    """Validated density matrix on the truncated ladder basis, with its ascending spectrum.
+
+    Its fields are arrays, so == and hash are by identity, as GaussianState's.
+    """
 
     matrix: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         try:

@@ -245,8 +245,8 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
 def seed_row(r, mu, nbar_pi, nbar, omega=1.0) -> tuple:
     """The crossing oracle's seed row (lam_s, |m_s|, |mu|^2, f, omega) of a valid point, seeded
     and range-checked as crossing_report seeds it."""
-    (moduli,), _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu), omega)
-    return (*moduli, abs(mu) ** 2, nbar + 0.5, omega)
+    (seed,), _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu), omega)
+    return tuple(seed.tolist())
 
 
 def strictly_monotone(rows, sign) -> bool:

@@ -172,6 +172,15 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError):
             sample_trajectory(state, SPEC, [0.0, np.inf])
 
+    def test_equality_and_hash_are_identity(self):
+        # a field-wise __eq__ over ndarray fields raised on ==, in and hash
+        grid = [0.0, 0.5, 1.0]
+        traj = sample_trajectory(squeezed_thermal(0.2, 1.0), SPEC, grid)
+        other = sample_trajectory(squeezed_thermal(0.2, 1.0), SPEC, grid)
+        assert traj == traj and traj != other
+        assert traj in [other, traj] and traj not in [other]
+        assert hash(traj) == hash(traj) and len({traj, other, traj}) == 2
+
     def test_bath_beyond_float_range_is_rejected(self):
         # the bath's (nbar + 1/2)^2 overflowed inside the core, giving -inf ergotropy
         with pytest.raises(ValueError, match="float range"):

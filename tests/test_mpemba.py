@@ -204,11 +204,16 @@ class TestNumericOracle:
         assert sum(samples) < window // 10
         samples.clear()
         # a point that starts ahead and crosses past the window costs its tau = 0 sample
-        # and one sample in each of the 6 rounds that search the window's 51 samples for
-        # its last sure one; that is its last sample, so nothing more is sampled
+        # and the pair around its hint; without a hint that is the window's last pair,
+        # both sure, so nothing more is sampled
         seed = seed_row(1.0, 1.0, 0.2, 0.4)
         assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP)[0] == [None]
-        assert samples == [1] * (1 + 6)
+        assert samples == [1, 2]
+        samples.clear()
+        # a hint at tau = 0 reads the sure samples 0 and 1, and the 6 rounds that search
+        # the window's other 50 samples for its last sure one find the last sample
+        assert mpemba._numeric_crossings([seed], 0.5, mpemba._SCAN_STEP, [0.0])[0] == [None]
+        assert samples == [1, 2] + [1] * 6
         samples.clear()
         # a point that starts below never crosses: the oracle evaluates only its tau = 0 sample
         below = seed_row(1.0, 1.5, 0.2, 0.4)
@@ -229,16 +234,109 @@ class TestNumericOracle:
         # 400 points whose displaced charge, near 1e-20 of the squeezed one, is below the
         # smallest normal float at tau = 0 or falls there while the gap is still sure:
         # both charges only fall, so no sample past the first unresolved one can count,
-        # and each point costs at most its tau = 0 sample, two searches of 13 rounds
-        # over the window's samples and 3 more samples
+        # and each point costs at most its tau = 0 sample, the pair that a missing hint
+        # reads at the window's end, two searches of 13 rounds over the window's samples
+        # and 3 more samples
         rng = rng_for("underflowing charges")
         points = [(r, 1e-10 * r, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
                   for r in 10.0 ** rng.uniform(-160.0, -140.0, 400)]
         seeds = [seed_row(*p) for p in points]
         times, _, _ = mpemba._numeric_crossings(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
         assert times == [None] * len(seeds)
-        assert sum(samples) <= (1 + 2 * 13 + 3) * len(seeds)
+        assert sum(samples) <= (1 + 2 + 2 * 13 + 3) * len(seeds)
         assert times == literal_crossing_scan(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
+
+    @pytest.mark.parametrize("window, count", [((1e4, 2e3), 200), ((50.0, 0.01), 200), ((50.0, 5e-5), 10)])
+    def test_hints_only_decide_where_the_oracle_looks(self, window, count):
+        # on windows of 6, 5,001 and 10^6 + 1 samples the oracle reports the per-point
+        # scan's times with the closed-form hints, with none, and with hints that are
+        # off by 1e-6 either way, random in the window, negative or nan: a hint whose
+        # certificate fails costs evaluations, never a different time
+        rng = rng_for(f"crossing hints {window}")
+        points, omegas = [], 10.0 ** rng.uniform(-3.0, 3.0, count)
+        for i in range(count):
+            nbar_pi, nbar = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+            regime = i % 5
+            if regime == 0:  # ordinary points
+                r = rng.uniform(0.05, 3.0)
+                mu = rng.uniform(0.01, 1.3) * equal_charge_amplitude(r, nbar_pi)
+            elif regime == 1:  # hot seeds near equal charge
+                r, nbar_pi = rng.uniform(0.3, 2.0), 10.0 ** rng.uniform(6.0, 13.0)
+                mu = equal_charge_amplitude(r, nbar_pi) * (1.0 - 10.0 ** rng.uniform(-12.0, -6.0))
+            elif regime == 2:  # |mu| down to 1e-150 and below
+                r = 10.0 ** rng.uniform(-150.0, -100.0)
+                mu = rng.uniform(0.01, 1.0) * equal_charge_amplitude(r, nbar_pi)
+            elif regime == 3:  # late crossings
+                r, mu, nbar = rng.uniform(2.5, 4.0), 10.0 ** rng.uniform(-8.0, -4.0), 0.0
+            else:  # charges near equal on either side
+                r = rng.uniform(0.05, 3.0)
+                excess = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -1.0)
+                mu = equal_charge_amplitude(r, nbar_pi) * (1.0 + excess)
+            points.append((r, mu, nbar_pi, nbar))
+        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
+        closed = [crossing_time_closed_form(*p) for p in points]
+        closed = np.array([math.nan if t is None else t for t in closed])
+        expected = literal_crossing_scan(seeds, *window)
+        hints = [closed, None, closed * (1.0 + 1e-6), closed * (1.0 - 1e-6)]
+        hints += [rng.uniform(0.0, window[0], count), -closed, np.full(count, math.nan)]
+        # the batch, each regime on its own, where the bisection's certificate more
+        # often holds at every bracket, and each hot seed alone, whose gap near the
+        # crossing is often of either sign, but not significant
+        for hint in hints:
+            assert mpemba._numeric_crossings(seeds, *window, hint)[0] == expected
+            for i in range(5):
+                part = None if hint is None else hint[i::5]
+                assert mpemba._numeric_crossings(seeds[i::5], *window, part)[0] == expected[i::5]
+            for i in range(1, count, 5):
+                alone = None if hint is None else hint[i : i + 1]
+                assert mpemba._numeric_crossings(seeds[i : i + 1], *window, alone)[0] == expected[i : i + 1]
+        # the draws both cross and miss
+        assert sum(t is None for t in expected) > 0 and sum(t is not None and t > 0.0 for t in expected) > 0
+
+    def test_halvings_below_an_unresolved_upper_end_are_evaluated(self, monkeypatch):
+        # synthetic charges whose gap is sure down to tau = 1 and sure negative up to
+        # tau = 2, where they fall below the smallest normal float and read g > 0 up to
+        # tau = 4 and g <= 0 past it: the hint tau = 1 is certified at a and b, but the
+        # bracket [0, 5] ends where the charges are not resolved, so its halvings above
+        # b are evaluated, run into the unresolved g > 0 and find no resolved root, as
+        # the per-point scan does; with the upper end resolved, at 1.5, they are skipped
+        def charges(x, *moments):
+            tau = -np.log(x)
+            erg_d = sys.float_info.min * math.exp(2.0) * x * np.ones_like(moments[0])
+            ratio = np.where(tau < 2.0, 1.0 + 0.1 * (1.0 - tau), np.where(tau < 4.0, 1.5, 0.5))
+            return ratio * erg_d, erg_d
+
+        monkeypatch.setattr(mpemba, "_charges", charges)
+        seeds = [(1.0, 0.0, 0.0, 0.0, 1.0)]
+        assert literal_crossing_scan(seeds, 5.0, 5.0) == [None]
+        assert mpemba._numeric_crossings(seeds, 5.0, 5.0, [1.0])[0] == [None]
+        found = mpemba._numeric_crossings(seeds, 1.5, 1.5, [1.0])[0]
+        assert found == literal_crossing_scan(seeds, 1.5, 1.5) and found[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_hints_save_evaluations(self, monkeypatch):
+        # the grid of the benchmark's seeded sweep, Sweep(1): its 160 crossing points
+        # take at most 40 evaluations of the charges with the closed-form hints, and
+        # more than 60 without
+        calls = []
+
+        def counting(x, *moments):
+            calls.append(1)
+            return charges(x, *moments)
+
+        rng = np.random.default_rng(1)
+        r_values = tuple(float(r) for r in (rng.uniform(0.2, 0.4), *sorted(rng.uniform(1.1, 1.5, 2))))
+        nbar_pi_values = tuple(np.linspace(0.0, rng.uniform(0.8, 1.5), 8).tolist())
+        nbar_values = tuple(np.linspace(0.0, rng.uniform(1.5, 2.5), 10).tolist())
+        grid = SweepGrid(r_values, nbar_pi_values, nbar_values, float(rng.uniform(0.9, 1.3)))
+        spec = SystemBathSpec(omega=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.5, 2.0), nbar=0.0)
+        charges = mpemba._charges
+        monkeypatch.setattr(mpemba, "_charges", counting)
+        rows = mpemba_scan(grid, spec).rows
+        assert len(calls) <= 40 and sum(row.report.exists for row in rows) == 160
+        seeds, _ = mpemba._seed_axes(grid.r_values, grid.nbar_pi_values, grid.nbar_values, grid.mu, spec.omega)
+        calls.clear()
+        times, _, _ = mpemba._numeric_crossings(seeds, mpemba._TAU_MAX, mpemba._SCAN_STEP)
+        assert len(calls) > 60 and times == [row.report.tau_c_numeric for row in rows]
 
     @pytest.mark.parametrize("window", [(50.0, 0.01), (7.305, 0.01), (1e4, 2e3)])
     def test_points_that_start_below_never_cross(self, window):
@@ -614,6 +712,25 @@ class TestCrossingReport:
         with pytest.raises(ValueError):
             crossing_report(*args)
 
+    def test_numpy_scalar_inputs(self):
+        # numpy scalars took the closed form's P / (2 |mu|^2 f) into numpy's scalar
+        # division, whose overflow is a RuntimeWarning (an error here); each report
+        # is the one that the same Python floats give
+        point = (30.0, 1e-150, 1e13, 0.4)
+        expected = crossing_report(*point)
+        assert expected.tau_c_closed == 868.6686592900369
+        for args in [[np.float64(v) if j == i else v for j, v in enumerate(point)] for i in range(4)] + [
+            [np.float64(v) for v in point]
+        ]:
+            assert repr(crossing_report(*args)) == repr(expected)
+            assert crossing_time_closed_form(*args) == expected.tau_c_closed
+        # a grid of numpy axes, as np.linspace gives, reports what its float values do
+        axes = np.linspace(29.0, 30.0, 3), np.linspace(1e12, 1e13, 2), np.linspace(0.0, 0.4, 2)
+        rows = mpemba_scan(SweepGrid(*(tuple(axis) for axis in axes), mu=np.float64(1e-150))).rows
+        floats = mpemba_scan(SweepGrid(*(tuple(axis.tolist()) for axis in axes), mu=1e-150)).rows
+        assert [repr(row.report) for row in rows] == [repr(row.report) for row in floats]
+        assert rows[-1].report == expected
+
     def test_underflowing_charges_are_not_a_crossing(self):
         # |mu|^2 is subnormal and both charges underflow before they cross:
         # the oracle sees no resolved sign change, so the report says so
@@ -833,6 +950,14 @@ class TestFasterDischarge:
         assert pair.mu == pytest.approx(MU_EQUAL_R1, rel=1e-14)
         assert abs(pair.squeezed.ergotropy[0] - pair.displaced.ergotropy[0]) <= 1e-12
         assert np.all(pair.displaced.ergotropy[1:] > pair.squeezed.ergotropy[1:])
+
+    def test_equality_and_hash_are_identity(self):
+        # a field-wise __eq__ over the trajectories' ndarray fields raised on ==, in and hash
+        tau = np.arange(0, 6) * 0.2
+        pair, other = faster_discharge_demo(1.0, 0.2, 0.4, tau), faster_discharge_demo(1.0, 0.2, 0.4, tau)
+        assert pair == pair and pair != other
+        assert pair in [other, pair] and pair not in [other]
+        assert hash(pair) == hash(pair) and len({pair, other, pair}) == 2
 
     def test_zero_squeezing_is_all_flat(self):
         pair = faster_discharge_demo(0.0, 0.2, 0.4)

@@ -309,6 +309,13 @@ class TestLyapunovRK4:
 
 
 class TestFockOracle:
+    def test_density_matrix_equality_and_hash_are_identity(self):
+        # a field-wise __eq__ over ndarray fields raised on ==, in and hash
+        rho, other = FockDensityMatrix(np.diag([0.75, 0.25])), FockDensityMatrix(np.diag([0.75, 0.25]))
+        assert rho == rho and rho != other
+        assert rho in [other, rho] and rho not in [other]
+        assert hash(rho) == hash(rho) and len({rho, other, rho}) == 2
+
     def test_operator_algebra(self):
         a = annihilation(12)
         commutator = a @ a.conj().T - a.conj().T @ a
