@@ -18,13 +18,20 @@ and its records equal bit for bit those of the textbook RK4 step written
 with the same numpy ufuncs and run in the same process (tests/helpers.py
 has both literal steppers).
 
-A step is some thirty ufunc calls on small arrays, so their per-call cost,
-not the arithmetic, sets its time.  numpy runs its fast contiguous loop
-only when every operand is shaped like y or is a 0-d array; on 20
+A step is 24 ufunc calls on small arrays, so their per-call cost, not the
+arithmetic, sets its time.  numpy runs its fast contiguous loop only when
+every operand is contiguous and of one shape or is a 0-d array; on 20
 elements a numpy scalar operand costs about 1.4 times as much per call and
-a broadcast one about 2.3 times (numpy 2.4).  So the batch
-is stepped raveled to 1-D, with the five coefficients tiled once per state,
-and the step factors are 0-d arrays in y's dtype.  Both change no bit.
+a broadcast one about 2.3 times (numpy 2.4).  So the batch is stepped
+raveled to 1-D, with the five coefficients tiled once per state, and the
+step factors are 0-d arrays in y's dtype.  The calls are few because the buffers are laid out
+for them: the four slopes are the rows of one buffer, so 2.0*k2 and 2.0*k3
+are one multiply, and y and each stage point sit between the constant left
+and right coefficients (_rk4_path's frame), so one multiply of [left | y]
+by [y | right] forms L y and y L+ together.  Each right-hand side is then
+three calls, the four stages six and the final combination six; with a
+buffer per slope and a call per product the same step makes 29.  None of
+this changes an operand or its order, so none changes a bit.
 """
 
 from __future__ import annotations
@@ -44,19 +51,25 @@ __all__ = ["rk4_moment_path", "convergence_order"]
 _MAX_STEPS = 10**7
 
 
-def _rk4_path(rhs, y0, dt, record_times):
+def _rk4_path(rhs, y0, dt, record_times, frame=None):
     """Classical RK4 from y0 at t = 0; yields a copy of y at each record time.
 
     rhs(y, out, scratch) writes dy/dt at y into out and may overwrite
-    scratch, a buffer shaped like y.  y0 is copied once (integers become
-    floats), and the stages live in six preallocated buffers, so a step
-    allocates nothing.  Each stage runs the ufuncs of y + 0.5*h*k1,
-    y + 0.5*h*k2, y + h*k3 and y + (h/6)*(k1 + 2.0*k2 + 2.0*k3 + k4) in the
-    same order on the same operands, so the records equal those of the
-    textbook step, run in the same process, bit for bit.  The factors 0.5*h,
-    h, h/6 and 2.0 are 0-d arrays in y's dtype (the values numpy would
-    convert the Python floats to), made once for dt and once per shortened
-    step; the module docstring says why.
+    scratch, a buffer shaped like y.  With frame = (left, right), two
+    constant arrays shaped like y, y and the stage point each live in the
+    middle row of a [left | y | right] buffer, and rhs gets, in y's place,
+    the pair of views ([left | y], [y | right]), so that one multiply of the
+    pair forms left*y and y*right together.  y0 is copied once (integers
+    become floats), and a step allocates nothing: the slopes k1..k4 are the
+    rows of one (4, size) buffer, so 2.0*k2 and 2.0*k3 are one multiply, and
+    a step is twelve ufunc calls here plus four calls of rhs.  Each stage
+    runs the ufuncs of y + 0.5*h*k1, y + 0.5*h*k2, y + h*k3 and
+    y + (h/6)*(k1 + 2.0*k2 + 2.0*k3 + k4) in the same order on the same
+    operands, so the records equal those of the textbook step, run in the
+    same process, bit for bit.  The factors 0.5*h, h, h/6 and 2.0 are 0-d
+    arrays in y's dtype (the values numpy would convert the Python floats
+    to), made once for dt and once per shortened step; the module docstring
+    says why.
 
     Each record time is reached by whole steps of dt while more than
     dt (1 + 1e-9) remains, then one shortened step when more than 1e-9 dt
@@ -77,23 +90,39 @@ def _rk4_path(rhs, y0, dt, record_times):
     if record_times and record_times[-1] / dt > _MAX_STEPS:
         raise ValueError(f"the last record time takes more than {_MAX_STEPS} steps of dt")
 
-    y = np.array(y0, dtype=np.result_type(y0, 0.5))
-    k1, k2, k3, k4, stage, scratch = (np.empty_like(y) for _ in range(6))
+    dtype = np.result_type(y0, 0.5)
+    if frame is None:
+        y = at_y = np.array(y0, dtype=dtype)
+        stage = at_stage = np.empty_like(y)
+    else:
+        framed_y = np.array([frame[0], y0, frame[1]], dtype=dtype)
+        framed_stage = framed_y.copy()
+        y, stage = framed_y[1], framed_stage[1]
+        at_y, at_stage = (framed_y[:2], framed_y[1:]), (framed_stage[:2], framed_stage[1:])
+    k1, k2, k3, k4 = slopes = np.empty((4, *y.shape), dtype)
+    k2_k3 = slopes[1:3]
+    doubled = np.empty_like(k2_k3)
+    # rhs may overwrite two_k2, which each step fills only after its last rhs call
+    two_k2, two_k3 = doubled
 
     def factors(h):
-        return [np.array(v, dtype=y.dtype) for v in (0.5 * h, h, h / 6.0)]
+        return [np.array(v, dtype=dtype) for v in (0.5 * h, h, h / 6.0)]
 
-    two = np.array(2.0, dtype=y.dtype)
+    two = np.array(2.0, dtype=dtype)
     whole = factors(dt)
     mul, add = np.multiply, np.add
 
     def step(half, full, sixth):
-        rhs(y, k1, scratch)
-        rhs(add(y, mul(half, k1, stage), stage), k2, scratch)
-        rhs(add(y, mul(half, k2, stage), stage), k3, scratch)
-        rhs(add(y, mul(full, k3, stage), stage), k4, scratch)
-        add(k1, mul(two, k2, scratch), stage)
-        add(stage, mul(two, k3, scratch), stage)
+        rhs(at_y, k1, two_k2)
+        add(y, mul(half, k1, stage), stage)
+        rhs(at_stage, k2, two_k2)
+        add(y, mul(half, k2, stage), stage)
+        rhs(at_stage, k3, two_k2)
+        add(y, mul(full, k3, stage), stage)
+        rhs(at_stage, k4, two_k2)
+        mul(two, k2_k3, doubled)
+        add(k1, two_k2, stage)
+        add(stage, two_k3, stage)
         add(stage, k4, stage)
         add(y, mul(sixth, stage, stage), y)
 
@@ -193,11 +222,15 @@ def rk4_moment_path(
     forcing = np.tile(np.array([0.0, noise, 0.0, 0.0, noise], dtype=complex), batch)
 
     mul, add = np.multiply, np.add
+    products = np.empty((2, y0.size), dtype=complex)
+    left_y, y_right = products
 
-    def rhs(y, out, scratch):
-        add(add(mul(left, y, out), mul(y, right, scratch), out), forcing, out)
+    def rhs(framed, out, _):
+        # framed is ([left | y], [y | right]), so one multiply forms left*y and y*right
+        mul(*framed, products)
+        add(add(left_y, y_right, out), forcing, out)
 
-    steps = _rk4_path(rhs, y0, dt, record_times)  # checks dt before the stability test reads it
+    steps = _rk4_path(rhs, y0, dt, record_times, (left, right))  # checks dt before the stability test reads it
     if not _rk4_stable(dt * spec.gamma, _moment_rates(spec)):
         raise ValueError(f"the RK4 step {dt:g} leaves RK4's stability region; reduce the step size")
     path = list(steps)

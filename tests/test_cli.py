@@ -697,11 +697,11 @@ class TestVerify:
     def test_invalid_input_is_usage_error(self, capsys, monkeypatch, flag, value, message):
         real = lyapunov._rk4_path
 
-        def bounded(rhs, y0, dt, record_times):
+        def bounded(rhs, y0, dt, record_times, *frame):
             # fail at once instead of hanging on a step count beyond 10^6
             if max(record_times) / dt > 1e6:
                 pytest.fail(f"verify integrated {max(record_times) / dt:.0e} steps")
-            return real(rhs, y0, dt, record_times)
+            return real(rhs, y0, dt, record_times, *frame)
 
         monkeypatch.setattr(lyapunov, "_rk4_path", bounded)
         monkeypatch.setattr(fock, "_rk4_path", bounded)

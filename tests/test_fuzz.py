@@ -5,7 +5,8 @@ ranges that the library admits (occupations and |mu| up to where their
 squares leave float range, r up to where V^2 does, omega and gamma over
 1e-300..1e300), with signed zeros and exact zeros mixed in.  Every call
 returns finite values or raises the documented ValueError (InvalidStateError
-is one); numpy's RuntimeWarnings are errors.
+is one); numpy's RuntimeWarnings are errors.  The quadrature oracle runs
+on n = 8 grids.
 """
 
 import cmath
@@ -35,6 +36,7 @@ from ergoflow import (
     thermal_state,
     wigner_entropy,
 )
+from ergoflow.oracles.quadrature import norm_energy_entropy, relative_entropy_quadrature
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -107,7 +109,7 @@ def test_valid_calls_are_finite_or_refused(seed):
     draw = Draw(seed)
     answered = dict.fromkeys(
         ("state", "evolve", "effective", "rate", "trajectory", "ergotropy", "split", "energy", "entropy",
-         "relative", "crossing"), 0)  # fmt: skip
+         "relative", "grid", "grid relative", "crossing"), 0)  # fmt: skip
     for _ in range(CASES):
         state, spec, t = attempt(draw.state), attempt(draw.spec), draw.log(TIME)
         occ, z = draw.log(OCCUPATION), draw.squeezing()
@@ -117,11 +119,15 @@ def test_valid_calls_are_finite_or_refused(seed):
             for name, call in (
                 ("entropy", lambda: wigner_entropy(state)),
                 ("relative", lambda: relative_wigner_entropy(state, passive_state(state))),
+                # the quadrature oracle on n = 8 grids, the relative entropy both ways round
+                ("grid", lambda: norm_energy_entropy(state, n=8)),
+                ("grid relative", lambda: relative_entropy_quadrature(state, passive_state(state), n=8)),
+                ("grid relative", lambda: relative_entropy_quadrature(passive_state(state), state, n=8)),
             ):
                 result = attempt(call)
                 if result is not None:
                     answered[name] += 1
-                    assert finite(result) and (name == "entropy" or result >= 0.0), (name, state, result)
+                    assert finite(result) and (name != "relative" or result >= 0.0), (name, state, result)
         if state is not None and spec is not None:
             for name, call in (
                 ("evolve", lambda: state_moments(evolve_analytic(state, spec, t))),

@@ -14,6 +14,7 @@ from ergoflow import (
     displaced_thermal,
     evolve_analytic,
     mean_energy,
+    passive_state,
     random_state,
     squeezed_displaced_thermal,
     squeezed_thermal,
@@ -617,6 +618,16 @@ def _meshgrid_reference(state_a, state_b, omega, extent, n):
     return moments, integrate(w * (log_a - log_b))
 
 
+def _complex_log_density(state, re, im):
+    """ln W through the complex displacement delta and conj(delta)^2, as the oracle once formed it."""
+    delta = (re - state.alpha_mean.real) + 1j * (im - state.alpha_mean.imag)
+    det = state.cov_det
+    quad = (
+        state.symmetric_variance * (delta.real ** 2 + delta.imag ** 2)
+        - (state.anomalous_variance * np.conj(delta) ** 2).real
+    ) / det
+    return -math.log(math.pi * math.sqrt(det)) - quad
+
 
 class TestQuadrature:
     def test_norm_energy_entropy_on_compact_states(self):
@@ -672,6 +683,79 @@ class TestQuadrature:
             assert quadrature.norm_energy_entropy(a, 1.3, extent, n) == moments
             assert quadrature.relative_entropy_quadrature(a, b, extent, n) == relative
 
+    def test_row_block_log_density_is_real_and_small(self):
+        # the complex form made four complex temporaries per block, a 7-block peak, each
+        # above glibc's mmap threshold and so page-faulted afresh on every block
+        state = squeezed_displaced_thermal(0.2, 0.5 - 0.3j, SqueezingParameter(0.3, 0.9))
+        x = np.linspace(-6.0, 6.0, 400)
+        re, im = x[: quadrature._ROW_BLOCK, None], x[None, :]
+        block = quadrature._ROW_BLOCK * x.size * 8
+        quadrature._log_density(state, re, im)
+        tracemalloc.start()
+        try:
+            log_w = quadrature._log_density(state, re, im)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log_w.dtype == np.float64
+        assert peak <= 3 * block
+
+    def test_per_axis_log_density_is_the_complex_form(self):
+        # both forms round a few terms no larger than max |ln W|, under 10^3 on these
+        # grids, so they agree to a few ulps of 10^3, within 1e-12
+        rng = rng_for("quadaxes")
+        x = np.linspace(-6.0, 6.0, 400)
+        re, im = np.meshgrid(x, x, indexing="ij")
+        for _ in range(4):
+            nbar_pi = rng.uniform(0.0, 0.5)
+            mu = rng.uniform(0.3, 1.5) * cmath.exp(2j * math.pi * rng.uniform())
+            z = SqueezingParameter(rng.uniform(0.2, 1.0), rng.uniform(0.1, 3.0))
+            for state in (
+                squeezed_thermal(nbar_pi, z),
+                displaced_thermal(nbar_pi, mu),
+                squeezed_displaced_thermal(nbar_pi, mu, z),
+            ):
+                reference = _complex_log_density(state, re, im)
+                assert np.max(np.abs(reference)) < 1e3
+                assert np.max(np.abs(quadrature._log_density(state, re, im) - reference)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_hot_state_forms_its_log_density_without_overflow(self):
+        # the complex form's V |delta|^2, 1e340 here, overflowed though ln W is about
+        # -|delta|^2 / V = -1e140; the fuzzer drew such states (V 1e68..1e119, |<a>| 1e98..1e140)
+        state = displaced_thermal(1e100, 1e120)
+        assert quadrature._log_density(state, np.zeros((1, 1)), np.zeros((1, 1)))[0, 0] == pytest.approx(-1e140)
+        assert quadrature.norm_energy_entropy(state, n=8) == (0.0, 0.0, 0.0)
+        assert quadrature.relative_entropy_quadrature(state, passive_state(state), n=8) == 0.0
+        assert math.isfinite(quadrature.relative_entropy_quadrature(passive_state(state), state, n=8))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [0.0, 5.0])
+    def test_log_density_below_float_range(self, r):
+        # ln W falls below float range across the grid, where W is 0, so every integral
+        # over W is 0; was an overflow warning and a nan entropy, 0 * -inf
+        state = squeezed_displaced_thermal(0.0, 1e154, SqueezingParameter(r, 0.0))
+        assert quadrature.norm_energy_entropy(state, n=8) == (0.0, 0.0, 0.0)
+        assert quadrature.relative_entropy_quadrature(state, passive_state(state), n=8) == 0.0
+        # ln W_b below float range where W_a is positive, with W_a large or about 1e-170:
+        # the integral cannot be formed in floats; was inf, and a floor on ln W_b alone
+        # would have made the second a finite lower bound
+        for near in (passive_state(state), displaced_thermal(0.0, 20.0)):
+            with pytest.raises(ValueError, match="float range"):
+                quadrature.relative_entropy_quadrature(near, state, n=8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_sums_beyond_float_range_are_refused(self):
+        # three points a side 9e153 apart: the integrand is about 1e308 at the mean of
+        # state_a, and the trapezoid sums overflow; was an overflow warning, or inf
+        with pytest.raises(ValueError, match="float range"):
+            quadrature.relative_entropy_quadrature(displaced_thermal(0.0, 9e153), thermal_state(0.0), 9e153, 3)
+
+    def test_energy_beyond_float_range_is_refused(self):
+        # omega times the energy integral overflowed to an inf energy
+        with pytest.raises(ValueError, match="float range"):
+            quadrature.norm_energy_entropy(thermal_state(2.0), 1.7e308, 6.0, 8)
+
     @pytest.mark.parametrize(
         "extent, n",
         [
@@ -684,6 +768,8 @@ class TestQuadrature:
             (6.0, -5),  # was numpy's linspace message
             (6.0, 400.0),  # was a TypeError
             (6.0, True),  # was 0, read as one point
+            (1e200, 400),  # was nan: |alpha|^2 overflows at the grid's corners
+            (1e154, 8),  # the same, 2 extent^2 just beyond float range
         ],
     )
     def test_invalid_grid_rejected(self, extent, n):
