@@ -11,14 +11,17 @@ Times are entered and reported as the dimensionless tau = gamma * t unless
 --absolute-time is given.  A flat "key = value" config file can supply any
 flag of the invoked subcommand; explicit flags win over the file.
 
-Exit codes: 0 success, 1 tolerance breach, 2 usage error.
+Exit codes: 0 success, 1 tolerance breach, 2 usage error or unwritable output
+(a reader that closes stdout early, as `| head` does, ends a CSV quietly).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ from .factory import (
 )
 from .mpemba import _MAX_SCAN_STEPS, _SCAN_STEP, _TAU_MAX, NOTE_DEGENERATE, NOTE_NO_CROSSING, NOTE_NO_PRECONDITION
 from .mpemba import ScanRow, SweepGrid, crossing_report, mpemba_scan
-from .states import InvalidStateError, SystemBathSpec, ergotropy, mean_energy, wigner_entropy
+from .states import SystemBathSpec, ergotropy, mean_energy, wigner_entropy
 
 __all__ = ["main", "build_parser", "parse_config_text"]
 
@@ -64,14 +67,12 @@ class CliError(Exception):
         self.code = code
 
 
-# full-precision decimal text of a float, locale independent, and a CSV row in one %-format
+# full-precision decimal text of a float, locale independent, and a CSV line in one %-format
 _FLOAT = "%.17g"
-_TRAJECTORY_ROW = ",".join([_FLOAT] * 9)
-_SWEEP_ROW = ",".join([_FLOAT] * 4 + ["%s"] * 3 + [_FLOAT] * 2 + ["%s"])
-
-
-def _fmt(x) -> str:
-    return _FLOAT % float(x)
+_TRAJECTORY_ROW = ",".join([_FLOAT] * 9) + "\n"
+_SWEEP_ROW = ",".join([_FLOAT] * 4 + ["%s"] * 3 + [_FLOAT] * 2 + ["%s"]) + "\n"
+# trajectory rows formatted at a time: 0.65 MB traced, so 10^6 rows peak with their arrays
+_BLOCK_ROWS = 1000
 
 
 def parse_config_text(text: str) -> dict:
@@ -118,14 +119,19 @@ def _inject_config(argv: list) -> list:
     return argv if path is None else [argv[0]] + _config_tokens(path) + argv[1:]
 
 
-def _write_text(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-        return
+def _write_csv(path: str, header: str, lines):
+    """Write header, then each text of whole lines as lines yields it, to path ('-' is stdout)."""
     try:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
+        with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="ascii", newline="") as handle:
+            handle.write(header + "\n")
+            handle.writelines(lines)
+            handle.flush()
     except OSError as err:
+        if path == "-":  # what stdout still buffers goes to devnull, not to the flush at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            if isinstance(err, BrokenPipeError):
+                return  # the reader has gone, as after `| head`
         raise CliError(f"cannot write output file {path!r}: {err}")
 
 
@@ -143,20 +149,12 @@ def _build_family(args):
     return squeezed_displaced_thermal(args.nbar_pi, args.mu, z)
 
 
-def _trajectory_csv(time_values, traj) -> str:
-    columns = (
-        time_values,
-        traj.e_state,
-        traj.e_passive,
-        traj.ergotropy,
-        traj.erg_v,
-        traj.erg_theta,
-        traj.wigner_entropy,
-        traj.f_beta_t,
-        traj.r_t,
-    )
-    rows = zip(*(column.tolist() for column in columns))
-    return "\n".join([TRAJECTORY_HEADER, *(_TRAJECTORY_ROW % row for row in rows)]) + "\n"
+def _trajectory_lines(time_values, traj):
+    """The trajectory CSV's rows, _BLOCK_ROWS to a text: time_values, then traj's fields after tau."""
+    columns = (time_values, *list(vars(traj).values())[1:])
+    for start in range(0, time_values.size, _BLOCK_ROWS):
+        rows = zip(*(column[start : start + _BLOCK_ROWS].tolist() for column in columns))
+        yield "".join([_TRAJECTORY_ROW % row for row in rows])
 
 
 def cmd_simulate(args) -> int:
@@ -168,26 +166,27 @@ def cmd_simulate(args) -> int:
     if args.tmax / args.dt > _MAX_GRID:
         raise CliError(f"the time grid holds more than {_MAX_GRID} steps of --dt")
     spec = SystemBathSpec(omega=args.omega, gamma=args.gamma, nbar=args.nbar)
-    state = _build_family(args)
     steps = int(round(args.tmax / args.dt))
+    # the grid's last tau, as numpy forms it below
+    if steps * args.dt * (args.gamma if args.absolute_time else 1.0) == math.inf:
+        raise CliError("the time grid ends beyond float range in tau = gamma t")
+    state = _build_family(args)
     grid_in = np.arange(steps + 1) * args.dt
     tau_grid = grid_in * args.gamma if args.absolute_time else grid_in
     traj = sample_trajectory(state, spec, tau_grid)
-    _write_text(args.output, _trajectory_csv(grid_in, traj))
+    _write_csv(args.output, TRAJECTORY_HEADER, _trajectory_lines(grid_in, traj))
     return 0
 
 
 # ---------------------------------------------------------------- crossing
 
 
-def _sweep_csv(rows) -> str:
-    lines = [SWEEP_HEADER]
-    for r, nbar_pi, nbar, mu, (exists, closed, numeric, erg_s, erg_d, note) in rows:
-        closed = "" if closed is None else _fmt(closed)
-        numeric = "" if numeric is None else _fmt(numeric)
-        exists = "true" if exists else "false"
-        lines.append(_SWEEP_ROW % (r, nbar_pi, nbar, mu, exists, closed, numeric, erg_s, erg_d, note))
-    return "\n".join(lines) + "\n"
+def _sweep_line(row: ScanRow) -> str:
+    r, nbar_pi, nbar, mu, (exists, closed, numeric, erg_s, erg_d, note) = row
+    closed = "" if closed is None else _FLOAT % closed
+    numeric = "" if numeric is None else _FLOAT % numeric
+    exists = "true" if exists else "false"
+    return _SWEEP_ROW % (r, nbar_pi, nbar, mu, exists, closed, numeric, erg_s, erg_d, note)
 
 
 def cmd_crossing(args) -> int:
@@ -199,17 +198,17 @@ def cmd_crossing(args) -> int:
         f"parameters: r = {args.r}, |mu| = {abs(args.mu)}, nbar_pi = {args.nbar_pi}, "
         f"nbar = {args.nbar} (omega = {args.omega}, gamma = {args.gamma})"
     )
-    print(f"initial ergotropy squeezed  = {_fmt(report.erg0_squeezed)}")
-    print(f"initial ergotropy displaced = {_fmt(report.erg0_displaced)}")
+    print(f"initial ergotropy squeezed  = {report.erg0_squeezed:.17g}")
+    print(f"initial ergotropy displaced = {report.erg0_displaced:.17g}")
     if report.exists:
-        print(f"tau_c closed form = {_fmt(report.tau_c_closed)}")
-        print(f"tau_c numeric     = {_fmt(report.tau_c_numeric)}")
-        print(f"|difference|      = {_fmt(abs(report.tau_c_closed - report.tau_c_numeric))}")
+        print(f"tau_c closed form = {report.tau_c_closed:.17g}")
+        print(f"tau_c numeric     = {report.tau_c_numeric:.17g}")
+        print(f"|difference|      = {abs(report.tau_c_closed - report.tau_c_numeric):.17g}")
     else:
         print(f"no crossing: {report.validity_note}")
     if args.csv:
         row = ScanRow(args.r, args.nbar_pi, args.nbar, abs(args.mu), report)
-        _write_text(args.csv, _sweep_csv([row]))
+        _write_csv(args.csv, SWEEP_HEADER, [_sweep_line(row)])
     return 0
 
 
@@ -246,15 +245,15 @@ def cmd_sweep(args) -> int:
         mu=args.mu,
     )
     rows = mpemba_scan(grid, spec).rows
-    _write_text(args.output, _sweep_csv(rows))
-    reports = [row.report for row in rows]
-    notes = [rep.validity_note for rep in reports]
-    tally = ", ".join(
-        f"{note or 'crossing'} {notes.count(note)}"
-        for note in ("", NOTE_NO_PRECONDITION, NOTE_DEGENERATE, NOTE_NO_CROSSING)
-    )
-    gaps = [abs(rep.tau_c_closed - rep.tau_c_numeric) for rep in reports if rep.exists]
-    largest = _fmt(max(gaps)) if gaps else "none"
+    _write_csv(args.output, SWEEP_HEADER, map(_sweep_line, rows))
+    notes = dict.fromkeys(("", NOTE_NO_PRECONDITION, NOTE_DEGENERATE, NOTE_NO_CROSSING), 0)
+    largest = -math.inf
+    for *_, rep in rows:
+        notes[rep.validity_note] += 1
+        if rep.exists:
+            largest = max(largest, abs(rep.tau_c_closed - rep.tau_c_numeric))
+    tally = ", ".join(f"{note or 'crossing'} {count}" for note, count in notes.items())
+    largest = _FLOAT % largest if largest >= 0.0 else "none"
     print(f"sweep rows: {tally}; largest |tau_c_closed - tau_c_numeric|: {largest}", file=sys.stderr)
     return 0
 
@@ -560,12 +559,9 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliError as err:
+    except (CliError, ValueError) as err:  # a ValueError, InvalidStateError among them, is a usage error
         print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except (InvalidStateError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return err.code if isinstance(err, CliError) else 2
 
 
 if __name__ == "__main__":

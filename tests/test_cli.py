@@ -1,7 +1,9 @@
 """Command-line surface: CSV schemas, determinism, config files, exit codes."""
 
 import dataclasses
+import errno
 import functools
+import io
 import math
 import os
 import subprocess
@@ -16,11 +18,14 @@ import ergoflow
 from ergoflow import (
     CrossingReport,
     ScanRow,
+    SweepGrid,
     SystemBathSpec,
     cli,
     crossing_time_closed_form,
     displaced_thermal,
     ergotropy,
+    mpemba_scan,
+    sample_trajectory,
     squeezed_thermal,
 )
 from ergoflow.cli import SWEEP_HEADER, TRAJECTORY_HEADER, parse_config_text
@@ -33,6 +38,29 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class UnwritableStdout(io.StringIO):
+    """A stdout whose writes raise error; its fileno() is that of a scratch file."""
+
+    def __init__(self, error, fd):
+        super().__init__()
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def fileno(self):
+        return self.fd
+
+
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_csv(path):
@@ -138,8 +166,18 @@ class TestSimulate:
             (["--tmax", "0.1", "--dt", "0.5"], "--tmax must be at least one step --dt"),
             # 10^7 steps: refused before any grid-sized array is made
             (["--tmax", "1e7", "--dt", "1"], "the time grid holds more than 1000000 steps of --dt"),
+            # 1.6 steps round to 2, past the largest float: was numpy's overflow warning
+            # and "tau grid must be finite"
+            (["--tmax", "1.7976931348623157e308", "--dt", "1.1235582092889474e308"],
+             "the time grid ends beyond float range in tau = gamma t"),
+            # the fuzzer's finding: tau = gamma t overflowed with numpy's warning
+            (["--tmax", "1e300", "--dt", "1e299", "--gamma", "1e300", "--absolute-time"],
+             "the time grid ends beyond float range in tau = gamma t"),
         ],
-        ids=["infinite-tmax", "nan-tmax", "nan-dt", "infinite-dt", "tmax-below-dt", "oversized-grid"],
+        ids=[
+            "infinite-tmax", "nan-tmax", "nan-dt", "infinite-dt", "tmax-below-dt", "oversized-grid",
+            "grid-beyond-float-range", "tau-beyond-float-range",
+        ],
     )
     def test_invalid_time_grid_exits_2(self, capsys, flags, message):
         code, out, err = run(["simulate", "--family", "thermal", *flags], capsys)
@@ -157,6 +195,51 @@ class TestSimulate:
         )
         assert code == 2
         assert "cannot write" in err
+
+    @pytest.mark.parametrize(
+        "error, exit_code, message",
+        [
+            # was an OSError traceback and exit 1, where -o of a full file exits 2
+            (OSError(errno.ENOSPC, "No space left on device"), 2,
+             "error: cannot write output file '-': [Errno 28] No space left on device\n"),
+            # a reader that has gone, as after `| head`, ends the output quietly
+            (BrokenPipeError(errno.EPIPE, "Broken pipe"), 0, ""),
+        ],
+        ids=["full", "closed-pipe"],
+    )  # fmt: skip
+    def test_unwritable_stdout(self, tmp_path, capsys, monkeypatch, error, exit_code, message):
+        with open(tmp_path / "stdout", "w") as scratch:
+            monkeypatch.setattr(sys, "stdout", UnwritableStdout(error, scratch.fileno()))
+            code, _, err = run(["simulate", "--family", "thermal", "-o", "-"], capsys)
+            # what stdout still buffers goes to devnull, so the flush at exit cannot fail again
+            assert os.path.samestat(os.fstat(scratch.fileno()), os.stat(os.devnull))
+        assert (code, err) == (exit_code, message)
+
+    @pytest.mark.parametrize("target", ["full", "closed-pipe"])
+    def test_unwritable_stdout_in_a_fresh_interpreter(self, target):
+        # stdout buffered, as without PYTHONUNBUFFERED: the flush at exit must not
+        # print "Exception ignored" or turn the exit code into 120
+        if target == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(ergoflow.__file__).parent.parent)
+        if target == "full":
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ergoflow.cli", "simulate", "--family", "thermal"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        finally:
+            os.close(stdout)
+        if target == "full":
+            assert proc.returncode == 2
+            assert proc.stderr == "error: cannot write output file '-': [Errno 28] No space left on device\n"
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -423,13 +506,19 @@ class TestCsvText:
     # a tiny normal, the largest float and a value with all 17 digits
     VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -1 / 3]
 
-    def test_trajectory_rows(self):
-        columns = [np.roll(self.VALUES, k) for k in range(9)]
-        traj = ergoflow.Trajectory(*columns)
-        rows = [",".join(format(float(column[i]), ".17g") for column in columns) for i in range(len(self.VALUES))]
-        assert cli._trajectory_csv(columns[0], traj) == "\n".join([TRAJECTORY_HEADER, *rows]) + "\n"
+    def test_trajectory_rows(self, tmp_path):
+        # two whole blocks and three rows, so each block edge and a short last block are written;
+        # the tau column is the time values given, not the trajectory's own
+        n = 2 * cli._BLOCK_ROWS + 3
+        columns = [np.resize(np.roll(self.VALUES, k), n) for k in range(9)]
+        blocks = list(cli._trajectory_lines(columns[0], ergoflow.Trajectory(np.full(n, np.nan), *columns[1:])))
+        assert [block.count("\n") for block in blocks] == [cli._BLOCK_ROWS, cli._BLOCK_ROWS, 3]
+        rows = [",".join(format(float(column[i]), ".17g") for column in columns) for i in range(n)]
+        expected = "\n".join([TRAJECTORY_HEADER, *rows]) + "\n"
+        cli._write_csv(str(tmp_path / "trajectory.csv"), TRAJECTORY_HEADER, blocks)
+        assert (tmp_path / "trajectory.csv").read_bytes() == expected.encode()
 
-    def test_sweep_rows(self):
+    def test_sweep_rows(self, tmp_path):
         values, rows, expected = self.VALUES, [], [SWEEP_HEADER]
         for k in range(len(values)):
             x = values[k:] + values[:k]
@@ -439,7 +528,42 @@ class TestCsvText:
             cells = [format(v, ".17g") for v in x[:4]] + ["true" if note == "" else "false"]
             cells += ["" if v is None else format(v, ".17g") for v in (closed, numeric)]
             expected.append(",".join(cells + [format(x[6], ".17g"), format(x[7], ".17g"), note]))
-        assert cli._sweep_csv(rows) == "\n".join(expected) + "\n"
+        cli._write_csv(str(tmp_path / "sweep.csv"), SWEEP_HEADER, map(cli._sweep_line, rows))
+        assert (tmp_path / "sweep.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+class TestCsvMemory:
+    # Rows are written as they are formatted, so a command's traced peak, less
+    # that of the library call whose rows it writes, does not grow with the grid.
+    # Whole-output text traced 1.3 and 12 MB above sample_trajectory at 2,001 and
+    # 20,001 rows, and 0.10 and 0.68 MB above mpemba_scan at 300 and 3,000 points;
+    # streamed, 0.64 and 0.05 MB, and 0.05 MB at both grids.  A first untraced run
+    # keeps one-time allocations out of both peaks.
+
+    def test_simulate_peaks_with_its_trajectory(self, tmp_path, capsys):
+        argv = [
+            "simulate", "--family", "squeezed", "--nbar-pi", "0.2", "--nbar", "0.4", "--r", "1",
+            "--dt", "0.01", "-o", str(tmp_path / "trajectory.csv"),
+        ]  # fmt: skip
+        assert cli.main(argv + ["--tmax", "1"]) == 0
+        for rows in (2001, 20001):
+            code, peak = traced_peak(lambda: cli.main(argv + ["--tmax", str((rows - 1) // 100)]))
+            assert code == 0
+            state, spec, tau = squeezed_thermal(0.2, 1.0), SystemBathSpec(nbar=0.4), np.arange(rows) * 0.01
+            _, library_peak = traced_peak(lambda: sample_trajectory(state, spec, tau))
+            assert peak - library_peak < 2**20, rows
+        capsys.readouterr()
+
+    def test_sweep_peaks_with_its_scan(self, tmp_path, capsys):
+        argv = ["sweep", "--r", "1", "--mu", "1", "--nbar-pi", "0.5", "-o", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv + ["--nbar-axis", "0", "2", "3"]) == 0
+        for points in (300, 3000):
+            code, peak = traced_peak(lambda: cli.main(argv + ["--nbar-axis", "0", "2", str(points)]))
+            assert code == 0
+            grid = SweepGrid((1.0,), (0.5,), tuple(float(v) for v in np.linspace(0.0, 2.0, points)), 1.0)
+            _, library_peak = traced_peak(lambda: mpemba_scan(grid, SystemBathSpec()))
+            assert peak - library_peak < 2**18, points
+        capsys.readouterr()
 
 
 class TestConfigFile:

@@ -6,7 +6,8 @@ squares leave float range, r up to where V^2 does, omega and gamma over
 1e-300..1e300), with signed zeros and exact zeros mixed in.  Every call
 returns finite values or raises the documented ValueError (InvalidStateError
 is one); numpy's RuntimeWarnings are errors.  The quadrature oracle runs
-on n = 8 grids.
+on n = 8 grids.  The simulate command runs through cli.main on grids of 1 to
+20 steps of a drawn --dt, and exits 0 with finite cells or 2 with a message.
 """
 
 import cmath
@@ -36,6 +37,7 @@ from ergoflow import (
     thermal_state,
     wigner_entropy,
 )
+from ergoflow import cli
 from ergoflow.oracles.quadrature import norm_energy_entropy, relative_entropy_quadrature
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -160,3 +162,29 @@ def test_valid_calls_are_finite_or_refused(seed):
             assert report.exists == (report.validity_note == ""), (point, spec, report)
     # the draws reach every function with valid arguments, not only its refusals
     assert min(answered.values()) >= CASES // 10, answered
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_simulate_exits_0_or_2_with_finite_cells(seed, capsys):
+    draw = Draw(seed)
+    exits = []
+    for _ in range(CASES):
+        dt = draw.log(TIME, 0.0)
+        argv = [
+            "simulate", f"--family={draw.rng.choice(cli.FAMILIES)}", f"--nbar-pi={draw.log(OCCUPATION)!r}",
+            f"--nbar={draw.log(OCCUPATION)!r}", f"--mu={draw.amplitude()!r}", f"--r={draw.log(SQUEEZING)!r}",
+            f"--theta={2.0 * math.pi * draw.rng.random()!r}", f"--omega={draw.log(RATE, 0.0)!r}",
+            f"--gamma={draw.log(RATE, 0.0)!r}", f"--dt={dt!r}", f"--tmax={dt * draw.rng.uniform(1.0, 20.0)!r}",
+            *(["--absolute-time"] if draw.rng.random() < 0.5 else []), "-o", "-",
+        ]  # fmt: skip
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        exits.append(code)
+        if code == 0:
+            header, *rows = out.splitlines()
+            assert header == cli.TRAJECTORY_HEADER and rows, argv
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")), argv
+        else:
+            assert code == 2 and out == "" and err.startswith("error: "), (argv, code, err)
+    # the draws reach the CSV, not only its refusals
+    assert exits.count(0) >= CASES // 10, exits
