@@ -11,8 +11,9 @@ Times are entered and reported as the dimensionless tau = gamma * t unless
 --absolute-time is given.  A flat "key = value" config file can supply any
 flag of the invoked subcommand; explicit flags win over the file.
 
-Exit codes: 0 success, 1 tolerance breach, 2 usage error or unwritable output
-(a reader that closes stdout early, as `| head` does, ends a CSV quietly).
+Exit codes: 0 success, 1 tolerance breach, 2 usage error or unwritable output.
+Every command, --help too, writes stdout through main: a reader that closes
+stdout early, as `| head` does, ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -125,13 +126,10 @@ def _write_csv(path: str, header: str, lines):
         with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="ascii", newline="") as handle:
             handle.write(header + "\n")
             handle.writelines(lines)
-            handle.flush()
+            handle.flush()  # before the caller goes on, as sweep does to its stderr summary
     except OSError as err:
-        if path == "-":  # what stdout still buffers goes to devnull, not to the flush at exit
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-            if isinstance(err, BrokenPipeError):
-                return  # the reader has gone, as after `| head`
+        if path == "-":
+            raise  # main handles stdout for every command
         raise CliError(f"cannot write output file {path!r}: {err}")
 
 
@@ -173,6 +171,9 @@ def cmd_simulate(args) -> int:
     state = _build_family(args)
     grid_in = np.arange(steps + 1) * args.dt
     tau_grid = grid_in * args.gamma if args.absolute_time else grid_in
+    # a product in subnormal floats can round neighbouring steps to one value
+    if args.absolute_time and not np.all(np.diff(tau_grid) > 0.0):
+        raise CliError("--dt times --gamma rounds the steps of tau = gamma t to ties")
     traj = sample_trajectory(state, spec, tau_grid)
     _write_csv(args.output, TRAJECTORY_HEADER, _trajectory_lines(grid_in, traj))
     return 0
@@ -304,7 +305,7 @@ def _rk4_order(args, spec, seeds):
 
 def _rk4_thermal(args, spec, seeds):
     from .oracles.lyapunov import rk4_moment_path
-    thermal = thermal_state(spec.nbar)
+    thermal, _ = seeds[1]
     means, covs = rk4_moment_path([thermal], spec, args.rk4_dt / spec.gamma, [1.0 / spec.gamma])
     return _moment_deviation(means[0, 0], covs[0, 0], thermal)
 
@@ -459,8 +460,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops a failed write, which main must see
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ergoflow",
         description="Gaussian quantum-battery datasets and verification suites",
     )
@@ -555,13 +561,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _inject_config(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        try:
+            argv = _inject_config(argv)
+            args = build_parser().parse_args(argv)
+            return args.handler(args)
+        finally:  # on argparse's exits too, such as --help's, so a failed write ends below
+            sys.stdout.flush()
     except (CliError, ValueError) as err:  # a ValueError, InvalidStateError among them, is a usage error
         print(f"error: {err}", file=sys.stderr)
         return err.code if isinstance(err, CliError) else 2
+    except OSError as err:  # only stdout's writes reach here
+        # what stdout still buffers goes to devnull, not to the flush at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(err, BrokenPipeError):
+            return 0  # the reader has gone, as after `| head`
+        print(f"error: cannot write output file '-': {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -173,10 +173,14 @@ class TestSimulate:
             # the fuzzer's finding: tau = gamma t overflowed with numpy's warning
             (["--tmax", "1e300", "--dt", "1e299", "--gamma", "1e300", "--absolute-time"],
              "the time grid ends beyond float range in tau = gamma t"),
+            # another fuzzer finding: t * gamma rounds to zeros, and was "tau grid must be
+            # strictly increasing", a grid the user never entered
+            (["--tmax", "1e-14", "--dt", "1e-15", "--gamma", "1e-310", "--absolute-time"],
+             "--dt times --gamma rounds the steps of tau = gamma t to ties"),
         ],
         ids=[
             "infinite-tmax", "nan-tmax", "nan-dt", "infinite-dt", "tmax-below-dt", "oversized-grid",
-            "grid-beyond-float-range", "tau-beyond-float-range",
+            "grid-beyond-float-range", "tau-beyond-float-range", "tau-steps-tied",
         ],
     )
     def test_invalid_time_grid_exits_2(self, capsys, flags, message):
@@ -195,51 +199,6 @@ class TestSimulate:
         )
         assert code == 2
         assert "cannot write" in err
-
-    @pytest.mark.parametrize(
-        "error, exit_code, message",
-        [
-            # was an OSError traceback and exit 1, where -o of a full file exits 2
-            (OSError(errno.ENOSPC, "No space left on device"), 2,
-             "error: cannot write output file '-': [Errno 28] No space left on device\n"),
-            # a reader that has gone, as after `| head`, ends the output quietly
-            (BrokenPipeError(errno.EPIPE, "Broken pipe"), 0, ""),
-        ],
-        ids=["full", "closed-pipe"],
-    )  # fmt: skip
-    def test_unwritable_stdout(self, tmp_path, capsys, monkeypatch, error, exit_code, message):
-        with open(tmp_path / "stdout", "w") as scratch:
-            monkeypatch.setattr(sys, "stdout", UnwritableStdout(error, scratch.fileno()))
-            code, _, err = run(["simulate", "--family", "thermal", "-o", "-"], capsys)
-            # what stdout still buffers goes to devnull, so the flush at exit cannot fail again
-            assert os.path.samestat(os.fstat(scratch.fileno()), os.stat(os.devnull))
-        assert (code, err) == (exit_code, message)
-
-    @pytest.mark.parametrize("target", ["full", "closed-pipe"])
-    def test_unwritable_stdout_in_a_fresh_interpreter(self, target):
-        # stdout buffered, as without PYTHONUNBUFFERED: the flush at exit must not
-        # print "Exception ignored" or turn the exit code into 120
-        if target == "full" and not os.path.exists("/dev/full"):
-            pytest.skip("no /dev/full")
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(ergoflow.__file__).parent.parent)
-        if target == "full":
-            stdout = os.open("/dev/full", os.O_WRONLY)
-        else:
-            read_end, stdout = os.pipe()
-            os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "ergoflow.cli", "simulate", "--family", "thermal"],
-                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, check=False,
-            )
-        finally:
-            os.close(stdout)
-        if target == "full":
-            assert proc.returncode == 2
-            assert proc.stderr == "error: cannot write output file '-': [Errno 28] No space left on device\n"
-        else:
-            assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -499,6 +458,67 @@ class TestSweep:
             assert row[5] == ("" if closed is None else format(closed, ".17g"))
             assert row[7] == format(ergotropy(squeezed_thermal(nbar_pi, r), spec), ".17g")
             assert row[8] == format(ergotropy(displaced_thermal(nbar_pi, mu), spec), ".17g")
+
+
+class TestStdout:
+    """Every command, and --help, meets one stdout contract, in main."""
+
+    COMMANDS = [
+        ["simulate", "--family", "thermal"],
+        ["sweep"],
+        ["crossing"],
+        ["crossing", "--csv", "-"],
+        ["verify", "--states", "2", "--points", "1"],
+        ["crossing", "--help"],
+    ]
+    IDS = ["simulate", "sweep", "crossing", "crossing-csv", "verify", "help"]
+    FULL = "error: cannot write output file '-': [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    @pytest.mark.parametrize(
+        "error, exit_code, message",
+        [
+            # a full device: the one message line that -o of a full file gives
+            (OSError(errno.ENOSPC, "No space left on device"), 2, FULL),
+            # a reader that has gone, as after `| head`, ends the output quietly
+            (BrokenPipeError(errno.EPIPE, "Broken pipe"), 0, ""),
+        ],
+        ids=["full", "closed-pipe"],
+    )  # fmt: skip
+    def test_unwritable_stdout(self, tmp_path, capsys, monkeypatch, argv, error, exit_code, message):
+        # stdout unbuffered, as with PYTHONUNBUFFERED: the first write fails
+        with open(tmp_path / "stdout", "w") as scratch:
+            monkeypatch.setattr(sys, "stdout", UnwritableStdout(error, scratch.fileno()))
+            code, _, err = run(argv, capsys)
+            # what stdout still buffers goes to devnull, so the flush at exit cannot fail again
+            assert os.path.samestat(os.fstat(scratch.fileno()), os.stat(os.devnull))
+        assert (code, err) == (exit_code, message)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    @pytest.mark.parametrize("target", ["full", "closed-pipe"])
+    def test_unwritable_stdout_in_a_fresh_interpreter(self, argv, target):
+        # stdout buffered, as without PYTHONUNBUFFERED: the flush at exit must not
+        # print "Exception ignored" or turn the exit code into 120
+        if target == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(ergoflow.__file__).parent.parent)
+        if target == "full":
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ergoflow.cli", *argv],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        finally:
+            os.close(stdout)
+        if target == "full":
+            assert (proc.returncode, proc.stderr) == (2, self.FULL)
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestCsvText:

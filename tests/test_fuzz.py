@@ -7,12 +7,15 @@ squares leave float range, r up to where V^2 does, omega and gamma over
 returns finite values or raises the documented ValueError (InvalidStateError
 is one); numpy's RuntimeWarnings are errors.  The quadrature oracle runs
 on n = 8 grids.  The simulate command runs through cli.main on grids of 1 to
-20 steps of a drawn --dt, and exits 0 with finite cells or 2 with a message.
+20 steps of a drawn --dt, and exits 0 with finite cells or 2 with a message;
+so does the crossing command, with or without its one-row CSV on stdout.
 """
 
 import cmath
+import functools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +105,13 @@ def attempt(call):
         return None
 
 
+@pytest.fixture
+def main(monkeypatch):
+    """cli.main with its parser built once: building it is most of a fuzzed call's time."""
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    return cli.main
+
+
 def state_moments(state):
     return state.alpha_mean, state.symmetric_variance, state.anomalous_variance
 
@@ -165,7 +175,7 @@ def test_valid_calls_are_finite_or_refused(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_simulate_exits_0_or_2_with_finite_cells(seed, capsys):
+def test_simulate_exits_0_or_2_with_finite_cells(seed, main, capsys):
     draw = Draw(seed)
     exits = []
     for _ in range(CASES):
@@ -177,7 +187,7 @@ def test_simulate_exits_0_or_2_with_finite_cells(seed, capsys):
             f"--gamma={draw.log(RATE, 0.0)!r}", f"--dt={dt!r}", f"--tmax={dt * draw.rng.uniform(1.0, 20.0)!r}",
             *(["--absolute-time"] if draw.rng.random() < 0.5 else []), "-o", "-",
         ]  # fmt: skip
-        code = cli.main(argv)
+        code = main(argv)
         out, err = capsys.readouterr()
         exits.append(code)
         if code == 0:
@@ -187,4 +197,28 @@ def test_simulate_exits_0_or_2_with_finite_cells(seed, capsys):
         else:
             assert code == 2 and out == "" and err.startswith("error: "), (argv, code, err)
     # the draws reach the CSV, not only its refusals
+    assert exits.count(0) >= CASES // 10, exits
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_crossing_exits_0_or_2(seed, main, capsys):
+    draw = Draw(seed)
+    exits = []
+    for _ in range(CASES):
+        csv = draw.rng.random() < 0.3
+        argv = [
+            "crossing", f"--r={draw.log(SQUEEZING)!r}", f"--mu={draw.amplitude()!r}",
+            f"--nbar-pi={draw.log(OCCUPATION)!r}", f"--nbar={draw.log(OCCUPATION)!r}",
+            f"--omega={draw.log(RATE, 0.0)!r}", f"--gamma={draw.log(RATE, 0.0)!r}", *(["--csv", "-"] if csv else []),
+        ]  # fmt: skip
+        code = main(argv)
+        out, err = capsys.readouterr()
+        exits.append(code)
+        if code == 0:
+            values = re.findall(r"= ([^,()\s]+)", out)
+            assert len(values) >= 8 and all(math.isfinite(float(v)) for v in values), (argv, out)
+            assert out.count(cli.SWEEP_HEADER) == csv, (argv, out)
+        else:
+            assert code == 2 and out == "" and err.startswith("error: "), (argv, code, err)
+    # the draws reach the report, not only its refusals
     assert exits.count(0) >= CASES // 10, exits
