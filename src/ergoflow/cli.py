@@ -413,6 +413,8 @@ def cmd_verify(args) -> int:
     ):
         if not 1 <= count <= most:
             raise CliError(f"{flag} must be at least 1 and at most {most}")
+    if args.seed < 0:  # numpy's generators refuse it
+        raise CliError("--seed must be nonnegative")
     # the RK4 batch runs to tau = 5 and the Fock trajectory to tau = 3
     for flag, dt, span in (("--rk4-dt", args.rk4_dt, 5.0), ("--fock-dt", args.fock_dt, 3.0)):
         if not 0.0 < dt < math.inf:

@@ -278,13 +278,13 @@ def _closed_form_time(p, mu_abs, mu_sq, f) -> float:
     return math.log1p(math.ldexp(c, n)) if n < 1000 else math.log(c) + n * math.log(2.0)
 
 
-def _charges(x, lam_s, m_s, v_sq, f, omega):
-    """Squeezed and displaced ergotropy once the seeds have relaxed to x = exp(-tau).
+def _charges(tau, lam_s, m_s, v_sq, f, omega):
+    """Squeezed and displaced ergotropy at tau, elementwise, from seeds relaxed to x = exp(-tau) (1 at tau = 0).
 
     The squeezed seed has no mean and the displaced one no M, so one core pass over
     (lam_s, |m_s|, |v_d|^2) gives both: its covariance and its displacement share.
     """
-    _, erg_d, erg_s = _work(*_relax(lam_s, m_s, v_sq, f, x), omega)
+    _, erg_d, erg_s = _work(*_relax(lam_s, m_s, v_sq, f, np.exp(-tau)), omega)
     return erg_s, erg_d
 
 
@@ -309,7 +309,7 @@ def _bisect(lo, hi, moments, floor, hint, settled):
     So the hint changes no result, only the number of evaluations.
     """
     a, b = hint * (1.0 - _HINT_RTOL), hint * (1.0 + _HINT_RTOL)
-    positive, _, significant = _flags(*_charges(np.exp(-np.stack([a, b])), *moments), floor)
+    positive, _, significant = _flags(*_charges(np.stack([a, b]), *moments), floor)
     # a bracket that is not certified takes more evaluated rounds than the others
     # could skip, so halvings are skipped only where every bracket is certified
     certified = (settled & significant[0] & positive[0] & significant[1] & ~positive[1]).all()
@@ -321,7 +321,7 @@ def _bisect(lo, hi, moments, floor, hint, settled):
             if (below | above).any():
                 lo, hi = np.where(below, mid, lo), np.where(above, mid, hi)
                 continue
-        erg_s, erg_d = _charges(np.exp(-mid), *moments)
+        erg_s, erg_d = _charges(mid, *moments)
         if ((mid == lo) | (mid == hi)).all():
             return np.where(np.minimum(erg_s, erg_d) >= floor, mid, math.nan)
         # g > 0 exactly when erg_s > erg_d, and g = 0 exactly when erg_s == erg_d (as in _flags)
@@ -361,7 +361,7 @@ def _search(tau, moments, floor, lo, hi, negative):
     """
     for _ in range(int((hi - lo).max(initial=1) - 1).bit_length()):
         mid = (lo + hi) // 2
-        positive, resolved, significant = _flags(*_charges(np.exp(-tau(mid)), *moments), floor)
+        positive, resolved, significant = _flags(*_charges(tau(mid), *moments), floor)
         done = ~resolved | (significant & ~positive) if negative else ~(significant & positive)
         lo, hi = np.where(done, lo, mid), np.where(done, mid, hi)
     return hi
@@ -414,7 +414,7 @@ def _numeric_crossings(seeds, tau_max, scan_step, hints=None) -> tuple:
     # moment products behind it are normal too) has lost its relative
     # precision, and so has the gap's sign
     floor = sys.float_info.min * np.maximum(1.0, moments[-1])
-    erg_s, erg_d = _charges(1.0, *moments)
+    erg_s, erg_d = _charges(0.0, *moments)
     positive, resolved, significant = _flags(erg_s, erg_d, floor)
     equal = resolved & (np.abs(erg_s - erg_d) <= _EQUAL_CHARGE_RTOL * (erg_s + erg_d))
     times = np.where(equal, 0.0, math.nan)
@@ -423,7 +423,7 @@ def _numeric_crossings(seeds, tau_max, scan_step, hints=None) -> tuple:
     moments, floor = moments[:, pending], floor[pending]
     # the samples k, k + 1 around the hint (k = size - 2 where it is nan or past the window)
     k = np.clip(np.floor(np.fmin(hints[pending], tau_max) / scan_step), 0, size - 2).astype(int)
-    positive, _, significant = _flags(*_charges(np.exp(-tau(np.stack([k, k + 1]))), *moments), floor)
+    positive, _, significant = _flags(*_charges(tau(np.stack([k, k + 1])), *moments), floor)
     sure = significant & positive
     # L + 1, each point's first sample that is not sure, is k + 1 where k is sure and
     # k + 1 not, beyond k + 1 where that is sure, and before k where k is not (sample
@@ -434,11 +434,11 @@ def _numeric_crossings(seeds, tau_max, scan_step, hints=None) -> tuple:
     pending, hi, moments, floor = pending[ahead], hi[ahead], moments[:, ahead], floor[ahead]
     lo = hi - 1
     # where sample L + 1 reads g > 0, the bracket ends at Q, if Q is sure negative
-    unbracketed, settled, _ = _flags(*_charges(np.exp(-tau(hi)), *moments), floor)
+    unbracketed, settled, _ = _flags(*_charges(tau(hi), *moments), floor)
     rest = np.flatnonzero(unbracketed)
     q = _search(tau, moments[:, rest], floor[rest], lo[rest], np.full(rest.size, size), True)
     ends = np.minimum([q - 1, q], size - 1)
-    positive, _, significant = _flags(*_charges(np.exp(-tau(ends)), *moments[:, rest]), floor[rest])
+    positive, _, significant = _flags(*_charges(tau(ends), *moments[:, rest]), floor[rest])
     unbracketed[rest] = (q == size) | ~significant[1]
     lo[rest], hi[rest], settled[rest] = np.where(positive[0], q - 1, lo[rest]), q, significant[1]
     points = np.flatnonzero(~unbracketed)
@@ -459,8 +459,8 @@ def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = No
     underflow before they cross give None).  crossing_report takes another
     scan window.
     """
-    _check_point(r, mu, nbar_pi, nbar)
-    return crossing_report(r, mu, nbar_pi, nbar, spec).tau_c_numeric
+    mu_abs = _check_point(r, mu, nbar_pi, nbar)
+    return _reports((r,), (nbar_pi,), (nbar,), mu_abs, spec, _TAU_MAX, _SCAN_STEP)[0].tau_c_numeric
 
 
 def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, spec, tau_max, scan_step) -> list:

@@ -230,9 +230,9 @@ def _band_maps(dim: int):
     return to_band, to_matrix
 
 
-def _rhs_factory(dim: int, rows, cols, spec: SystemBathSpec):
-    """rhs(rho, out, scratch) of the master equation for _rk4_path; rows, cols = _bands(dim)."""
-    j, k = rows.astype(float), cols.astype(float)
+def _rhs_factory(dim: int, spec: SystemBathSpec):
+    """rhs(rho, out) of the master equation on dim levels: writes d rho/dt at the band vector rho into out."""
+    j, k = (index.astype(float) for index in _bands(dim))
     g_down = spec.gamma * (1.0 + spec.nbar)
     g_up = spec.gamma * spec.nbar
     # elementwise part: commutator phases plus both anticommutator halves
@@ -241,18 +241,18 @@ def _rhs_factory(dim: int, rows, cols, spec: SystemBathSpec):
     # (j+1, k+1); both carry the weight sqrt((j+1)(k+1)), indexed by the
     # entry nearer the band start and 0 at each band end, where the shift
     # would run into the next band
-    shift_w = np.where(rows == dim - 1, 0.0, np.sqrt((j + 1.0) * (k + 1.0)))[:-1]
+    shift_w = np.where(j == dim - 1, 0.0, np.sqrt((j + 1.0) * (k + 1.0)))[:-1]
     # complex, as numpy would cast them on every call
     down_w = (g_down * shift_w).astype(complex)
     up_w = (g_up * shift_w).astype(complex)
-    size = shift_w.size
+    jump = np.empty(shift_w.size, dtype=complex)
     mul, add = np.multiply, np.add
 
-    def rhs(rho, out, scratch):
-        jump, lower, upper = scratch[:size], out[:size], out[1:]
+    def rhs(rho, out):
+        lower, upper = out[:-1], out[1:]
         mul(local, rho, out)
         add(lower, mul(down_w, rho[1:], jump), lower)
-        add(upper, mul(up_w, rho[:size], jump), upper)
+        add(upper, mul(up_w, rho[:-1], jump), upper)
 
     return rhs
 
@@ -307,7 +307,7 @@ def _fock_records(rho0, spec, times, dt):
     """fock_lindblad_path's records, each yielded as soon as it is reached and validated."""
     dim = rho0.dim
     to_band, to_matrix = _band_maps(dim)
-    for record in _rk4_path(_rhs_factory(dim, *_bands(dim), spec), to_band(rho0.matrix), dt, times):
+    for record in _rk4_path(_rhs_factory(dim, spec), to_band(rho0.matrix), dt, times):
         yield FockDensityMatrix(to_matrix(record))
 
 

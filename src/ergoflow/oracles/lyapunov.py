@@ -54,8 +54,8 @@ _MAX_STEPS = 10**7
 def _rk4_path(rhs, y0, dt, record_times, frame=None):
     """Classical RK4 from y0 at t = 0; yields a copy of y at each record time.
 
-    rhs(y, out, scratch) writes dy/dt at y into out and may overwrite
-    scratch, a buffer shaped like y.  With frame = (left, right), two
+    rhs(y, out) writes dy/dt at y into out, and touches no other buffer of
+    the driver's: any scratch it needs is its own.  With frame = (left, right), two
     constant arrays shaped like y, y and the stage point each live in the
     middle row of a [left | y | right] buffer, and rhs gets, in y's place,
     the pair of views ([left | y], [y | right]), so that one multiply of the
@@ -102,7 +102,6 @@ def _rk4_path(rhs, y0, dt, record_times, frame=None):
     k1, k2, k3, k4 = slopes = np.empty((4, *y.shape), dtype)
     k2_k3 = slopes[1:3]
     doubled = np.empty_like(k2_k3)
-    # rhs may overwrite two_k2, which each step fills only after its last rhs call
     two_k2, two_k3 = doubled
 
     def factors(h):
@@ -113,13 +112,13 @@ def _rk4_path(rhs, y0, dt, record_times, frame=None):
     mul, add = np.multiply, np.add
 
     def step(half, full, sixth):
-        rhs(at_y, k1, two_k2)
+        rhs(at_y, k1)
         add(y, mul(half, k1, stage), stage)
-        rhs(at_stage, k2, two_k2)
+        rhs(at_stage, k2)
         add(y, mul(half, k2, stage), stage)
-        rhs(at_stage, k3, two_k2)
+        rhs(at_stage, k3)
         add(y, mul(full, k3, stage), stage)
-        rhs(at_stage, k4, two_k2)
+        rhs(at_stage, k4)
         mul(two, k2_k3, doubled)
         add(k1, two_k2, stage)
         add(stage, two_k3, stage)
@@ -173,6 +172,29 @@ def _coefficients(spec: SystemBathSpec):
     return left, right
 
 
+def _moment_rhs(spec: SystemBathSpec, batch: int):
+    """(rhs, frame) of batch states' moment ODE for _rk4_path, y being their raveled (v, C00, C01, C10, C11).
+
+    frame = (left, right) holds one copy of _coefficients per state, and
+    rhs(framed, out) takes framed = ([left | y], [y | right]), so that one
+    multiply forms left*y and y*right, and writes (left*y + y*right) + forcing
+    into out, in that order.
+    """
+    left, right = (np.tile(c, batch) for c in _coefficients(spec))
+    # the stationary covariance f I forces the noise prefactor gamma
+    noise = spec.gamma * spec.f_beta
+    forcing = np.tile(np.array([0.0, noise, 0.0, 0.0, noise], dtype=complex), batch)
+    mul, add = np.multiply, np.add
+    products = np.empty((2, left.size), dtype=complex)
+    left_y, y_right = products
+
+    def rhs(framed, out):
+        mul(*framed, products)
+        add(add(left_y, y_right, out), forcing, out)
+
+    return rhs, (left, right)
+
+
 def _moment_rates(spec: SystemBathSpec) -> np.ndarray:
     """The rates of the moment ODE's five entries in tau units (over gamma): each entry evolves alone.
 
@@ -215,22 +237,8 @@ def rk4_moment_path(
     # (v, C00, C01, C10, C11) per state, raveled so every operand is 1-D
     y0 = np.array([(s.alpha_mean, *s.cov.ravel()) for s in states], dtype=complex).ravel()
     batch = y0.size // 5
-    # the stationary covariance f I forces the noise prefactor gamma
-    noise = spec.gamma * spec.f_beta
-    # one copy of the five coefficients per state, shaped like y
-    left, right = (np.tile(c, batch) for c in _coefficients(spec))
-    forcing = np.tile(np.array([0.0, noise, 0.0, 0.0, noise], dtype=complex), batch)
-
-    mul, add = np.multiply, np.add
-    products = np.empty((2, y0.size), dtype=complex)
-    left_y, y_right = products
-
-    def rhs(framed, out, _):
-        # framed is ([left | y], [y | right]), so one multiply forms left*y and y*right
-        mul(*framed, products)
-        add(add(left_y, y_right, out), forcing, out)
-
-    steps = _rk4_path(rhs, y0, dt, record_times, (left, right))  # checks dt before the stability test reads it
+    rhs, frame = _moment_rhs(spec, batch)
+    steps = _rk4_path(rhs, y0, dt, record_times, frame)  # checks dt before the stability test reads it
     if not _rk4_stable(dt * spec.gamma, _moment_rates(spec)):
         raise ValueError(f"the RK4 step {dt:g} leaves RK4's stability region; reduce the step size")
     path = list(steps)

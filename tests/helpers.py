@@ -196,7 +196,7 @@ def literal_bisect(lo, hi, moments, floor):
     columns = [np.array([value]) for value in moments]
     while True:
         mid = 0.5 * (lo + hi)
-        erg_s, erg_d = mpemba._charges(np.exp(-mid), *columns)
+        erg_s, erg_d = mpemba._charges(mid, *columns)
         g_mid = erg_s - erg_d
         resolved = min(erg_s[0], erg_d[0]) >= floor
         if mid[0] == lo[0] or mid[0] == hi[0] or (g_mid[0] == 0.0 and resolved):
@@ -216,10 +216,9 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
     sample 0) and the first significantly negative resolved sample after it, if any."""
     size, tau = mpemba._window(tau_max, scan_step)
     taus = tau(np.arange(size))
-    decay = np.exp(-taus)
     times = [None] * len(seeds)
     for i, moments in enumerate(seeds):
-        erg_s, erg_d = mpemba._charges(decay, *moments)
+        erg_s, erg_d = mpemba._charges(taus, *moments)
         gap = erg_s - erg_d
         floor = sys.float_info.min * max(1.0, moments[-1])
         resolved = np.minimum(erg_s, erg_d) >= floor

@@ -858,6 +858,17 @@ class TestVerify:
         assert code == 2
         assert message in err
 
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch):
+        # was exit 1: a FAIL row with deviation nan, from numpy's own seed message
+        def refuse(*args, **kwargs):
+            pytest.fail("verify ran a row with a negative --seed")
+
+        monkeypatch.setattr(fock, "fock_gaussian_state", refuse)
+        code, out, err = run(self.FAST + ["--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be nonnegative\n"
+
     def test_inadequate_cutoff_is_loud(self, capsys):
         code, _, err = run(self.FAST[:-2] + ["--r", "1.0", "--cutoff", "10"], capsys)
         assert code == 1

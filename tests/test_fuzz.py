@@ -6,7 +6,8 @@ squares leave float range, r up to where V^2 does, omega and gamma over
 1e-300..1e300), with signed zeros and exact zeros mixed in.  Every call
 returns finite values or raises the documented ValueError (InvalidStateError
 is one); numpy's RuntimeWarnings are errors.  The quadrature oracle runs
-on n = 8 grids.  The simulate command runs through cli.main on grids of 1 to
+on n = 8 grids.  The four thermal-seed constructors and faster_discharge_demo
+are callees of their own, with r of either sign.  The simulate command runs through cli.main on grids of 1 to
 20 steps of a drawn --dt, and exits 0 with finite cells or 2 with a message;
 so does the crossing command, with or without its one-row CSV on stdout.
 """
@@ -31,6 +32,7 @@ from ergoflow import (
     ergotropy_rate,
     ergotropy_split,
     evolve_analytic,
+    faster_discharge_demo,
     mean_energy,
     passive_state,
     relative_wigner_entropy,
@@ -171,6 +173,37 @@ def test_valid_calls_are_finite_or_refused(seed):
             assert finite((*times, report.erg0_squeezed, report.erg0_displaced)), (point, spec, report)
             assert report.exists == (report.validity_note == ""), (point, spec, report)
     # the draws reach every function with valid arguments, not only its refusals
+    assert min(answered.values()) >= CASES // 10, answered
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_constructors_and_demo_are_finite_or_refused(seed):
+    draw = Draw(seed)
+    answered = dict.fromkeys(("thermal", "displaced", "squeezed", "squeezed displaced", "demo"), 0)
+    for _ in range(CASES):
+        occ, amp = draw.log(OCCUPATION), draw.amplitude()
+        # a SqueezingParameter, or a bare r that the constructors wrap, which may be negative
+        z = draw.rng.choice([draw.squeezing(), draw.rng.choice([-1.0, 1.0]) * draw.log(SQUEEZING)])
+        for name, call in (
+            ("thermal", lambda: thermal_state(occ)),
+            ("displaced", lambda: displaced_thermal(occ, amp)),
+            ("squeezed", lambda: squeezed_thermal(occ, z)),
+            ("squeezed displaced", lambda: squeezed_displaced_thermal(occ, amp, z)),
+        ):
+            state = attempt(call)
+            if state is not None:
+                answered[name] += 1
+                assert finite(state_moments(state)), (name, occ, amp, z, state)
+        # the demo's default grid, or a drawn one reaching tau = 1e300
+        r, nbar_pi = draw.rng.choice([-1.0, 1.0]) * draw.log(SQUEEZING), draw.log(OCCUPATION)
+        nbar = draw.log(OCCUPATION)
+        grid = draw.rng.choice([None, draw.tau_grid()])
+        pair = attempt(lambda: faster_discharge_demo(r, nbar_pi, nbar, grid))
+        if pair is not None:
+            answered["demo"] += 1
+            trajectories = [tuple(vars(t).values()) for t in (pair.squeezed, pair.displaced)]
+            assert finite((pair.mu, *trajectories)), (r, nbar_pi, nbar, grid)
+    # the draws reach every callee with valid arguments, not only its refusals
     assert min(answered.values()) >= CASES // 10, answered
 
 

@@ -190,8 +190,8 @@ class TestNumericOracle:
     def test_scan_stops_at_the_first_sign_change(self, monkeypatch):
         samples = []
 
-        def counting(x, *moments):
-            erg_s, erg_d = charges(x, *moments)
+        def counting(tau, *moments):
+            erg_s, erg_d = charges(tau, *moments)
             if erg_s.size:  # a step of the oracle that no point reaches forms no sample
                 samples.append(erg_s.size)
             return erg_s, erg_d
@@ -300,9 +300,8 @@ class TestNumericOracle:
         # bracket [0, 5] ends where the charges are not resolved, so its halvings above
         # b are evaluated, run into the unresolved g > 0 and find no resolved root, as
         # the per-point scan does; with the upper end resolved, at 1.5, they are skipped
-        def charges(x, *moments):
-            tau = -np.log(x)
-            erg_d = sys.float_info.min * math.exp(2.0) * x * np.ones_like(moments[0])
+        def charges(tau, *moments):
+            erg_d = sys.float_info.min * math.exp(2.0) * np.exp(-tau) * np.ones_like(moments[0])
             ratio = np.where(tau < 2.0, 1.0 + 0.1 * (1.0 - tau), np.where(tau < 4.0, 1.5, 0.5))
             return ratio * erg_d, erg_d
 
@@ -319,9 +318,9 @@ class TestNumericOracle:
         # more than 60 without
         calls = []
 
-        def counting(x, *moments):
+        def counting(tau, *moments):
             calls.append(1)
-            return charges(x, *moments)
+            return charges(tau, *moments)
 
         rng = np.random.default_rng(1)
         r_values = tuple(float(r) for r in (rng.uniform(0.2, 0.4), *sorted(rng.uniform(1.1, 1.5, 2))))
@@ -355,7 +354,7 @@ class TestNumericOracle:
                 r, excess = rng.uniform(0.05, 3.0), rng.uniform(1e-3, 2.0)
             points.append((r, equal_charge_amplitude(r, nbar_pi) * (1.0 + excess), nbar_pi, nbar))
         seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
-        erg_s, erg_d = mpemba._charges(1.0, *np.array(seeds).T)
+        erg_s, erg_d = mpemba._charges(0.0, *np.array(seeds).T)
         assert np.all(erg_s <= erg_d)
         assert literal_crossing_scan(seeds, *window) == [None] * len(seeds)
         assert mpemba._numeric_crossings(seeds, *window)[0] == [None] * len(seeds)
@@ -451,7 +450,6 @@ class TestNumericOracle:
         step, noise, big = mpemba._SCAN_STEP, 1e-14, 1e-3
         n, tau = mpemba._window(tau_max, step)
         taus = tau(np.arange(n))
-        decay = np.exp(-taus)
         gaps, scales, omegas, placed = [], [], [], []
 
         def point(last, middle=(), negatives=n, tail=-big, bracket=None, scale=1.0, omega=1.0):
@@ -511,13 +509,13 @@ class TestNumericOracle:
             point(last, middle, int(rng.integers(0, 4)), rng.choice([-big, big]), ...)
         gaps, scales = np.array(gaps), np.array(scales)
 
-        def charges(x, ident, *_):
+        def charges(at, ident, *_):
             ident = np.asarray(ident).astype(int)
-            # a scan sample is an entry of decay; a bisection midpoint lies between two
-            j = np.searchsorted(-decay, -np.asarray(x))
-            exact = decay[np.minimum(j, n - 1)] == x
+            # a scan sample is an entry of taus; a bisection midpoint lies between two
+            j = np.searchsorted(taus, at)
+            exact = taus[np.minimum(j, n - 1)] == at
             lo, hi = np.maximum(j - 1, 0), np.minimum(j, n - 1)
-            t = np.where(exact, 1.0, (-np.log(x) - taus[lo]) / (taus[hi] - taus[lo] + exact))
+            t = np.where(exact, 1.0, (at - taus[lo]) / (taus[hi] - taus[lo] + exact))
 
             def between(table):
                 at_lo, at_hi = table[ident, lo], table[ident, hi]
@@ -544,32 +542,33 @@ class TestNumericOracle:
     def test_charges_are_the_shared_core_bit_for_bit(self):
         # _charges is states._work(*dynamics._relax(...)) on the scan's, the bisection's,
         # the tau = 0 and the helpers' shapes
-        def core(x, lam, m, v_sq, f, omega):
-            _, erg_d, erg_s = _work(*_relax(lam, m, v_sq, f, x), omega)
+        def core(tau, lam, m, v_sq, f, omega):
+            _, erg_d, erg_s = _work(*_relax(lam, m, v_sq, f, np.exp(-tau)), omega)
             return erg_s, erg_d
 
         specials = [0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0, 7.5, 1e300]
         rng = rng_for("charges in place")
         columns = [rng.choice(specials, 200) for _ in range(4)] + [rng.choice([1.0, 0.7, 1e10], 200)]
-        x = np.concatenate([np.exp(-0.01 * np.arange(300)), [0.5, 1e-300, 5e-324, 0.0]])
+        # the last two decay to 5e-324 and 0
+        taus = np.concatenate([0.01 * np.arange(300), [math.log(2.0), 690.7755, 744.44, math.inf]])
         seed = seed_row(1.0, 1.0, 0.2, 0.4, omega=1e10)
         cases = [
-            (x, [column[:, None] for column in columns]),  # the scan's (P, 1) x (S,)
-            (rng.choice(x, 200), columns),  # the bisection's (P,) x (P,)
-            (1.0, columns),  # the tau = 0 charges
-            (x, seed),  # the helpers' scalar moments
-            (x, (1e-300, 1e300, 5e-324, 0.5, 1e10)),
+            (taus, [column[:, None] for column in columns]),  # the scan's (P, 1) x (S,)
+            (rng.choice(taus, 200), columns),  # the bisection's (P,) x (P,)
+            (0.0, columns),  # the tau = 0 charges
+            (taus, seed),  # the helpers' scalar moments
+            (taus, (1e-300, 1e300, 5e-324, 0.5, 1e10)),
         ]
         with np.errstate(all="ignore"):
-            for x, moments in cases:
-                expected = [np.asarray(a) for a in core(x, *moments)]
-                found = mpemba._charges(x, *moments)
+            for tau, moments in cases:
+                expected = [np.asarray(a) for a in core(tau, *moments)]
+                found = mpemba._charges(tau, *moments)
                 for a, b in zip(found, expected):
                     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         # a report's tau = 0 charges are the core's, and two oracle calls in a row
         # each see only their own points
         report = crossing_report(1.0, 1.0, 0.2, 0.4, SystemBathSpec(omega=1e10))
-        assert (report.erg0_squeezed, report.erg0_displaced) == tuple(float(a) for a in core(1.0, *seed))
+        assert (report.erg0_squeezed, report.erg0_displaced) == tuple(float(a) for a in core(0.0, *seed))
         points = [(3.0, 1e-6, 0.2, 0.0), (1.0, 1.5, 0.2, 0.4), (1e-7, 1e-8, 0.2, 0.4)]
         late, missing, weak = [seed_row(*p) for p in points]
         batches, window = [[seed, late, missing], [weak]], (mpemba._TAU_MAX, mpemba._SCAN_STEP)

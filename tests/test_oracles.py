@@ -54,7 +54,7 @@ class TestRK4Driver:
             return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         y0 = np.array([1.0, -0.75])
-        records = list(_rk4_path(lambda y, out, _: np.negative(y, out=out), y0, 0.1, [0.0, 0.25, 0.25, 0.3]))
+        records = list(_rk4_path(lambda y, out: np.negative(y, out=out), y0, 0.1, [0.0, 0.25, 0.25, 0.3]))
         assert len(records) == 4
         assert np.array_equal(records[0], y0) and records[0] is not y0
         assert np.array_equal(records[1], records[2])
@@ -75,12 +75,12 @@ class TestRK4Driver:
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_step(self, dt):
         with pytest.raises(ValueError):
-            _rk4_path(lambda y, out, _: np.negative(y, out=out), np.ones(1), dt, [1.0])
+            _rk4_path(lambda y, out: np.negative(y, out=out), np.ones(1), dt, [1.0])
 
     @pytest.mark.parametrize("times", [[-0.1], [math.nan], [math.inf], [0.5, 0.2]])
     def test_rejects_bad_record_times(self, times):
         with pytest.raises(ValueError):
-            _rk4_path(lambda y, out, _: np.negative(y, out=out), np.ones(1), 0.1, times)
+            _rk4_path(lambda y, out: np.negative(y, out=out), np.ones(1), 0.1, times)
 
     @pytest.mark.parametrize("s", [-300, -100, 100, 300])
     def test_records_are_free_of_the_time_scale(self, s):
@@ -92,7 +92,7 @@ class TestRK4Driver:
         times = [0.0, 0.05, 0.25, 0.25, 0.3, 1.0]
 
         def path(scale):
-            def rhs(y, out, _):
+            def rhs(y, out):
                 np.add(np.multiply(rate * scale, y, out), forcing * scale, out)
 
             return list(_rk4_path(rhs, np.array([1.0 + 0.5j, -0.25j]), 0.1 / scale, [t / scale for t in times]))
@@ -102,7 +102,7 @@ class TestRK4Driver:
 
     def test_overflow_is_a_value_error_at_the_first_non_finite_record(self):
         # a step of y' = 700 y multiplies y by about 1e6, so y leaves float range near t = 5
-        records = _rk4_path(lambda y, out, _: np.multiply(700.0, y, out), np.ones(2), 0.1, [0.5, 10.0])
+        records = _rk4_path(lambda y, out: np.multiply(700.0, y, out), np.ones(2), 0.1, [0.5, 10.0])
         first = next(records)
         assert np.all(np.isfinite(first))
         # the driver silences numpy only while it steps, not while the caller holds a record
@@ -133,13 +133,13 @@ class TestRK4Driver:
     @pytest.mark.parametrize("dt, times", [(1.0, [1e7 * (1.0 + 2.0**-52)]), (5e-324, [1e300]), (0.1, [0.0, 1e300])])
     def test_step_cap_refuses_at_once(self, dt, times):
         with pytest.raises(ValueError, match="more than 10000000 steps"):
-            _rk4_path(lambda y, out, _: np.negative(y, out=out), np.ones(1), dt, times)
+            _rk4_path(lambda y, out: np.negative(y, out=out), np.ones(1), dt, times)
 
     @pytest.mark.parametrize("gamma", [1e-300, 1.25, 1e100])
     def test_step_cap_admits_verifys_longest_runs(self, gamma):
         # verify admits up to 10^6 tau steps of --rk4-dt and --fock-dt, and runs them in raw
         # time, dt / gamma to tau / gamma; a record time of exactly 10^7 steps is also admitted
-        def rhs(y, out, _):
+        def rhs(y, out):
             np.negative(y, out=out)
 
         _rk4_path(rhs, np.ones(1), 5e-6 / gamma, [0.5 / gamma, 5.0 / gamma])
@@ -273,6 +273,23 @@ class TestLyapunovRK4:
         assert np.array_equal(means, ref_means)
         assert np.array_equal(covs, ref_covs)
 
+    def test_rhs_sums_in_the_literal_order(self):
+        # on physical states C00 and C11, the only forced entries, are real, and
+        # there both orders of the sum round alike, so the records cannot pin it;
+        # complex C00 and C11 tell (left*y + y*right) + forcing from its reassociation
+        rng = rng_for("rhs sum order")
+        spec = random_spec(rng)
+        batch = 40
+        y = rng.normal(size=5 * batch) + 1j * rng.normal(size=5 * batch)
+        rhs, (left, right) = lyapunov._moment_rhs(spec, batch)
+        noise = spec.gamma * spec.f_beta
+        forcing = np.tile(np.array([0.0, noise, 0.0, 0.0, noise], dtype=complex), batch)
+        framed = np.array([left, y, right])
+        out = np.empty_like(y)
+        rhs((framed[:2], framed[1:]), out)
+        assert out.tobytes() == ((left * y + y * right) + forcing).tobytes()
+        assert out.tobytes() != (left * y + (y * right + forcing)).tobytes()
+
     def test_unstable_step_overflows_loudly(self):
         state = squeezed_thermal(0.2, 1.0)
         with pytest.raises(ValueError):
@@ -291,7 +308,7 @@ class TestLyapunovRK4:
         zs = [z for z in zs if z.real < 0.0] + [2.82j, -2.82j, 2.83j, -2.78, -2.79]
         for z in zs:
             rate = np.array(z)
-            [y] = _rk4_path(lambda y, out, _: np.multiply(rate, y, out), np.array([1.0 + 0j]), 1.0, [1.0])
+            [y] = _rk4_path(lambda y, out: np.multiply(rate, y, out), np.array([1.0 + 0j]), 1.0, [1.0])
             assert lyapunov._rk4_stable(1.0, [z]) == (abs(y[0]) <= 1.0), z
         assert lyapunov._rk4_stable(1.0, [2.82j, -2.78, -1.0 - 2.0j, 0.0])
         assert not lyapunov._rk4_stable(1.0, [-1.0, 2.83j])
@@ -390,13 +407,12 @@ class TestFockOracle:
     def test_rhs_rates_are_the_eigenvalues_of_the_stepped_master_equation(self, nbar):
         dim = 7
         spec = SystemBathSpec(omega=1.7, gamma=0.6, nbar=nbar)
-        rows, cols = fock._bands(dim)
-        rhs = fock._rhs_factory(dim, rows, cols, spec)
+        rhs = fock._rhs_factory(dim, spec)
         # the right-hand side's matrix on the band vector, column by column
         columns = []
-        for unit in np.eye(rows.size, dtype=complex):
+        for unit in np.eye(dim * (dim + 1) // 2, dtype=complex):
             out = np.empty_like(unit)
-            rhs(unit, out, np.empty_like(unit))
+            rhs(unit, out)
             columns.append(out)
         expected = np.linalg.eigvals(np.array(columns).T) / spec.gamma
         rates = fock._rhs_rates(dim, spec)
