@@ -119,6 +119,7 @@ _TAU_MAX = 50.0
 _SCAN_STEP = 0.01
 _MAX_SCAN_STEPS = 10**6
 _GAP_SIGNIFICANCE = 1e-13
+_FLOOR = sys.float_info.min  # a charge over omega below it has lost its precision, and the gap its sign
 # The bisection decides its halvings outside (a, b) = hint (1 -+ _HINT_RTOL)
 # without evaluating them where the gap's sign at a and b certifies it
 # (_bisect).  Wide enough that the gap is significant at a and b for nearly
@@ -203,8 +204,8 @@ def _check_point(r, mu, nbar_pi, nbar, boundary_ok=False) -> float:
 def _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega=1.0) -> tuple:
     """(seeds, closed) of finite axes, with nonnegative occupations, at |mu| = mu_abs.
 
-    seeds is the oracle's (N, 5) array, one seed pair (lam_s, |m_s|, |mu|^2, f,
-    omega) per point in row order (r outer, nbar inner), and closed holds each
+    seeds is the oracle's (N, 4) array, one seed pair (lam_s, |m_s|, |mu|^2, f)
+    per point in row order (r outer, nbar inner), and closed holds each
     point's closed-form tau_c, None unless r > 0 (at r = 0 an |mu|^2 that
     underflowed to 0 would read as the degenerate boundary) and mu != 0
     (_closed_form_time would divide by a zero mantissa).  |mu| and the
@@ -213,7 +214,7 @@ def _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega=1.0) -> tupl
     not once per point: |mu|^2 once, (nbar + 1/2)^2 once per nbar, and the seed
     and its energy range once per pair, at the largest nbar.  Raises
     ValueError for a seed beyond float range (its V^2, |mu|^2, (nbar + 1/2)^2
-    or omega times an energy), as the states would.
+    or omega times an energy), as the states would; omega enters that check only.
     """
     mu_abs = float(mu_abs)
     fs = [float(nbar) + 0.5 for nbar in nbar_values]
@@ -227,12 +228,11 @@ def _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega=1.0) -> tupl
         v_s, m_s, lam_s = _squeezed_seed(f_pi, max(r, 0.0))
         _check_energy(v_s, mu_sq, omega, f_max)  # it grows with f, so f_max covers the pair
         moduli.append((lam_s, m_s))
-    seeds = np.empty((len(pairs), len(fs), 5))
-    seeds[:, :, :2] = np.array(moduli)[:, None, :]
-    seeds[:, :, 2], seeds[:, :, 3], seeds[:, :, 4] = mu_sq, fs, omega
+    seeds = np.empty((len(pairs), len(fs), 4))
+    seeds[:, :, :2], seeds[:, :, 2], seeds[:, :, 3] = np.array(moduli)[:, None, :], mu_sq, fs
     gaps = [_closed_form_gap(r, mu_sq, f_pi) if r > 0.0 and mu_abs != 0.0 else None for r, f_pi in pairs]
     closed = [p if not p else _closed_form_time(p, mu_abs, mu_sq, f) for p in gaps for f in fs]
-    return seeds.reshape(-1, 5), closed
+    return seeds.reshape(-1, 4), closed
 
 
 def crossing_time_closed_form(r, mu, nbar_pi, nbar) -> float | None:
@@ -278,23 +278,23 @@ def _closed_form_time(p, mu_abs, mu_sq, f) -> float:
     return math.log1p(math.ldexp(c, n)) if n < 1000 else math.log(c) + n * math.log(2.0)
 
 
-def _charges(tau, lam_s, m_s, v_sq, f, omega):
-    """Squeezed and displaced ergotropy at tau, elementwise, from seeds relaxed to x = exp(-tau) (1 at tau = 0).
+def _charges(tau, lam_s, m_s, v_sq, f):
+    """Squeezed and displaced charges over omega at tau, elementwise, from seeds relaxed to x = exp(-tau).
 
     The squeezed seed has no mean and the displaced one no M, so one core pass over
     (lam_s, |m_s|, |v_d|^2) gives both: its covariance and its displacement share.
     """
-    _, erg_d, erg_s = _work(*_relax(lam_s, m_s, v_sq, f, np.exp(-tau)), omega)
+    _, erg_d, erg_s = _work(*_relax(lam_s, m_s, v_sq, f, np.exp(-tau)), 1.0)
     return erg_s, erg_d
 
 
-def _bisect(lo, hi, moments, floor, hint, settled):
+def _bisect(lo, hi, moments, hint, settled):
     """Bisect every bracket [lo, hi] of the gap at once; each argument has one column or entry per bracket.
 
     g > 0 holds at lo and not at hi, settled marks the brackets whose hi is
     resolved, and hint is where each root is expected (nan where unknown).
     Each round halves every bracket, and one whose midpoint has g exactly 0
-    with both charges resolved (at least floor) collapses to lo = hi = mid.  A
+    with both charges resolved (at least _FLOOR) collapses to lo = hi = mid.  A
     bracket down to adjacent floats, or collapsed, returns the same midpoint
     in every later round, and once every midpoint equals an endpoint, mid is
     returned, within an ulp of where g > 0 flips, or nan where the charges
@@ -309,7 +309,7 @@ def _bisect(lo, hi, moments, floor, hint, settled):
     So the hint changes no result, only the number of evaluations.
     """
     a, b = hint * (1.0 - _HINT_RTOL), hint * (1.0 + _HINT_RTOL)
-    positive, _, significant = _flags(*_charges(np.stack([a, b]), *moments), floor)
+    positive, _, significant = _flags(*_charges(np.stack([a, b]), *moments))
     # a bracket that is not certified takes more evaluated rounds than the others
     # could skip, so halvings are skipped only where every bracket is certified
     certified = (settled & significant[0] & positive[0] & significant[1] & ~positive[1]).all()
@@ -323,45 +323,45 @@ def _bisect(lo, hi, moments, floor, hint, settled):
                 continue
         erg_s, erg_d = _charges(mid, *moments)
         if ((mid == lo) | (mid == hi)).all():
-            return np.where(np.minimum(erg_s, erg_d) >= floor, mid, math.nan)
+            return np.where(np.minimum(erg_s, erg_d) >= _FLOOR, mid, math.nan)
         # g > 0 exactly when erg_s > erg_d, and g = 0 exactly when erg_s == erg_d (as in _flags)
         positive = erg_s > erg_d
         lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
         if (erg_s == erg_d).any():
-            root = (erg_s == erg_d) & (erg_s >= floor)
+            root = (erg_s == erg_d) & (erg_s >= _FLOOR)
             lo, hi = np.where(root, mid, lo), np.where(root, mid, hi)
 
 
-def _flags(erg_s, erg_d, floor):
-    """g > 0, resolved and significant, elementwise, for gap samples with charges erg_s and erg_d.
+def _flags(erg_s, erg_d):
+    """g > 0, resolved and significant, elementwise, for gap samples of charges over omega erg_s and erg_d.
 
     g > 0 exactly when erg_s > erg_d: the exact difference of two doubles is a
     multiple of 2^-1074, so it rounds to a positive double when it is positive.
-    A sample is resolved when both charges are at least floor, and significant
+    A sample is resolved when both charges are at least _FLOOR, and significant
     when it is resolved and |g| exceeds _GAP_SIGNIFICANCE of their sum, so that
     its sign stands clear of the charges' roundoff.  A sample is sure when it is
     significant with g > 0, and sure negative when it is significant with g <= 0.
     """
-    resolved = np.minimum(erg_s, erg_d) >= floor
+    resolved = np.minimum(erg_s, erg_d) >= _FLOOR
     significant = resolved & (np.abs(erg_s - erg_d) > _GAP_SIGNIFICANCE * (erg_s + erg_d))
     return erg_s > erg_d, resolved, significant
 
 
-def _search(tau, moments, floor, lo, hi, negative):
+def _search(tau, moments, lo, hi, negative):
     """Each point's first sample after its sure sample lo that is not sure, or with negative unresolved or sure negative.
 
-    tau is _window's, and moments and floor have one column, and lo and hi
-    one entry, per point; the sample searched for lies in (lo, hi], where hi
-    is the window's size if the point may have none, and a point without one
-    gets hi back.  By the module docstring's lemma the samples searched for
-    form a suffix of the window, so bisecting over the sample indices finds
-    the first of them, for all points at once, forming only the samples read:
-    each round keeps lo short of the suffix and hi in it (or where it was),
-    until hi = lo + 1; an empty batch runs no rounds.
+    tau is _window's, and moments has one column, and lo and hi one entry, per
+    point; the sample searched for lies in (lo, hi], where hi is the window's
+    size if the point may have none, and a point without one gets hi back.
+    By the module docstring's lemma the samples searched for form a suffix of
+    the window, so bisecting over the sample indices finds the first of them,
+    for all points at once, forming only the samples read: each round keeps
+    lo short of the suffix and hi in it (or where it was), until hi = lo + 1;
+    an empty batch runs no rounds.
     """
     for _ in range(int((hi - lo).max(initial=1) - 1).bit_length()):
         mid = (lo + hi) // 2
-        positive, resolved, significant = _flags(*_charges(tau(mid), *moments), floor)
+        positive, resolved, significant = _flags(*_charges(tau(mid), *moments))
         done = ~resolved | (significant & ~positive) if negative else ~(significant & positive)
         lo, hi = np.where(done, lo, mid), np.where(done, mid, hi)
     return hi
@@ -386,15 +386,16 @@ def _window(tau_max, scan_step) -> tuple:
 
 
 def _numeric_crossings(seeds, tau_max, scan_step, hints=None) -> tuple:
-    """Bisection oracle for a batch of seed pairs: lists (times, erg0_s, erg0_d), one entry per point.
+    """Bisection oracle for a batch of seed pairs: (times, erg0_s, erg0_d), one entry per point.
 
     seeds holds the moments of one seed pair per point, and hints, if given,
     where each point's crossing is expected (nan where unknown), such as its
-    closed-form tau_c.  Each gap g(tau) = erg_squeezed(tau) - erg_displaced(tau)
-    is sampled on the window (_window), forming only the samples read; each
-    point that crosses gets the bracket that the module docstring places, two
-    samples with g > 0 at the first and not at the second, and all bracketed
-    points are bisected together, so no crossing beyond tau_max is reported.
+    closed-form tau_c.  Each gap g(tau) = erg_squeezed(tau) - erg_displaced(tau),
+    in charges over omega, is sampled on the window (_window), forming only
+    the samples read; each point that crosses gets the bracket that the module
+    docstring places, two samples with g > 0 at the first and not at the
+    second, and all bracketed points are bisected together, so no crossing
+    beyond tau_max is reported.
     A hint only decides where the oracle looks: the sample pair k, k + 1
     around it is read first, and where k is sure and k + 1 not, k is the last
     sure sample L with no search; elsewhere the pair narrows the search.  The
@@ -402,59 +403,55 @@ def _numeric_crossings(seeds, tau_max, scan_step, hints=None) -> tuple:
     evaluations and changes no result.  A point gets 0.0 when its tau = 0
     charges coincide, and None when it has no bracket or its bracket's root
     lies where the charges are not resolved (a scan step coarser than their
-    decay can bracket it).  erg0_s and erg0_d are the charges of its first
-    sample, at tau = 0.  Raises ValueError as _window does.
+    decay can bracket it).  The arrays erg0_s and erg0_d hold the charges of
+    each first sample, at tau = 0.  Raises ValueError as _window does.
     """
     size, tau = _window(tau_max, scan_step)
     # one column per moment and entry per point
-    moments = np.array(seeds, dtype=float).reshape(-1, 5).T
+    moments = np.array(seeds, dtype=float).reshape(-1, 4).T
     # a hint below 0 reads as 0, so that the charges the certificates read are at tau >= 0
     hints = np.full(moments.shape[1], math.nan) if hints is None else np.maximum(hints, 0.0)
-    # a charge below the smallest normal float (times omega, so that the
-    # moment products behind it are normal too) has lost its relative
-    # precision, and so has the gap's sign
-    floor = sys.float_info.min * np.maximum(1.0, moments[-1])
     erg_s, erg_d = _charges(0.0, *moments)
-    positive, resolved, significant = _flags(erg_s, erg_d, floor)
+    positive, resolved, significant = _flags(erg_s, erg_d)
     equal = resolved & (np.abs(erg_s - erg_d) <= _EQUAL_CHARGE_RTOL * (erg_s + erg_d))
     times = np.where(equal, 0.0, math.nan)
     # only a point whose tau = 0 sample is sure, its charges apart, can cross
     pending = np.flatnonzero(significant & positive & ~equal)
-    moments, floor = moments[:, pending], floor[pending]
+    moments = moments[:, pending]
     # the samples k, k + 1 around the hint (k = size - 2 where it is nan or past the window)
     k = np.clip(np.floor(np.fmin(hints[pending], tau_max) / scan_step), 0, size - 2).astype(int)
-    positive, _, significant = _flags(*_charges(tau(np.stack([k, k + 1])), *moments), floor)
+    positive, _, significant = _flags(*_charges(tau(np.stack([k, k + 1])), *moments))
     sure = significant & positive
     # L + 1, each point's first sample that is not sure, is k + 1 where k is sure and
     # k + 1 not, beyond k + 1 where that is sure, and before k where k is not (sample
     # 0 is sure); without one, g > 0 on the whole window
     lo = np.where(sure[1], k + 1, np.where(sure[0], k, 0))
-    hi = _search(tau, moments, floor, lo, np.where(sure[1], size, np.where(sure[0], k + 1, k)), False)
+    hi = _search(tau, moments, lo, np.where(sure[1], size, np.where(sure[0], k + 1, k)), False)
     ahead = hi < size
-    pending, hi, moments, floor = pending[ahead], hi[ahead], moments[:, ahead], floor[ahead]
+    pending, hi, moments = pending[ahead], hi[ahead], moments[:, ahead]
     lo = hi - 1
     # where sample L + 1 reads g > 0, the bracket ends at Q, if Q is sure negative
-    unbracketed, settled, _ = _flags(*_charges(tau(hi), *moments), floor)
+    unbracketed, settled, _ = _flags(*_charges(tau(hi), *moments))
     rest = np.flatnonzero(unbracketed)
-    q = _search(tau, moments[:, rest], floor[rest], lo[rest], np.full(rest.size, size), True)
+    q = _search(tau, moments[:, rest], lo[rest], np.full(rest.size, size), True)
     ends = np.minimum([q - 1, q], size - 1)
-    positive, _, significant = _flags(*_charges(tau(ends), *moments[:, rest]), floor[rest])
+    positive, _, significant = _flags(*_charges(tau(ends), *moments[:, rest]))
     unbracketed[rest] = (q == size) | ~significant[1]
     lo[rest], hi[rest], settled[rest] = np.where(positive[0], q - 1, lo[rest]), q, significant[1]
     points = np.flatnonzero(~unbracketed)
     times[pending[points]] = _bisect(
-        tau(lo[points]), tau(hi[points]), moments[:, points], floor[points], hints[pending[points]], settled[points]
+        tau(lo[points]), tau(hi[points]), moments[:, points], hints[pending[points]], settled[points]
     )
-    return [None if math.isnan(t) else t for t in times.tolist()], erg_s.tolist(), erg_d.tolist()
+    return [None if math.isnan(t) else t for t in times.tolist()], erg_s, erg_d
 
 
 def crossing_time_numeric(r, mu, nbar_pi, nbar, spec: SystemBathSpec | None = None) -> float | None:
     """Bisection oracle for the crossing time, built on the relaxed seed moments.
 
-    Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, 50] at steps
-    of 0.01 (_TAU_MAX and _SCAN_STEP) for a sign change, then bisects it down
-    to adjacent floats.  Returns 0.0 when the initial charges already
-    coincide, and None when g never changes sign while both charges are
+    Scans g(tau) = erg_squeezed(tau) - erg_displaced(tau) on [0, 50] at steps of
+    0.01 (_TAU_MAX and _SCAN_STEP) for a sign change, then bisects it down to
+    adjacent floats.  Returns 0.0 when the initial charges already coincide,
+    and None when g never changes sign while both charges over omega are
     resolved, i.e. at least the smallest normal float (so weak charges that
     underflow before they cross give None).  crossing_report takes another
     scan window.
@@ -468,7 +465,8 @@ def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, spec, tau_max, scan_
 
     The oracle takes every point's seed pair, one row of _seed_axes's seeds:
     where r <= 0 or mu = 0, a tau = 0 charge is 0, not resolved, so it gives
-    None.  The reported tau = 0 charges are the oracle's own, its first sample.
+    None.  The reported tau = 0 charges are the oracle's own, its first sample,
+    times omega.
     """
     omega = 1.0 if spec is None else spec.omega
     seeds, closed = _seed_axes(r_values, nbar_pi_values, nbar_values, mu_abs, omega)
@@ -482,6 +480,7 @@ def _reports(r_values, nbar_pi_values, nbar_values, mu_abs, spec, tau_max, scan_
         for tau_c, tau_n in zip(closed, numeric)
     ]
     exists = [note == "" for note in notes]
+    erg0_s, erg0_d = (omega * erg0_s).tolist(), (omega * erg0_d).tolist()
     return list(map(CrossingReport, exists, closed, numeric, erg0_s, erg0_d, notes))
 
 

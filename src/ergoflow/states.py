@@ -50,9 +50,8 @@ __all__ = [
 # dissipative dynamics never spuriously rejects it.
 VALIDATION_ATOL = 1e-10
 
-# Relative entropies are nonnegative; values in [NEGATIVE_ROUNDOFF_FLOOR, 0)
-# are roundoff and clamp to zero, anything below the floor means the inputs
-# were inconsistent.
+# Relative entropies are nonnegative: values in [NEGATIVE_ROUNDOFF_FLOOR, 0) are
+# roundoff and clamp to zero, and float does not resolve a value below it.
 NEGATIVE_ROUNDOFF_FLOOR = -1e-12
 
 VACUUM_VARIANCE = 0.5
@@ -266,10 +265,12 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
         K = -1 + (1/2) [ ln(det_b / det_a) + Tr(cov_b^-1 cov_a)
                          + (v_a - v_b)+ cov_b^-1 (v_a - v_b) ].
 
-    Nonnegative, and 0.0 for identical moments.  The -1 is folded into
-    the trace term, formed from quartered moment differences, and the
-    shift's offset is scaled by a power of two, so no intermediate
-    overflows where K is a float; a K beyond float range raises ValueError.
+    Nonnegative, and 0.0 for identical moments.  The -1 is folded into the
+    trace term, formed from quartered moment differences, and the shift's
+    offset is scaled by a power of two, so no intermediate overflows where K
+    is a float.  A K beyond float range raises ValueError, and so does one
+    that float does not resolve, computed below NEGATIVE_ROUNDOFF_FLOOR, as
+    where a strongly squeezed state_b makes V_b^2 - |M_b|^2 cancel.
 
     The absolute error is a few ulps of the largest term, 1 + |ln(det_b /
     det_a)| / 2 + (V_b max(V_a, V_b) + |M_b| max(|M_a|, |M_b|) + (V_b +
@@ -291,7 +292,7 @@ def relative_wigner_entropy(state_a: GaussianState, state_b: GaussianState) -> f
     if not math.isfinite(value):
         raise ValueError("relative Wigner entropy exceeds float range")
     if value < NEGATIVE_ROUNDOFF_FLOOR:
-        raise InvalidStateError(f"relative Wigner entropy {value:.3e} is beyond the roundoff floor")
+        raise ValueError(f"relative Wigner entropy is not resolved in float: computed {value:.3e}")
     return max(value, 0.0)
 
 

@@ -188,17 +188,18 @@ def literal_moment_path(states, spec, dt, record_times, omit_gamma_in_noise=Fals
     return np.stack([v for v, _ in records]), np.stack([c for _, c in records])
 
 
-def literal_bisect(lo, hi, moments, floor):
+def literal_bisect(lo, hi, moments):
     """One bracket of the gap, g > 0 at lo and not at hi, halved until its midpoint equals an
-    endpoint or g is exactly 0 there with both charges at least floor, with the oracle's ufuncs
-    on 1-element arrays; returns that midpoint, or None where the charges there are below floor."""
+    endpoint or g is exactly 0 there with both charges over omega at least the smallest normal
+    float, with the oracle's ufuncs on 1-element arrays; returns that midpoint, or None where
+    the charges there are below it."""
     lo, hi = np.array([lo]), np.array([hi])
     columns = [np.array([value]) for value in moments]
     while True:
         mid = 0.5 * (lo + hi)
         erg_s, erg_d = mpemba._charges(mid, *columns)
         g_mid = erg_s - erg_d
-        resolved = min(erg_s[0], erg_d[0]) >= floor
+        resolved = min(erg_s[0], erg_d[0]) >= sys.float_info.min
         if mid[0] == lo[0] or mid[0] == hi[0] or (g_mid[0] == 0.0 and resolved):
             return float(mid[0]) if resolved else None
         if g_mid[0] > 0.0:
@@ -220,8 +221,7 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
     for i, moments in enumerate(seeds):
         erg_s, erg_d = mpemba._charges(taus, *moments)
         gap = erg_s - erg_d
-        floor = sys.float_info.min * max(1.0, moments[-1])
-        resolved = np.minimum(erg_s, erg_d) >= floor
+        resolved = np.minimum(erg_s, erg_d) >= sys.float_info.min
         if resolved[0] and abs(gap[0]) <= mpemba._EQUAL_CHARGE_RTOL * (erg_s[0] + erg_d[0]):
             times[i] = 0.0
             continue
@@ -231,19 +231,19 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
         flips = flips[significant[flips] | significant[flips + 1]]
         if flips.size:
             k = flips[0]
-            times[i] = literal_bisect(taus[k], taus[k + 1], moments, floor)
+            times[i] = literal_bisect(taus[k], taus[k + 1], moments)
         elif positive[0]:
             sure = np.flatnonzero(significant & positive)
             p = sure[-1] if sure.size else 0
             negative = np.flatnonzero(significant[p:] & (gap[p:] < 0.0))
             if negative.size:
-                times[i] = literal_bisect(taus[p], taus[p + negative[0]], moments, floor)
+                times[i] = literal_bisect(taus[p], taus[p + negative[0]], moments)
     return times
 
 
 def seed_row(r, mu, nbar_pi, nbar, omega=1.0) -> tuple:
-    """The crossing oracle's seed row (lam_s, |m_s|, |mu|^2, f, omega) of a valid point, seeded
-    and range-checked as crossing_report seeds it."""
+    """The crossing oracle's seed row (lam_s, |m_s|, |mu|^2, f) of a valid point, seeded and
+    range-checked at omega as crossing_report seeds it; the row itself holds no omega."""
     (seed,), _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu), omega)
     return tuple(seed.tolist())
 

@@ -4,8 +4,9 @@ Occupations, |mu|, r, omega, gamma and t are drawn log-uniform across the
 ranges that the library admits (occupations and |mu| up to where their
 squares leave float range, r up to where V^2 does, omega and gamma over
 1e-300..1e300), with signed zeros and exact zeros mixed in.  Every call
-returns finite values or raises the documented ValueError (InvalidStateError
-is one); numpy's RuntimeWarnings are errors.  The quadrature oracle runs
+returns finite values or raises the documented ValueError, and only the state
+constructors raise its subclass InvalidStateError, which blames the input;
+numpy's RuntimeWarnings are errors.  The quadrature oracle runs
 on n = 8 grids.  The four thermal-seed constructors and faster_discharge_demo
 are callees of their own, with r of either sign.  The simulate command runs through cli.main on grids of 1 to
 20 steps of a drawn --dt, and exits 0 with finite cells or 2 with a message;
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from ergoflow import (
+    InvalidStateError,
     SqueezingParameter,
     SystemBathSpec,
     crossing_report,
@@ -99,11 +101,13 @@ def finite(value) -> bool:
     return bool(np.all(np.isfinite(value)))
 
 
-def attempt(call):
-    """call()'s result, or None where it raised the documented ValueError."""
+def attempt(call, constructor=False):
+    """call()'s result, or None where it raised the documented ValueError; only a
+    constructor may raise InvalidStateError."""
     try:
         return call()
-    except ValueError:
+    except ValueError as err:
+        assert constructor or not isinstance(err, InvalidStateError), err
         return None
 
 
@@ -125,14 +129,16 @@ def test_valid_calls_are_finite_or_refused(seed):
         ("state", "evolve", "effective", "rate", "trajectory", "ergotropy", "split", "energy", "entropy",
          "relative", "grid", "grid relative", "crossing"), 0)  # fmt: skip
     for _ in range(CASES):
-        state, spec, t = attempt(draw.state), attempt(draw.spec), draw.log(TIME)
+        state, spec, t = attempt(draw.state, constructor=True), attempt(draw.spec), draw.log(TIME)
         occ, z = draw.log(OCCUPATION), draw.squeezing()
         if state is not None:
             answered["state"] += 1
             assert finite(state_moments(state)), state
             for name, call in (
                 ("entropy", lambda: wigner_entropy(state)),
+                # the relative entropy both ways round
                 ("relative", lambda: relative_wigner_entropy(state, passive_state(state))),
+                ("relative", lambda: relative_wigner_entropy(passive_state(state), state)),
                 # the quadrature oracle on n = 8 grids, the relative entropy both ways round
                 ("grid", lambda: norm_energy_entropy(state, n=8)),
                 ("grid relative", lambda: relative_entropy_quadrature(state, passive_state(state), n=8)),
@@ -190,7 +196,7 @@ def test_constructors_and_demo_are_finite_or_refused(seed):
             ("squeezed", lambda: squeezed_thermal(occ, z)),
             ("squeezed displaced", lambda: squeezed_displaced_thermal(occ, amp, z)),
         ):
-            state = attempt(call)
+            state = attempt(call, constructor=True)
             if state is not None:
                 answered[name] += 1
                 assert finite(state_moments(state)), (name, occ, amp, z, state)

@@ -55,6 +55,31 @@ def amplitude_crossing_at(tau, r, nbar_pi, nbar):
     return math.sqrt(2.0 * a * b / (total + math.sqrt(total * total - 4.0 * a * b)))
 
 
+def regime_points(rng, count):
+    """count crossing points (r, mu, nbar_pi, nbar), cycling through five regimes."""
+    points = []
+    for i in range(count):
+        nbar_pi, nbar = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+        regime = i % 5
+        if regime == 0:  # ordinary points
+            r = rng.uniform(0.05, 3.0)
+            mu = rng.uniform(0.01, 1.3) * equal_charge_amplitude(r, nbar_pi)
+        elif regime == 1:  # hot seeds near equal charge
+            r, nbar_pi = rng.uniform(0.3, 2.0), 10.0 ** rng.uniform(6.0, 13.0)
+            mu = equal_charge_amplitude(r, nbar_pi) * (1.0 - 10.0 ** rng.uniform(-12.0, -6.0))
+        elif regime == 2:  # |mu| down to 1e-150 and below
+            r = 10.0 ** rng.uniform(-150.0, -100.0)
+            mu = rng.uniform(0.01, 1.0) * equal_charge_amplitude(r, nbar_pi)
+        elif regime == 3:  # late crossings
+            r, mu, nbar = rng.uniform(2.5, 4.0), 10.0 ** rng.uniform(-8.0, -4.0), 0.0
+        else:  # charges near equal on either side
+            r = rng.uniform(0.05, 3.0)
+            excess = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -1.0)
+            mu = equal_charge_amplitude(r, nbar_pi) * (1.0 + excess)
+        points.append((r, mu, nbar_pi, nbar))
+    return points
+
+
 class TestClosedForm:
     def test_fig2_value(self):
         value = crossing_time_closed_form(1.0, 1.0, 0.2, 0.4)
@@ -253,26 +278,8 @@ class TestNumericOracle:
         # off by 1e-6 either way, random in the window, negative or nan: a hint whose
         # certificate fails costs evaluations, never a different time
         rng = rng_for(f"crossing hints {window}")
-        points, omegas = [], 10.0 ** rng.uniform(-3.0, 3.0, count)
-        for i in range(count):
-            nbar_pi, nbar = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
-            regime = i % 5
-            if regime == 0:  # ordinary points
-                r = rng.uniform(0.05, 3.0)
-                mu = rng.uniform(0.01, 1.3) * equal_charge_amplitude(r, nbar_pi)
-            elif regime == 1:  # hot seeds near equal charge
-                r, nbar_pi = rng.uniform(0.3, 2.0), 10.0 ** rng.uniform(6.0, 13.0)
-                mu = equal_charge_amplitude(r, nbar_pi) * (1.0 - 10.0 ** rng.uniform(-12.0, -6.0))
-            elif regime == 2:  # |mu| down to 1e-150 and below
-                r = 10.0 ** rng.uniform(-150.0, -100.0)
-                mu = rng.uniform(0.01, 1.0) * equal_charge_amplitude(r, nbar_pi)
-            elif regime == 3:  # late crossings
-                r, mu, nbar = rng.uniform(2.5, 4.0), 10.0 ** rng.uniform(-8.0, -4.0), 0.0
-            else:  # charges near equal on either side
-                r = rng.uniform(0.05, 3.0)
-                excess = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -1.0)
-                mu = equal_charge_amplitude(r, nbar_pi) * (1.0 + excess)
-            points.append((r, mu, nbar_pi, nbar))
+        omegas = 10.0 ** rng.uniform(-3.0, 3.0, count)
+        points = regime_points(rng, count)
         seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
         closed = [crossing_time_closed_form(*p) for p in points]
         closed = np.array([math.nan if t is None else t for t in closed])
@@ -306,7 +313,7 @@ class TestNumericOracle:
             return ratio * erg_d, erg_d
 
         monkeypatch.setattr(mpemba, "_charges", charges)
-        seeds = [(1.0, 0.0, 0.0, 0.0, 1.0)]
+        seeds = [(1.0, 0.0, 0.0, 0.0)]
         assert literal_crossing_scan(seeds, 5.0, 5.0) == [None]
         assert mpemba._numeric_crossings(seeds, 5.0, 5.0, [1.0])[0] == [None]
         found = mpemba._numeric_crossings(seeds, 1.5, 1.5, [1.0])[0]
@@ -450,9 +457,9 @@ class TestNumericOracle:
         step, noise, big = mpemba._SCAN_STEP, 1e-14, 1e-3
         n, tau = mpemba._window(tau_max, step)
         taus = tau(np.arange(n))
-        gaps, scales, omegas, placed = [], [], [], []
+        gaps, scales, placed = [], [], []
 
-        def point(last, middle=(), negatives=n, tail=-big, bracket=None, scale=1.0, omega=1.0):
+        def point(last, middle=(), negatives=n, tail=-big, bracket=None, scale=1.0):
             """sure samples up to last, the insignificant middle, that many sure negative
             samples, then unresolved ones with gap tail (one value, or one per sample) to
             the window's end; bracket is where its crossing is placed, None for none"""
@@ -464,7 +471,6 @@ class TestNumericOracle:
             gap[end:] = tail if np.ndim(tail) == 0 else tail[:n - end]
             gaps.append(gap)
             scales.append(np.where(np.arange(n) < end, scale, 1e-310))
-            omegas.append(omega)
             placed.append(bracket)
 
         # a sure sample next to a sure negative one, at tau = 0, early, late and at the window's end
@@ -494,10 +500,12 @@ class TestNumericOracle:
         point(99, (), 0, -big, bracket=(99, 100))
         # sure negative samples, then unresolved ones that read g <= 0 and chatter
         point(30, (noise, -noise), 4, -big * (-1.0) ** np.arange(n), bracket=(30, 33))
-        # charges of 1e-300 are resolved at omega = 1 and not at omega = 1e10,
-        # whose charges must reach 1e10 times the smallest normal float
+        # charges of 1e-300 are resolved, and so are charges at the smallest normal float,
+        # but not an ulp below it: the smaller charge of the sure negative samples after an
+        # insignificant middle is the smallest normal float times 1 +- 1.1e-15
         point(35, bracket=(35, 36), scale=1e-300)
-        point(35, scale=1e-300, omega=1e10)
+        point(35, (noise, -noise), bracket=(35, 38), scale=sys.float_info.min / (1.0 - big) * (1.0 + 1e-15))
+        point(35, (noise, -noise), scale=sys.float_info.min / (1.0 - big) * (1.0 - 1e-15))
         # an unresolved sample that reads g > 0 after sure negative ones, with no counted
         # flip before them: a flip into g > 0 does not count, so the bracket is the last
         # sure sample and the first sure negative one
@@ -525,7 +533,7 @@ class TestNumericOracle:
             return scale * (1.0 + between(gaps)), scale
 
         monkeypatch.setattr(mpemba, "_charges", charges)
-        seeds = [(float(i), 0.0, 0.0, 0.0, omega) for i, omega in enumerate(omegas)]
+        seeds = [(float(i), 0.0, 0.0, 0.0) for i in range(len(gaps))]
         times, _, _ = mpemba._numeric_crossings(seeds, tau_max, step)
         assert times == literal_crossing_scan(seeds, tau_max, step)
         # each crossing lies in the bracket where it was placed, and the others have none
@@ -540,15 +548,15 @@ class TestNumericOracle:
         assert 0 < sum(t is None for t in times[-24:]) < 24
 
     def test_charges_are_the_shared_core_bit_for_bit(self):
-        # _charges is states._work(*dynamics._relax(...)) on the scan's, the bisection's,
-        # the tau = 0 and the helpers' shapes
-        def core(tau, lam, m, v_sq, f, omega):
-            _, erg_d, erg_s = _work(*_relax(lam, m, v_sq, f, np.exp(-tau)), omega)
+        # _charges is states._work(*dynamics._relax(...)) at omega = 1 on the scan's, the
+        # bisection's, the tau = 0 and the helpers' shapes
+        def core(tau, lam, m, v_sq, f):
+            _, erg_d, erg_s = _work(*_relax(lam, m, v_sq, f, np.exp(-tau)), 1.0)
             return erg_s, erg_d
 
         specials = [0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0, 7.5, 1e300]
         rng = rng_for("charges in place")
-        columns = [rng.choice(specials, 200) for _ in range(4)] + [rng.choice([1.0, 0.7, 1e10], 200)]
+        columns = [rng.choice(specials, 200) for _ in range(4)]
         # the last two decay to 5e-324 and 0
         taus = np.concatenate([0.01 * np.arange(300), [math.log(2.0), 690.7755, 744.44, math.inf]])
         seed = seed_row(1.0, 1.0, 0.2, 0.4, omega=1e10)
@@ -557,7 +565,7 @@ class TestNumericOracle:
             (rng.choice(taus, 200), columns),  # the bisection's (P,) x (P,)
             (0.0, columns),  # the tau = 0 charges
             (taus, seed),  # the helpers' scalar moments
-            (taus, (1e-300, 1e300, 5e-324, 0.5, 1e10)),
+            (taus, (1e-300, 1e300, 5e-324, 0.5)),
         ]
         with np.errstate(all="ignore"):
             for tau, moments in cases:
@@ -565,10 +573,10 @@ class TestNumericOracle:
                 found = mpemba._charges(tau, *moments)
                 for a, b in zip(found, expected):
                     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        # a report's tau = 0 charges are the core's, and two oracle calls in a row
-        # each see only their own points
+        # a report's tau = 0 charges are the core's times omega, and two oracle calls in a
+        # row each see only their own points
         report = crossing_report(1.0, 1.0, 0.2, 0.4, SystemBathSpec(omega=1e10))
-        assert (report.erg0_squeezed, report.erg0_displaced) == tuple(float(a) for a in core(0.0, *seed))
+        assert (report.erg0_squeezed, report.erg0_displaced) == tuple(float(1e10 * a) for a in core(0.0, *seed))
         points = [(3.0, 1e-6, 0.2, 0.0), (1.0, 1.5, 0.2, 0.4), (1e-7, 1e-8, 0.2, 0.4)]
         late, missing, weak = [seed_row(*p) for p in points]
         batches, window = [[seed, late, missing], [weak]], (mpemba._TAU_MAX, mpemba._SCAN_STEP)
@@ -581,8 +589,24 @@ class TestNumericOracle:
         reference = crossing_time_numeric(1.0, 1.0, 0.2, 0.4)
         for omega, gamma in ((0.5, 2.0), (3.0, 0.25), (1.7, 1.3)):
             spec = SystemBathSpec(omega=omega, gamma=gamma, nbar=0.4)
-            value = crossing_time_numeric(1.0, 1.0, 0.2, 0.4, spec)
-            assert abs(value - reference) <= 1e-9
+            assert crossing_time_numeric(1.0, 1.0, 0.2, 0.4, spec) == reference
+
+    def test_reports_are_the_omega_1_reports(self):
+        # the oracle works in charges over omega, so a report at any omega is the omega = 1
+        # report with its starting charges times omega, bit for bit: on the five regimes,
+        # r = 0, mu = 0, and a crossing whose charges over omega, near 1e-300, were taken
+        # for unresolved at omega = 1e-10
+        rng = rng_for("reports at any omega")
+        points = regime_points(rng, 200)
+        points += [(0.0, rng.uniform(0.0, 2.0), 0.2, 0.4) for _ in range(10)]
+        points += [(rng.uniform(0.05, 3.0), 0.0, 0.2, 0.4) for _ in range(10)]
+        points.append((3e-150, 1e-150, 0.2, 0.4))
+        omegas = [*10.0 ** rng.uniform(-10.0, 10.0, len(points) - 1), 1e-10]
+        for point, omega in zip(points, omegas):
+            unit, report = crossing_report(*point), crossing_report(*point, SystemBathSpec(omega=omega))
+            erg0 = omega * unit.erg0_squeezed, omega * unit.erg0_displaced
+            assert report == unit._replace(erg0_squeezed=erg0[0], erg0_displaced=erg0[1]), (point, omega)
+        assert report.tau_c_numeric == 2.3048048497323586
 
 
 class TestCrossingReport:

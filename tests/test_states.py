@@ -8,6 +8,7 @@ import pytest
 from ergoflow import (
     GaussianState,
     InvalidStateError,
+    SqueezingParameter,
     SystemBathSpec,
     displaced_thermal,
     ergotropy,
@@ -246,6 +247,15 @@ class TestRelativeEntropy:
         a = GaussianState.from_moments(0j, 1e154, -0.9e154)
         b = GaussianState.from_moments(0j, 1e154, 0.9e154)
         assert relative_wigner_entropy(a, b) == pytest.approx(1.81 / 0.19 - 1.0, rel=1e-12)
+
+    def test_unresolved_divergence_is_not_an_invalid_state(self):
+        # K[W_passive || W] of a strongly squeezed state is cosh 40 - 1 = 1.18e17, but
+        # the trace term's V^2 - |M|^2 cancels and the sum read -4.7e18: both states are
+        # valid, so the refusal is the documented ValueError, not InvalidStateError
+        state = squeezed_thermal(0.2, SqueezingParameter(20.0, 0.3))
+        with pytest.raises(ValueError, match="not resolved") as excinfo:
+            relative_wigner_entropy(passive_state(state), state)
+        assert not isinstance(excinfo.value, InvalidStateError)
 
 
 class TestEnergyAndPassive:
