@@ -241,10 +241,9 @@ def literal_crossing_scan(seeds, tau_max, scan_step):
     return times
 
 
-def seed_row(r, mu, nbar_pi, nbar, omega=1.0) -> tuple:
-    """The crossing oracle's seed row (lam_s, |m_s|, |mu|^2, f) of a valid point, seeded and
-    range-checked at omega as crossing_report seeds it; the row itself holds no omega."""
-    (seed,), _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu), omega)
+def seed_row(r, mu, nbar_pi, nbar) -> tuple:
+    """The crossing oracle's seed row (lam_s, |m_s|, |mu|^2, f) of a valid point, seeded as crossing_report seeds it."""
+    (seed,), _ = mpemba._seed_axes((r,), (nbar_pi,), (nbar,), abs(mu))
     return tuple(seed.tolist())
 
 

@@ -27,6 +27,7 @@ from ergoflow import (
     mpemba_scan,
     sample_trajectory,
     squeezed_thermal,
+    verify,
 )
 from ergoflow.cli import SWEEP_HEADER, TRAJECTORY_HEADER, parse_config_text
 from ergoflow.oracles import fock, lyapunov, quadrature
@@ -753,7 +754,7 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
-    @pytest.mark.parametrize("row", [name for name, _, _ in cli._CHECKS])
+    @pytest.mark.parametrize("row", [name for name, _, _ in verify.CHECKS])
     def test_each_row_catches_a_wrong_oracle(self, capsys, monkeypatch, row):
         module, name, make_wrong = WRONG_ORACLES[row]
         monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
@@ -768,8 +769,8 @@ class TestVerify:
         # loses positivity, which is a breach of that row, not a usage error
         code, out, err = run(self.FAST + ["--omega", "35"], capsys)
         assert code == 1
-        rows = {name: line for line in out.splitlines() for name, _, _ in cli._CHECKS if line.startswith(name)}
-        assert len(rows) == len(cli._CHECKS)
+        rows = {name: line for line in out.splitlines() for name, _, _ in verify.CHECKS if line.startswith(name)}
+        assert len(rows) == len(verify.CHECKS)
         assert rows["fock vs gaussian ergotropy on trajectory"].endswith("FAIL")
         assert rows["quadrature norm/energy/entropy"].endswith("PASS")
         assert "verification FAILED" in out
@@ -818,7 +819,7 @@ class TestVerify:
             pytest.fail(f"verify ran with {flag} {value}")
 
         # the state draws, the Fock seeds and the Fock trajectory are where the counts are spent
-        monkeypatch.setattr(cli, "random_state", refuse)
+        monkeypatch.setattr(verify, "random_state", refuse)
         monkeypatch.setattr(fock, "fock_gaussian_state", refuse)
         monkeypatch.setattr(fock, "fock_lindblad_path", refuse)
         args = list(self.FAST)

@@ -33,6 +33,7 @@ from ergoflow import (
     ergotropy,
     ergotropy_rate,
     ergotropy_split,
+    evaluate_wigner,
     evolve_analytic,
     faster_discharge_demo,
     mean_energy,
@@ -58,6 +59,9 @@ AMPLITUDE = (-300.0, 154.0)
 SQUEEZING = (-300.0, math.log10(177.0))
 RATE = (-300.0, 300.0)
 TIME = (-300.0, 300.0)
+# r of the strongly squeezed draws, one state in four: the forms on the principal axes meet
+# their extremes there, where a log-uniform r lands about once in 250 draws
+STRONG_SQUEEZING = (8.0, 177.0)
 
 
 class Draw:
@@ -86,9 +90,20 @@ class Draw:
             return thermal_state(occ)
         if kind == 1:
             return displaced_thermal(occ, self.amplitude())
+        # half the squeezed states are strongly squeezed
+        z = self.squeezing()
+        if self.rng.random() < 0.5:
+            z = SqueezingParameter(self.rng.uniform(*STRONG_SQUEEZING), z.theta)
         if kind == 2:
-            return squeezed_thermal(occ, self.squeezing())
-        return squeezed_displaced_thermal(occ, self.amplitude(), self.squeezing())
+            return squeezed_thermal(occ, z)
+        return squeezed_displaced_thermal(occ, self.amplitude(), z)
+
+    def wide_axis_point(self, state):
+        """A point up to three wide-axis scales sqrt(V + |M|) from the mean, along that axis."""
+        m = state.anomalous_variance
+        axis = cmath.sqrt(m / abs(m)) if m else 1.0
+        scale = math.sqrt(state.symmetric_variance + abs(m))
+        return state.alpha_mean + self.rng.uniform(-3.0, 3.0) * scale * axis
 
     def tau_grid(self):
         return [0.0, *sorted({self.log(TIME, 0.0) for _ in range(5)})]
@@ -127,15 +142,17 @@ def test_valid_calls_are_finite_or_refused(seed):
     draw = Draw(seed)
     answered = dict.fromkeys(
         ("state", "evolve", "effective", "rate", "trajectory", "ergotropy", "split", "energy", "entropy",
-         "relative", "grid", "grid relative", "crossing"), 0)  # fmt: skip
+         "relative", "wigner", "grid", "grid relative", "crossing"), 0)  # fmt: skip
     for _ in range(CASES):
         state, spec, t = attempt(draw.state, constructor=True), attempt(draw.spec), draw.log(TIME)
         occ, z = draw.log(OCCUPATION), draw.squeezing()
         if state is not None:
             answered["state"] += 1
             assert finite(state_moments(state)), state
+            point = draw.wide_axis_point(state)
             for name, call in (
                 ("entropy", lambda: wigner_entropy(state)),
+                ("wigner", lambda: evaluate_wigner(state, point)),
                 # the relative entropy both ways round
                 ("relative", lambda: relative_wigner_entropy(state, passive_state(state))),
                 ("relative", lambda: relative_wigner_entropy(passive_state(state), state)),
@@ -147,7 +164,7 @@ def test_valid_calls_are_finite_or_refused(seed):
                 result = attempt(call)
                 if result is not None:
                     answered[name] += 1
-                    assert finite(result) and (name != "relative" or result >= 0.0), (name, state, result)
+                    assert finite(result) and (name not in ("relative", "wigner") or result >= 0.0), (name, state, result)
         if state is not None and spec is not None:
             for name, call in (
                 ("evolve", lambda: state_moments(evolve_analytic(state, spec, t))),

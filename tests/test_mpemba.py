@@ -200,8 +200,7 @@ class TestNumericOracle:
             r, nbar_pi, nbar = rng.uniform(0.05, 3.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
             mu = rng.uniform(0.0, 1.3) * equal_charge_amplitude(r, nbar_pi)
             points.append((r, mu, nbar_pi, nbar))
-        omegas = rng.uniform(0.5, 2.0, len(points))
-        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
+        seeds = [seed_row(*p) for p in points]
         times, _, _ = mpemba._numeric_crossings(seeds, tau_max, step)
         assert times == literal_crossing_scan(seeds, tau_max, step)
         # the edge cases are where they were placed
@@ -278,9 +277,8 @@ class TestNumericOracle:
         # off by 1e-6 either way, random in the window, negative or nan: a hint whose
         # certificate fails costs evaluations, never a different time
         rng = rng_for(f"crossing hints {window}")
-        omegas = 10.0 ** rng.uniform(-3.0, 3.0, count)
         points = regime_points(rng, count)
-        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
+        seeds = [seed_row(*p) for p in points]
         closed = [crossing_time_closed_form(*p) for p in points]
         closed = np.array([math.nan if t is None else t for t in closed])
         expected = literal_crossing_scan(seeds, *window)
@@ -350,8 +348,8 @@ class TestNumericOracle:
         # so the oracle does not scan points that start below; the per-point scan of
         # the whole window confirms that none of them crosses
         rng = rng_for("points that start below")
-        points, omegas = [], 10.0 ** rng.uniform(-3.0, 3.0, 600)
-        for i in range(omegas.size):
+        points = []
+        for i in range(600):
             nbar_pi, nbar = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
             if i % 3 == 0:  # just above the equal-charge amplitude
                 r, excess = rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-12.0, -3.0)
@@ -360,7 +358,7 @@ class TestNumericOracle:
             else:
                 r, excess = rng.uniform(0.05, 3.0), rng.uniform(1e-3, 2.0)
             points.append((r, equal_charge_amplitude(r, nbar_pi) * (1.0 + excess), nbar_pi, nbar))
-        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
+        seeds = [seed_row(*p) for p in points]
         erg_s, erg_d = mpemba._charges(0.0, *np.array(seeds).T)
         assert np.all(erg_s <= erg_d)
         assert literal_crossing_scan(seeds, *window) == [None] * len(seeds)
@@ -371,11 +369,11 @@ class TestNumericOracle:
         # the oracle starts its first-flip rule at each point's last sure sample, found by
         # bisecting over the samples (mpemba's module docstring); on physical draws that
         # is the per-point scan of every sample from tau = 0: initial charges within
-        # 1e-15 to 1e-1 of each other on either side, tiny amplitudes, weak and huge
-        # squeezing, and omega from 1e-3 to 1e10
+        # 1e-15 to 1e-1 of each other on either side, tiny amplitudes, and weak and huge
+        # squeezing
         rng = rng_for(f"last sure sample {window}")
-        points, omegas = [], 10.0 ** rng.uniform(-3.0, 10.0, 400)
-        for i in range(omegas.size):
+        points = []
+        for i in range(400):
             nbar_pi, nbar = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
             r = (rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-160.0, 0.0), rng.uniform(3.0, 170.0))[i % 3]
             if i % 2:
@@ -384,7 +382,7 @@ class TestNumericOracle:
             else:
                 mu = 10.0 ** rng.uniform(-160.0, 0.0)
             points.append((r, mu, nbar_pi, nbar))
-        seeds = [seed_row(*p, omega=w) for p, w in zip(points, omegas)]
+        seeds = [seed_row(*p) for p in points]
         times, _, _ = mpemba._numeric_crossings(seeds, *window)
         assert times == literal_crossing_scan(seeds, *window)
         # the draws both cross and miss
@@ -559,7 +557,7 @@ class TestNumericOracle:
         columns = [rng.choice(specials, 200) for _ in range(4)]
         # the last two decay to 5e-324 and 0
         taus = np.concatenate([0.01 * np.arange(300), [math.log(2.0), 690.7755, 744.44, math.inf]])
-        seed = seed_row(1.0, 1.0, 0.2, 0.4, omega=1e10)
+        seed = seed_row(1.0, 1.0, 0.2, 0.4)
         cases = [
             (taus, [column[:, None] for column in columns]),  # the scan's (P, 1) x (S,)
             (rng.choice(taus, 200), columns),  # the bisection's (P,) x (P,)

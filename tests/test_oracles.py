@@ -681,11 +681,19 @@ class TestQuadrature:
         rng = rng_for("quadrel")
         from ergoflow import relative_wigner_entropy
 
+        pairs = []
         for _ in range(5):
             a = squeezed_displaced_thermal(
                 rng.uniform(0, 0.4), 0.6 * cmath.exp(2j * math.pi * rng.uniform()), rng.uniform(0, 0.5)
             )
-            b = thermal_state(rng.uniform(0, 0.6))
+            pairs.append((a, thermal_state(rng.uniform(0, 0.6))))
+        # the trace term is taken on b's principal axes: a squeezed state against its passive
+        # state, and two squeezed states whose axes differ, so that the term in the angle
+        # between them is not zero
+        state = squeezed_displaced_thermal(0.2, 0.3 - 0.2j, SqueezingParameter(0.6, 0.4))
+        turned = squeezed_thermal(0.1, SqueezingParameter(0.4, 2.1))
+        pairs += [(passive_state(state), state), (state, turned), (turned, state)]
+        for a, b in pairs:
             closed = relative_wigner_entropy(a, b)
             by_grid = quadrature.relative_entropy_quadrature(a, b, extent=8.0, n=500)
             assert by_grid == pytest.approx(closed, abs=1e-6)

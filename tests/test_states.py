@@ -248,14 +248,26 @@ class TestRelativeEntropy:
         b = GaussianState.from_moments(0j, 1e154, 0.9e154)
         assert relative_wigner_entropy(a, b) == pytest.approx(1.81 / 0.19 - 1.0, rel=1e-12)
 
-    def test_unresolved_divergence_is_not_an_invalid_state(self):
-        # K[W_passive || W] of a strongly squeezed state is cosh 40 - 1 = 1.18e17, but
-        # the trace term's V^2 - |M|^2 cancels and the sum read -4.7e18: both states are
-        # valid, so the refusal is the documented ValueError, not InvalidStateError
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 2.0])
+    def test_strong_squeezing_against_its_passive_state(self, theta):
+        # K[W_pi || W] = cosh 2r - 1 = 2 sinh^2 r; the trace term took differences of
+        # V and M, which cancel: relative errors of 3.0e-8 at r = 10 and 1.8e-3 at r = 15
+        for r in np.arange(0.5, 30.25, 0.5).tolist():
+            state = squeezed_thermal(0.2, SqueezingParameter(r, theta))
+            value = relative_wigner_entropy(passive_state(state), state)
+            assert value == pytest.approx(2.0 * math.sinh(r) ** 2, rel=1e-15, abs=0.0), r
+
+    def test_strongly_squeezed_divergence_is_resolved(self):
+        # K[W_pi || W] of a strongly squeezed state is cosh 40 - 1 = 1.18e17, but the trace
+        # term's V^2 - |M|^2 cancelled, the sum read -4.7e18, and K was refused as not
+        # resolved; K[W || W_pi] is the same, and omega f_pi times it is the ergotropy
         state = squeezed_thermal(0.2, SqueezingParameter(20.0, 0.3))
-        with pytest.raises(ValueError, match="not resolved") as excinfo:
-            relative_wigner_entropy(passive_state(state), state)
-        assert not isinstance(excinfo.value, InvalidStateError)
+        passive = passive_state(state)
+        expected = math.cosh(40.0) - 1.0
+        for value in (relative_wigner_entropy(passive, state), relative_wigner_entropy(state, passive)):
+            assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+        paper = SPEC.omega * passive_occupation(state) * expected
+        assert ergotropy(state, SPEC) == pytest.approx(paper, rel=1e-15, abs=0.0)
 
 
 class TestEnergyAndPassive:
@@ -410,6 +422,23 @@ class TestWignerDensity:
         assert evaluate_wigner(state, complex(-1.7e308, 1.7e308)) == 0.0
         assert evaluate_wigner(thermal_state(0.2), 1e200) == 0.0
         assert evaluate_wigner(state, 1e154) == pytest.approx(1.0 / (0.7 * math.pi), rel=1e-15)
+
+    def test_strong_squeezing_on_the_principal_axes(self):
+        # one standard deviation out on each axis of a squeezed state, the wide one
+        # imaginary at theta = 0: the form took differences of V and M, which cancel,
+        # 1.4e-2 too high at r = 8, and it read the peak density from r = 10 on
+        for r in np.arange(0.5, 30.25, 0.5).tolist():
+            state = squeezed_thermal(0.2, SqueezingParameter(r, 0.0))
+            wide = state.symmetric_variance + abs(state.anomalous_variance)
+            expected = math.exp(-1.0) / (math.pi * math.sqrt(state.cov_det))
+            for point in (1j * math.sqrt(wide), math.sqrt(state.cov_det / wide)):
+                assert evaluate_wigner(state, point) == pytest.approx(expected, rel=1e-15, abs=0.0), (r, point)
+
+    def test_subnormal_anomalous_variance_keeps_its_phase(self):
+        # M / |M| of this subnormal M is off unit length by 1.2e-5, which would scale the form
+        state = GaussianState.from_moments(0j, 0.7, 3e-320 + 3e-320j)
+        expected = math.exp(-1.0 / 0.7) / (0.7 * math.pi)
+        assert evaluate_wigner(state, 1.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_positive_everywhere(self):
         rng = rng_for("wpos")
